@@ -27,18 +27,22 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Runs the analyzer-round and incident-correlator benchmarks and
-# writes machine-readable summaries (name → ns/op, B/op, allocs/op)
+# Runs the analyzer-round, incident-correlator and log-store benchmarks
+# and writes machine-readable summaries (name → ns/op, B/op, allocs/op)
 # for CI to archive, so analysis- and incident-plane perf regressions
-# show up as an artifact diff. The scalebench campaign (4096 hosts ×
-# 8 rails, deterministic fault schedule) runs the full -workers 1,4,16
-# matrix at paper scale and reports end-to-end rounds/sec, allocs/round
-# and peak heap per worker count the same way.
+# show up as an artifact diff. The log-store pair is the round's
+# barrier append and a full-ring scan per query dimension — the read
+# cost the scan-on-read store accepts, as a number. The scalebench
+# campaign (4096 hosts × 8 rails, deterministic fault schedule) runs
+# the full -workers 1,4,16 matrix at paper scale and reports end-to-end
+# rounds/sec, allocs/round and peak heap per worker count the same way.
 bench:
 	$(GO) test -run xxx -bench Analyzer -benchmem . | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_analyzer.json
 	$(GO) test -run xxx -bench IncidentCorrelator -benchmem ./internal/incident | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_incident.json
+	$(GO) test -run xxx -bench 'AppendBatch|Scan' -benchmem ./internal/logstore | tee /dev/stderr \
+		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
 	GOGC=50 $(GO) run ./cmd/scalebench -o BENCH_scale.json
 
 # CI-sized scalebench: the same 1/4/16 worker matrix on a shrunken
@@ -53,6 +57,8 @@ bench-ci:
 		| $(GO) run ./cmd/benchjson -o BENCH_analyzer.json
 	$(GO) test -run xxx -bench IncidentCorrelator -benchmem ./internal/incident | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_incident.json
+	$(GO) test -run xxx -bench 'AppendBatch|Scan' -benchmem ./internal/logstore | tee /dev/stderr \
+		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
 	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -o BENCH_scale.json
 	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -campaign gray -o BENCH_scale_gray.json
 

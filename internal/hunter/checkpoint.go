@@ -219,7 +219,12 @@ func (d *Deployment) RecoverFrom(ck *Checkpoint) error {
 	// sorted ID order. Alarms those records already raised before the
 	// crash are in the restored alarm list; re-detections they cause
 	// post-restore land as new alarms, which the scoring grace window
-	// absorbs.
+	// absorbs. The ring holds a record count, not a time span: when it
+	// has already turned over past the checkpoint the replay is partial,
+	// and that is counted rather than silent.
+	if d.logTruncatedSince(ck.At) {
+		d.Obs.Inc(obs.ReplayTruncated)
+	}
 	for _, id := range d.Controller.TaskIDs() {
 		recs := d.Log.ByTask(string(id), ck.At)
 		if len(recs) > 0 {

@@ -138,6 +138,62 @@ func TestColdRecoveryWithoutCheckpoint(t *testing.T) {
 	}
 }
 
+// TestLogTruncationIsCounted: the ring retains a record count, not a
+// time span, so a busy enough fleet turns it over faster than the
+// checkpoint interval and the evidence window. Recovery replay and
+// evidence gathers are then partial; replay-truncated and
+// evidence-truncated say so. Both must stay zero while the ring still
+// reaches back far enough — including when it is full.
+func TestLogTruncationIsCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		par       parallelism.Config
+		warm      time.Duration
+		truncated bool
+	}{
+		// 4 containers log ~5.8K records/min: the ring reaches back ~11 min.
+		{"full ring reaches past the checkpoint", parallelism.Config{TP: 8, PP: 2, DP: 2}, 12 * time.Minute, false},
+		// 12 containers log ~63K records/min: the ring reaches back ~1 min.
+		{"ring turned over since the checkpoint", parallelism.Config{TP: 8, PP: 4, DP: 3}, 2 * time.Minute, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := New(Options{Seed: 11, Hosts: 16, Lag: fastLag()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.SubmitTask(cluster.TaskSpec{Par: tc.par}); err != nil {
+				t.Fatal(err)
+			}
+			d.Run(tc.warm)
+			if _, full := d.Log.OldestAt(); !full {
+				t.Fatalf("ring not full after %v (%d records)", tc.warm, d.Log.Len())
+			}
+			ck := d.Checkpoint()
+
+			// A fault after the checkpoint: its incident gathers evidence
+			// over the two minutes before the alarm.
+			breakRail3(t, d)
+			d.Run(3 * time.Minute)
+			if len(d.Incidents.Incidents()) == 0 {
+				t.Fatal("fault opened no incident, so no evidence was gathered")
+			}
+			d.CrashController()
+			if err := d.RecoverFrom(ck); err != nil {
+				t.Fatal(err)
+			}
+
+			c := d.Stats().Counters
+			replay, evidence := c[obs.ReplayTruncated.String()], c[obs.EvidenceTruncated.String()]
+			if tc.truncated && (replay != 1 || evidence == 0) {
+				t.Fatalf("replay-truncated = %d, evidence-truncated = %d; want 1 and > 0", replay, evidence)
+			}
+			if !tc.truncated && (replay != 0 || evidence != 0) {
+				t.Fatalf("replay-truncated = %d, evidence-truncated = %d; want both 0", replay, evidence)
+			}
+		})
+	}
+}
+
 func TestWireAgentSurvivesControllerRecovery(t *testing.T) {
 	// The wire path across a recovery: the checkpoint preserves the
 	// per-task secret (a re-minted one would lock every fleet agent

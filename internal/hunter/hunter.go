@@ -123,8 +123,8 @@ type Deployment struct {
 	// topology View (the flap+ghost campaign); swap View only from an
 	// engine event, never mid-round.
 	Localizer *localize.Localizer
-	// Log retains recent probe records indexed by task/container/RNIC/
-	// switch (§6's log service) for operator queries.
+	// Log retains recent probe records, queryable by task/container/
+	// RNIC/switch (§6's log service).
 	Log *logstore.Store
 	// Incidents folds alarms into long-lived operator incidents with
 	// evidence bundles (nil when Options.DisableIncidents).
@@ -157,7 +157,6 @@ type Deployment struct {
 	telemetry     *faults.TelemetryInjector
 	batchTap      probe.BatchSink // test seam: intercepts agent batches before delivery
 	rounds        *probe.RoundEngine
-	staged        map[cluster.TaskID]*logstore.Staged // per-task sharded log staging
 	agents        map[cluster.ContainerID]*probe.OverlayAgent
 	stopped       map[cluster.TaskID]int
 	blockedHosts  map[int]bool
@@ -254,7 +253,6 @@ func New(opts Options) (*Deployment, error) {
 		probeInterval: opts.ProbeInterval,
 		autoMigrate:   opts.AutoMigrate,
 		feedbackOff:   opts.DisableFeedback,
-		staged:        make(map[cluster.TaskID]*logstore.Staged),
 		agents:        make(map[cluster.ContainerID]*probe.OverlayAgent),
 		stopped:       make(map[cluster.TaskID]int),
 		blockedHosts:  make(map[int]bool),
@@ -360,11 +358,12 @@ func (d *Deployment) ingestBatch(b probe.Batch) {
 // grouped probe rounds land through when no batch tap or active
 // telemetry injector requires serial delivery.
 //
-// Worker-side (Consume, one goroutine per task shard): batches stage
-// into per-task logstore buffers and the analyzer's pre-warmed shard
-// inboxes — no global lock on the hot path. Barrier-side (Commit,
-// serial): staged buffers land in the ring in sorted task order, so log
-// content is deterministic at any worker count.
+// Worker-side (Consume, one goroutine per task shard): batches feed the
+// analyzer's pre-warmed shard inboxes — no global lock on the hot path.
+// Barrier-side (Land, serial): each agent's batch is appended to the
+// log in the round's sorted order, the same AppendBatch in the same
+// order the serial fallback (ingestBatch) uses, so log content is
+// deterministic at any worker count and on either path.
 type roundSink struct{ d *Deployment }
 
 // FastOK gates the sharded path. A batch tap (test seam) or an active
@@ -374,45 +373,27 @@ func (rs roundSink) FastOK() bool {
 	return rs.d.batchTap == nil && rs.d.telemetry.Passive()
 }
 
-// Prepare pre-creates the round's per-task state serially so Consume
-// callers only ever read the maps: the analyzer shard and the log
-// staging buffer for every task probing this round.
+// Prepare pre-creates the analyzer shard of every task probing this
+// round, serially, so Consume callers only ever read the shard map.
 func (rs roundSink) Prepare(tasks []cluster.TaskID) {
 	for _, t := range tasks {
 		rs.d.Analyzer.WarmShard(string(t))
-		if rs.d.staged[t] == nil {
-			rs.d.staged[t] = logstore.NewStaged()
-		}
 	}
 }
 
-// Consume lands one agent round's batch for its task shard. Runs on a
-// worker goroutine; the round engine guarantees one goroutine per task,
-// so the staged buffer and the analyzer shard inbox are single-writer.
-func (rs roundSink) Consume(task cluster.TaskID, b probe.Batch) {
+// Consume feeds one agent round's batch to its task's analyzer shard.
+// Runs on a worker goroutine; the round engine guarantees one goroutine
+// per task, so the shard inbox is single-writer.
+func (rs roundSink) Consume(_ cluster.TaskID, b probe.Batch) {
 	if len(b) == 0 {
 		return
 	}
 	rs.d.Obs.Inc(obs.BatchesIngested)
-	rs.d.staged[task].Add(b)
 	rs.d.Analyzer.IngestBatch(b)
 }
 
-// Commit merges the round at the barrier: staged log buffers land in
-// sorted task order (deterministic ring content, one lock acquisition
-// per task).
-func (rs roundSink) Commit(now time.Duration) {
-	keys := make([]cluster.TaskID, 0, len(rs.d.staged))
-	for t, st := range rs.d.staged {
-		if st.Len() > 0 {
-			keys = append(keys, t)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, t := range keys {
-		rs.d.Log.CommitStaged(rs.d.staged[t])
-	}
-}
+// Land appends one agent round's batch to the retained log.
+func (rs roundSink) Land(b probe.Batch) { rs.d.Log.AppendBatch(b) }
 
 // SetTelemetryFaults installs (or, with zero options, effectively
 // clears) telemetry-plane fault injection: batch drop/duplication/
@@ -620,7 +601,6 @@ func (d *Deployment) countStopped(ev cluster.Event) {
 		d.Analyzer.ForgetTask(string(ev.Task.ID))
 		d.Controller.RemoveTask(ev.Task.ID)
 		delete(d.stopped, ev.Task.ID)
-		delete(d.staged, ev.Task.ID)
 	}
 }
 
@@ -715,17 +695,13 @@ func (d *Deployment) Agents() int { return len(d.agents) }
 
 // Stats snapshots the deployment's self-monitoring state: every obs
 // counter and histogram, with the analyzer's per-stage pipeline counts
-// folded in under "pipeline-<stage>" keys and the log-store index size
-// under "logstore-index-keys"/"logstore-index-entries".
+// folded in under "pipeline-<stage>" keys.
 func (d *Deployment) Stats() obs.Snapshot {
 	snap := d.Obs.Snapshot()
 	pc := d.Analyzer.Stats()
 	for _, s := range pipeline.Stages() {
 		snap.Counters["pipeline-"+s.String()] = pc.Get(s)
 	}
-	keys, entries := d.Log.IndexStats()
-	snap.Counters["logstore-index-keys"] = uint64(keys)
-	snap.Counters["logstore-index-entries"] = uint64(entries)
 	// Worker utilization of the parallel round engine: busy time over
 	// offered capacity (wall × workers), as a percentage.
 	if wall := snap.Counters[obs.WorkerWallNanos.String()]; wall > 0 {

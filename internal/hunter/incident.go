@@ -12,21 +12,25 @@ import (
 	"skeletonhunter/internal/analyzer"
 	"skeletonhunter/internal/apiserver"
 	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/probe"
 )
 
 // evidenceRecords pulls the retained probe records supporting one
 // localized component — the correlator's Records source. Dispatch
-// follows the log store's index dimensions: RNICs and switches query
-// directly, links query their switch endpoints, containers their
-// task-local index, and host-scoped components (boards, vswitches,
-// host configs) fold every rail of the host.
-// Every branch routes through sortRecords: a single-index query comes
-// back in log append order, which tracks batch *arrival* order — an
+// follows the log store's query dimensions: RNICs and switches query
+// directly, links query their switch endpoints, containers by (task,
+// index), and host-scoped components (boards, vswitches, host configs)
+// fold every rail of the host.
+// Every branch routes through sortRecords: a single query comes back
+// in log append order, which tracks batch *arrival* order — an
 // accident of delivery interleaving, not of what was measured. Evidence
 // bundles (and the incident fingerprints digesting them) must be a pure
 // function of the record set, so the order is canonicalized here.
 func (d *Deployment) evidenceRecords(c component.ID, since time.Duration) []probe.Record {
+	if d.logTruncatedSince(since) {
+		d.Obs.Inc(obs.EvidenceTruncated)
+	}
 	if host, rail, ok := component.RNICOf(c); ok {
 		return sortRecords(d.Log.ByRNIC(host, rail, since))
 	}
@@ -42,7 +46,7 @@ func (d *Deployment) evidenceRecords(c component.ID, since time.Duration) []prob
 	}
 	if name, ok := component.ContainerOf(c); ok {
 		// Cluster container IDs render "<task>/c<idx>"; overlay-only
-		// names ("vni…/ip") have no log index and yield no records.
+		// names ("vni…/ip") are not a log dimension and yield no records.
 		if i := strings.LastIndex(name, "/c"); i > 0 {
 			if idx, err := strconv.Atoi(name[i+2:]); err == nil {
 				return sortRecords(d.Log.ByContainer(name[:i], idx, since))
@@ -60,8 +64,16 @@ func (d *Deployment) evidenceRecords(c component.ID, since time.Duration) []prob
 	return nil
 }
 
+// logTruncatedSince reports whether the log can no longer answer
+// "everything since t": the ring is full and its oldest retained record
+// is newer than t, so older matching records may have been overwritten.
+func (d *Deployment) logTruncatedSince(t time.Duration) bool {
+	oldest, full := d.Log.OldestAt()
+	return full && oldest > t
+}
+
 // recordIdent is the dedup identity of a probe record across merged
-// index queries (a record indexed under two matched keys must count
+// queries (a record matched by two of them must count
 // once in an evidence bundle). Path is excluded: it is not comparable,
 // and the remaining fields already pin the observation.
 type recordIdent struct {
@@ -80,7 +92,7 @@ func identOf(r probe.Record) recordIdent {
 	}
 }
 
-// mergeRecords folds a second index query into an accumulated result,
+// mergeRecords folds a second query into an accumulated result,
 // dropping duplicates and restoring ascending observation order so the
 // merged stream is a pure function of the sets involved.
 func mergeRecords(acc, more []probe.Record) []probe.Record {

@@ -1,21 +1,21 @@
-// Package logstore is the measurement log service of §6: it stores the
-// agents' probe records in a bounded ring and indexes them by training
-// task, container, RNIC, and uplink (ToR) switch — the four dimensions
-// the production system aggregates on — so operators and the analyzer
-// can pull the evidence trail for any suspicious element.
+// Package logstore is the measurement log service of §6: it retains the
+// agents' most recent probe records in a bounded ring and answers
+// queries by training task, container, RNIC, and uplink (ToR) switch —
+// the four dimensions the production system aggregates on — so
+// operators and the analyzer can pull the evidence trail for any
+// suspicious element.
 //
 // The store is deliberately bounded: production keeps a retention
-// window, not history forever. Eviction is FIFO and index maintenance
-// rides it: when a slot is overwritten, the evicted record's seq is
-// removed from every key it was filed under, and a key whose last
-// entry evicts is deleted outright. Total index size is therefore
-// bounded by the retained records' key fan-out — keys for dead
-// containers and finished tasks cannot accumulate under churn — and
-// Append stays O(#index keys of one record) without a global sweep.
+// window, not history forever. Eviction is FIFO — an append overwrites
+// the oldest slot — and nothing is materialised per dimension: a write
+// is a copy into the ring, and a query is one oldest-to-newest filtered
+// scan of the retained slots. The trade is O(capacity) reads (see
+// BenchmarkScan) for writes that cost a memcpy; at fleet size the ring
+// turns over more than once per probing round while reads happen a few
+// hundred times per campaign, so the write side is the one that counts.
 package logstore
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"time"
@@ -25,268 +25,67 @@ import (
 	"skeletonhunter/internal/topology"
 )
 
-// Key dimensions a record is indexed under.
-type dimension int
-
-const (
-	dimTask dimension = iota
-	dimContainer
-	dimRNIC
-	dimSwitch
-)
-
-type indexKey struct {
-	dim dimension
-	key string
-}
-
-type slot struct {
-	rec probe.Record
-	seq uint64 // monotonically increasing; identifies slot generations
-}
-
-// Store is a bounded, indexed probe-record log. Safe for concurrent
-// use: agents append from their rounds while operators query.
+// Store is a bounded probe-record log. Safe for concurrent use: agents
+// append from their rounds while operators query.
 type Store struct {
-	// Obs, when set before the first append, receives self-monitoring
-	// counters (records retained, index keys dropped on eviction).
+	// Obs, when set before the first append, receives the
+	// records-logged counter.
 	Obs *obs.Stats
 
 	mu    sync.RWMutex
-	slots []slot
-	next  int
-	seq   uint64
-	index map[indexKey][]uint64 // key → live seqs (ascending)
-	// lookup from seq to slot position for O(1) retrieval.
-	capacity int
-
-	// Rendered-key caches: container and RNIC index keys are formatted
-	// strings derived from small integer coordinates, re-rendered for
-	// every record on both the append and eviction paths. Caching them
-	// makes batch ingest allocation-free for repeat endpoints. Bounded:
-	// reset wholesale if task churn ever grows them past keyCacheCap.
-	ckeys map[containerCoord]string
-	rkeys map[rnicCoord]string
-	// swScratch is the reused uplink-switch extraction buffer (guarded
-	// by mu, like everything else on the append path).
-	swScratch []topology.NodeID
+	slots []probe.Record
+	next  int    // slot the next record lands in
+	total uint64 // records ever appended
 }
-
-type containerCoord struct {
-	task string
-	c    int
-}
-
-type rnicCoord struct {
-	host, rail int
-}
-
-// keyCacheCap bounds the rendered-key caches; far above any realistic
-// live container/RNIC population, so a reset only fires under extreme
-// task churn.
-const keyCacheCap = 1 << 16
 
 // New returns a store retaining up to capacity records.
 func New(capacity int) *Store {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Store{
-		slots:    make([]slot, capacity),
-		index:    make(map[indexKey][]uint64),
-		capacity: capacity,
-		ckeys:    make(map[containerCoord]string),
-		rkeys:    make(map[rnicCoord]string),
-	}
-}
-
-// containerKey returns the cached rendering of a container index key;
-// the caller holds s.mu.
-func (s *Store) containerKey(task string, c int) string {
-	k := containerCoord{task, c}
-	if v, ok := s.ckeys[k]; ok {
-		return v
-	}
-	if len(s.ckeys) >= keyCacheCap {
-		s.ckeys = make(map[containerCoord]string)
-	}
-	v := ContainerKey(task, c)
-	s.ckeys[k] = v
-	return v
-}
-
-// rnicKey returns the cached rendering of an RNIC index key; the
-// caller holds s.mu.
-func (s *Store) rnicKey(host, rail int) string {
-	k := rnicCoord{host, rail}
-	if v, ok := s.rkeys[k]; ok {
-		return v
-	}
-	if len(s.rkeys) >= keyCacheCap {
-		s.rkeys = make(map[rnicCoord]string)
-	}
-	v := RNICKey(host, rail)
-	s.rkeys[k] = v
-	return v
-}
-
-// ContainerKey renders the container index key.
-func ContainerKey(task string, container int) string {
-	return fmt.Sprintf("%s/c%d", task, container)
-}
-
-// RNICKey renders the RNIC index key for a record endpoint.
-func RNICKey(host, rail int) string { return fmt.Sprintf("h%d/r%d", host, rail) }
-
-// Append stores one record and updates all indexes.
-func (s *Store) Append(rec probe.Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.append(rec)
+	return &Store{slots: make([]probe.Record, capacity)}
 }
 
 // AppendBatch stores a probing round's records under one lock
-// acquisition — the per-round ingest path agents feed. Records are
-// copied into the ring, so callers may reuse the batch's backing
-// array.
+// acquisition, overwriting the oldest retained records once the ring is
+// full. Records are copied into the ring, so callers may reuse the
+// batch's backing array.
 func (s *Store) AppendBatch(recs []probe.Record) {
 	if len(recs) == 0 {
 		return
 	}
+	s.Obs.Add(obs.RecordsLogged, uint64(len(recs)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, rec := range recs {
-		s.append(rec)
+	s.total += uint64(len(recs))
+	for len(recs) > 0 {
+		n := copy(s.slots[s.next:], recs)
+		recs = recs[n:]
+		s.next = (s.next + n) % len(s.slots)
 	}
 }
 
-// append stores one record; the caller holds s.mu.
-func (s *Store) append(rec probe.Record) {
-	// Evict first: the record this slot holds can never be served again,
-	// so its index entries go now — and keys that empty are deleted —
-	// rather than lingering for dead tasks and containers.
-	if old := s.slots[s.next]; old.seq != 0 {
-		s.unindex(old)
+// retained returns the ring's live records as two oldest-first runs;
+// the caller holds s.mu.
+func (s *Store) retained() (older, newer []probe.Record) {
+	if s.total < uint64(len(s.slots)) {
+		return nil, s.slots[:s.next]
 	}
-	s.seq++
-	s.slots[s.next] = slot{rec: rec, seq: s.seq}
-	s.next = (s.next + 1) % s.capacity
-
-	add := func(dim dimension, key string) {
-		k := indexKey{dim, key}
-		s.index[k] = append(s.index[k], s.seq)
-	}
-	s.eachKey(rec, add)
-	s.Obs.Inc(obs.RecordsLogged)
+	return s.slots[s.next:], s.slots[:s.next]
 }
 
-// unindex removes an evicted slot's entries from every key its record
-// was filed under. Eviction is FIFO, so the evicted seq is the oldest
-// live entry of each of its keys: removal is an O(1) head drop by
-// re-slicing. The dropped prefix stays in the backing array until a
-// later append outgrows the shrunken capacity and reallocates — the
-// standard slice-queue trade, keeping per-key memory proportional to
-// live entries while avoiding a per-eviction shift of the whole slice
-// (which would make every append O(capacity) once the ring is full).
-func (s *Store) unindex(old slot) {
-	s.eachKey(old.rec, func(dim dimension, key string) {
-		k := indexKey{dim, key}
-		seqs := s.index[k]
-		i := 0
-		for i < len(seqs) && seqs[i] <= old.seq {
-			i++
-		}
-		switch {
-		case i == 0:
-			// Already removed (a record indexed under the same key twice,
-			// e.g. src == dst container, unindexes both entries at once).
-		case i == len(seqs):
-			delete(s.index, k)
-			s.Obs.Inc(obs.IndexKeysDropped)
-		default:
-			s.index[k] = seqs[i:]
-		}
-	})
-}
-
-// eachKey visits every index key a record is filed under; the caller
-// holds s.mu (the key caches and switch scratch are mu-guarded).
-func (s *Store) eachKey(rec probe.Record, fn func(dim dimension, key string)) {
-	fn(dimTask, string(rec.Task))
-	fn(dimContainer, s.containerKey(string(rec.Task), rec.SrcContainer))
-	fn(dimContainer, s.containerKey(string(rec.Task), rec.DstContainer))
-	fn(dimRNIC, s.rnicKey(rec.Src.Host, rec.Src.Rail))
-	fn(dimRNIC, s.rnicKey(rec.Dst.Host, rec.Dst.Rail))
-	s.swScratch = appendUplinkSwitches(s.swScratch[:0], rec.Path)
-	for _, sw := range s.swScratch {
-		fn(dimSwitch, string(sw))
-	}
-}
-
-// appendUplinkSwitches appends the deduped switch nodes of a record's
-// path to buf. Dedup covers only the region this call appends, so
-// flattened multi-record buffers (the staged append path) keep each
-// record's full key set. Paths are at most a few tunnel legs of ≤ 6
-// links, so a linear dedup scan beats a per-record map allocation.
-func appendUplinkSwitches(buf []topology.NodeID, path []topology.LinkID) []topology.NodeID {
-	from := len(buf)
-	for _, l := range path {
-		for _, part := range splitLink(l) {
-			if part == "" || !isSwitchNode(part) {
-				continue
-			}
-			dup := false
-			for _, have := range buf[from:] {
-				if have == part {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				buf = append(buf, part)
-			}
-		}
-	}
-	return buf
-}
-
-func splitLink(l topology.LinkID) [2]topology.NodeID {
-	s := string(l)
-	for i := 0; i+1 < len(s); i++ {
-		if s[i] == '-' && s[i+1] == '-' {
-			return [2]topology.NodeID{topology.NodeID(s[:i]), topology.NodeID(s[i+2:])}
-		}
-	}
-	return [2]topology.NodeID{}
-}
-
-func isSwitchNode(n topology.NodeID) bool {
-	s := string(n)
-	return strings.HasPrefix(s, "tor/") || strings.HasPrefix(s, "agg/") || strings.HasPrefix(s, "spine/")
-}
-
-// query returns records for an index key at or after since, oldest
-// first.
-func (s *Store) query(dim dimension, key string, since time.Duration) []probe.Record {
+// scan returns the retained records at or after since that match,
+// oldest first.
+func (s *Store) scan(since time.Duration, match func(*probe.Record) bool) []probe.Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	seqs := s.index[indexKey{dim, key}]
-	minSeq := uint64(1)
-	if s.seq > uint64(s.capacity) {
-		minSeq = s.seq - uint64(s.capacity) + 1
-	}
 	var out []probe.Record
-	for _, q := range seqs {
-		if q < minSeq {
-			continue // evicted
-		}
-		// Locate the slot: seq q lives at position (q-1) % capacity.
-		sl := s.slots[int((q-1)%uint64(s.capacity))]
-		if sl.seq != q {
-			continue // overwritten between index and slot (stale entry)
-		}
-		if sl.rec.At >= since {
-			out = append(out, sl.rec)
+	older, newer := s.retained()
+	for _, run := range [2][]probe.Record{older, newer} {
+		for i := range run {
+			if r := &run[i]; r.At >= since && match(r) {
+				out = append(out, *r)
+			}
 		}
 	}
 	return out
@@ -294,45 +93,65 @@ func (s *Store) query(dim dimension, key string, since time.Duration) []probe.Re
 
 // ByTask returns the retained records of a task since the given time.
 func (s *Store) ByTask(task string, since time.Duration) []probe.Record {
-	return s.query(dimTask, task, since)
+	return s.scan(since, func(r *probe.Record) bool { return string(r.Task) == task })
 }
 
 // ByContainer returns records touching a container (as source or
 // destination).
 func (s *Store) ByContainer(task string, container int, since time.Duration) []probe.Record {
-	return s.query(dimContainer, ContainerKey(task, container), since)
+	return s.scan(since, func(r *probe.Record) bool {
+		return (r.SrcContainer == container || r.DstContainer == container) && string(r.Task) == task
+	})
 }
 
 // ByRNIC returns records whose endpoints ride the given RNIC.
 func (s *Store) ByRNIC(host, rail int, since time.Duration) []probe.Record {
-	return s.query(dimRNIC, RNICKey(host, rail), since)
+	return s.scan(since, func(r *probe.Record) bool {
+		return (r.Src.Host == host && r.Src.Rail == rail) || (r.Dst.Host == host && r.Dst.Rail == rail)
+	})
 }
 
 // BySwitch returns records whose underlay path traversed the switch.
+// Only switch nodes (ToR, aggregation, spine) are a query dimension;
+// any other node yields nothing.
 func (s *Store) BySwitch(node topology.NodeID, since time.Duration) []probe.Record {
-	return s.query(dimSwitch, string(node), since)
-}
-
-// IndexStats reports the index's live size — distinct keys and total
-// seq entries — the quantities eviction-driven pruning bounds: entries
-// never exceed the retained records' key fan-out, whatever churned
-// through before.
-func (s *Store) IndexStats() (keys, entries int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, seqs := range s.index {
-		keys++
-		entries += len(seqs)
+	n := string(node)
+	if !strings.HasPrefix(n, "tor/") && !strings.HasPrefix(n, "agg/") && !strings.HasPrefix(n, "spine/") {
+		return nil
 	}
-	return keys, entries
+	// A link is "<a>--<b>" (topology.MakeLinkID).
+	head, tail := n+"--", "--"+n
+	return s.scan(since, func(r *probe.Record) bool {
+		for _, l := range r.Path {
+			if strings.HasPrefix(string(l), head) || strings.HasSuffix(string(l), tail) {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // Len returns the number of retained records.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.seq >= uint64(s.capacity) {
-		return s.capacity
+	older, newer := s.retained()
+	return len(older) + len(newer)
+}
+
+// OldestAt returns the observation time of the oldest retained record
+// and whether the ring is full — that is, whether older records may
+// already have been overwritten. Callers reading "everything since T"
+// use it to tell a complete answer from a truncated one.
+func (s *Store) OldestAt() (at time.Duration, full bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	older, newer := s.retained()
+	switch {
+	case len(older) > 0:
+		return older[0].At, true
+	case len(newer) > 0:
+		return newer[0].At, false
 	}
-	return int(s.seq)
+	return 0, false
 }

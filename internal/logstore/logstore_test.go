@@ -2,9 +2,10 @@ package logstore
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"skeletonhunter/internal/cluster"
@@ -28,11 +29,14 @@ func rec(task string, srcC, dstC int, at time.Duration, path ...string) probe.Re
 	return r
 }
 
-func TestIndexedQueries(t *testing.T) {
+// put appends one record through the store's only write method.
+func put(s *Store, r probe.Record) { s.AppendBatch([]probe.Record{r}) }
+
+func TestQueries(t *testing.T) {
 	s := New(100)
-	s.Append(rec("t1", 0, 1, time.Second, "nic/h0/r1--tor/p0/r1", "nic/h1/r1--tor/p0/r1"))
-	s.Append(rec("t1", 1, 2, 2*time.Second, "nic/h1/r1--tor/p0/r1", "nic/h2/r1--tor/p0/r1"))
-	s.Append(rec("t2", 0, 1, 3*time.Second))
+	put(s, rec("t1", 0, 1, time.Second, "nic/h0/r1--tor/p0/r1", "nic/h1/r1--tor/p0/r1"))
+	put(s, rec("t1", 1, 2, 2*time.Second, "nic/h1/r1--tor/p0/r1", "nic/h2/r1--tor/p0/r1"))
+	put(s, rec("t2", 0, 1, 3*time.Second))
 
 	if got := s.ByTask("t1", 0); len(got) != 2 {
 		t.Fatalf("by task = %d, want 2", len(got))
@@ -45,7 +49,7 @@ func TestIndexedQueries(t *testing.T) {
 		t.Fatalf("by container = %d, want 2", len(got))
 	}
 	// Host 1 rail 1 appears in all three records (dst of the first and
-	// third, src of the second) — RNIC indexing is task-agnostic.
+	// third, src of the second) — the RNIC dimension is task-agnostic.
 	if got := s.ByRNIC(1, 1, 0); len(got) != 3 {
 		t.Fatalf("by RNIC = %d, want 3", len(got))
 	}
@@ -63,30 +67,6 @@ func TestIndexedQueries(t *testing.T) {
 	}
 }
 
-func TestEvictionBoundsRetention(t *testing.T) {
-	s := New(10)
-	for i := 0; i < 35; i++ {
-		s.Append(rec("t1", i, i+1, time.Duration(i)*time.Second))
-	}
-	if s.Len() != 10 {
-		t.Fatalf("len = %d, want capacity 10", s.Len())
-	}
-	got := s.ByTask("t1", 0)
-	if len(got) != 10 {
-		t.Fatalf("retained = %d, want 10", len(got))
-	}
-	// Only the newest 10 survive.
-	for _, r := range got {
-		if r.At < 25*time.Second {
-			t.Fatalf("evicted record served: %v", r.At)
-		}
-	}
-	// Container index entries pointing at evicted slots yield nothing.
-	if got := s.ByContainer("t1", 0, 0); len(got) != 0 {
-		t.Fatalf("evicted container query = %d", len(got))
-	}
-}
-
 func TestConcurrentAppendQuery(t *testing.T) {
 	s := New(256)
 	var wg sync.WaitGroup
@@ -95,7 +75,7 @@ func TestConcurrentAppendQuery(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.Append(rec(fmt.Sprintf("t%d", w), i%4, (i+1)%4, time.Duration(i)*time.Millisecond))
+				put(s, rec(fmt.Sprintf("t%d", w), i%4, (i+1)%4, time.Duration(i)*time.Millisecond))
 				if i%10 == 0 {
 					s.ByTask(fmt.Sprintf("t%d", w), 0)
 					s.ByRNIC(i%4, 1, 0)
@@ -109,197 +89,166 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	}
 }
 
-func TestRetentionProperty(t *testing.T) {
-	// Property: after any append sequence, a task query returns exactly
-	// the still-retained records of that task, oldest-first.
-	f := func(capRaw uint8, nRaw uint8) bool {
-		capacity := int(capRaw%20) + 1
-		n := int(nRaw%60) + 1
-		s := New(capacity)
-		for i := 0; i < n; i++ {
-			s.Append(rec("t", 0, 1, time.Duration(i)*time.Second))
-		}
-		got := s.ByTask("t", 0)
-		want := n
-		if want > capacity {
-			want = capacity
-		}
-		if len(got) != want {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].At <= got[i-1].At {
-				return false
-			}
-		}
-		// Newest record always present.
-		return len(got) > 0 && got[len(got)-1].At == time.Duration(n-1)*time.Second
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestIndexStaysBoundedUnderTaskChurn is the regression test for the
-// index leak: keys for dead containers and tasks used to accumulate
-// forever because eviction never touched the index. After capacity×N
-// appends spread across many short-lived tasks, the index must hold
-// only the retained records' keys.
-func TestIndexStaysBoundedUnderTaskChurn(t *testing.T) {
-	const capacity = 64
-	s := New(capacity)
-	for task := 0; task < 50; task++ {
-		for i := 0; i < capacity; i++ {
-			s.Append(rec(fmt.Sprintf("task-%d", task), i%8, (i+1)%8,
-				time.Duration(task*capacity+i)*time.Second,
-				fmt.Sprintf("nic/h%d/r1--tor/p0/r1", i%8)))
-		}
-	}
-	keys, entries := s.IndexStats()
-	// Only the last task's records are retained: its task key, at most
-	// 8 container keys ×1... plus RNIC and switch keys for 8 hosts. The
-	// exact fan-out is small; the leak produced ~50× this.
-	if keys > 64 {
-		t.Fatalf("index keys = %d after churn; pruning is not working", keys)
-	}
-	// Every record contributes a fixed number of index entries (task,
-	// 2×container, 2×RNIC, switches); entries must be proportional to
-	// capacity, not to total appends.
-	if entries > capacity*8 {
-		t.Fatalf("index entries = %d after %d appends; want O(capacity)", entries, 50*capacity)
-	}
-	// Dead tasks yield nothing; the live task still serves.
-	if got := s.ByTask("task-0", 0); len(got) != 0 {
-		t.Fatalf("dead task served %d records", len(got))
-	}
-	if got := s.ByTask("task-49", 0); len(got) != capacity {
-		t.Fatalf("live task served %d records, want %d", len(got), capacity)
-	}
-}
-
-// TestIndexEmptiesWhenOverwritten: a key whose last record evicts is
-// deleted from the index map entirely.
-func TestIndexKeyDeletedOnLastEviction(t *testing.T) {
-	s := New(4)
-	s.Append(rec("t-old", 0, 1, time.Second))
-	for i := 0; i < 4; i++ {
-		s.Append(rec("t-new", 2, 3, time.Duration(2+i)*time.Second))
-	}
-	keys, _ := s.IndexStats()
-	for _, probeKey := range []struct {
-		dim dimension
-		key string
-	}{
-		{dimTask, "t-old"},
-		{dimContainer, ContainerKey("t-old", 0)},
-		{dimContainer, ContainerKey("t-old", 1)},
-	} {
-		if _, ok := s.index[indexKey{probeKey.dim, probeKey.key}]; ok {
-			t.Fatalf("evicted key %q still indexed (total keys %d)", probeKey.key, keys)
-		}
-	}
-	if got := s.ByTask("t-new", 0); len(got) != 4 {
-		t.Fatalf("live task served %d records", len(got))
-	}
-}
-
 func TestZeroCapacityFloor(t *testing.T) {
 	s := New(0)
-	s.Append(rec("t", 0, 1, 0))
+	put(s, rec("t", 0, 1, 0))
 	if s.Len() != 1 {
 		t.Fatalf("len = %d", s.Len())
 	}
 }
 
-func TestAppendBatchMatchesAppend(t *testing.T) {
-	a, b := New(100), New(100)
-	var batch []probe.Record
-	for i := 0; i < 10; i++ {
-		r := rec("t1", i, i+1, time.Duration(i)*time.Second, "nic/h0/r1--tor/p0/r1")
-		a.Append(r)
-		batch = append(batch, r)
+// TestContainerOwnProbeReturnedOnce: a record whose source and
+// destination are the same container touches that container once. The
+// indexed store filed it twice under the one container key, so
+// ByContainer served it twice and evidence bundles double-counted it.
+func TestContainerOwnProbeReturnedOnce(t *testing.T) {
+	s := New(8)
+	put(s, rec("t1", 2, 2, time.Second))
+	put(s, rec("t1", 2, 3, 2*time.Second))
+	if got := s.ByContainer("t1", 2, 0); len(got) != 2 {
+		t.Fatalf("ByContainer = %d records, want 2 (the self-probe once)", len(got))
 	}
-	b.AppendBatch(batch)
-	b.AppendBatch(nil) // no-op
-	if got, want := b.Len(), a.Len(); got != want {
-		t.Fatalf("AppendBatch stored %d records, Append stored %d", got, want)
-	}
-	ra, rb := a.ByTask("t1", 0), b.ByTask("t1", 0)
-	if len(ra) != len(rb) {
-		t.Fatalf("ByTask: %d vs %d records", len(ra), len(rb))
-	}
-	for i := range ra {
-		if ra[i].At != rb[i].At || ra[i].SrcContainer != rb[i].SrcContainer {
-			t.Fatalf("record %d differs: %+v vs %+v", i, ra[i], rb[i])
-		}
-	}
-	// The caller may reuse the batch's backing array: mutating it after
-	// AppendBatch must not corrupt the store.
-	batch[0].SrcContainer = 999
-	if b.ByTask("t1", 0)[0].SrcContainer == 999 {
-		t.Fatal("store aliases the caller's batch slice")
+	if got := s.ByRNIC(2, 1, 0); len(got) != 2 {
+		t.Fatalf("ByRNIC = %d records, want 2 (the self-probe once)", len(got))
 	}
 }
 
-// TestAllIndexesUnderWraparound drives the ring through several full
-// wraps and then queries every index dimension: no evicted record may
-// surface anywhere, results stay oldest-first, and live records all
-// appear under each of their keys. (The incident plane's evidence
-// bundles query these indexes and must never cite data the store no
-// longer holds.)
-func TestAllIndexesUnderWraparound(t *testing.T) {
-	const capacity = 16
-	s := New(capacity)
-	const n = capacity * 5
-	for i := 0; i < n; i++ {
-		s.Append(rec("t1", i%3, (i+1)%3, time.Duration(i)*time.Second,
-			"nic/h0/r1--tor/p0/r1"))
+// TestQueriesMatchModel checks every query dimension against a
+// brute-force filter over the last `capacity` appended records, after
+// every append of a stream that wraps the ring several times: only
+// retained records are served, all of them, oldest first. Cases vary
+// how the same stream is batched — single records, uneven batches,
+// batches longer than the ring, empty batches — because batch
+// boundaries must not be observable.
+func TestQueriesMatchModel(t *testing.T) {
+	paths := [][]string{
+		{"nic/h0/r1--tor/p0/r1", "agg/p0/a0--tor/p0/r1"},
+		{"nic/h1/r1--tor/p0/r1", "agg/p0/a1--tor/p0/r1", "agg/p0/a1--spine/s0"},
+		nil, // lost before the first hop
+		{"nic/h2/r1--tor/p1/r1"},
 	}
-	oldest := time.Duration(n-capacity) * time.Second
-
-	check := func(name string, got []probe.Record) {
-		t.Helper()
-		prev := time.Duration(-1)
-		for _, r := range got {
-			if r.At < oldest {
-				t.Fatalf("%s served evicted record at %v (oldest retained %v)", name, r.At, oldest)
-			}
-			if r.At < prev {
-				t.Fatalf("%s out of order: %v after %v", name, r.At, prev)
-			}
-			prev = r.At
+	stream := make([]probe.Record, 120)
+	for i := range stream {
+		src, dst := i%4, (i/4+1)%4
+		if i%5 == 0 {
+			dst = src // a container probing itself
 		}
+		stream[i] = rec(fmt.Sprintf("t%d", i%3), src, dst, time.Duration(i/7)*time.Second, paths[i%len(paths)]...)
 	}
-	byTask := s.ByTask("t1", 0)
-	if len(byTask) != capacity {
-		t.Fatalf("task query = %d records, want %d", len(byTask), capacity)
+	touches := func(r probe.Record, node string) bool {
+		for _, l := range r.Path {
+			if ends := strings.Split(string(l), "--"); ends[0] == node || ends[1] == node {
+				return true
+			}
+		}
+		return false
 	}
-	check("ByTask", byTask)
-	total := 0
-	for c := 0; c < 3; c++ {
-		got := s.ByContainer("t1", c, 0)
-		check("ByContainer", got)
-		total += len(got)
+	none := func(probe.Record) bool { return false }
+	queries := []struct {
+		name  string
+		run   func(s *Store, since time.Duration) []probe.Record
+		match func(r probe.Record) bool
+	}{
+		{"ByTask(t1)",
+			func(s *Store, since time.Duration) []probe.Record { return s.ByTask("t1", since) },
+			func(r probe.Record) bool { return r.Task == "t1" }},
+		{"ByTask(absent)",
+			func(s *Store, since time.Duration) []probe.Record { return s.ByTask("t9", since) }, none},
+		{"ByContainer(t0,2)",
+			func(s *Store, since time.Duration) []probe.Record { return s.ByContainer("t0", 2, since) },
+			func(r probe.Record) bool { return r.Task == "t0" && (r.SrcContainer == 2 || r.DstContainer == 2) }},
+		{"ByRNIC(1,1)",
+			func(s *Store, since time.Duration) []probe.Record { return s.ByRNIC(1, 1, since) },
+			func(r probe.Record) bool {
+				return r.Src == overlay.Addr{Host: 1, Rail: 1} || r.Dst == overlay.Addr{Host: 1, Rail: 1}
+			}},
+		{"ByRNIC(1,0) other rail",
+			func(s *Store, since time.Duration) []probe.Record { return s.ByRNIC(1, 0, since) }, none},
+		{"BySwitch(tor) at a link's tail",
+			func(s *Store, since time.Duration) []probe.Record { return s.BySwitch("tor/p0/r1", since) },
+			func(r probe.Record) bool { return touches(r, "tor/p0/r1") }},
+		{"BySwitch(agg) at a link's head",
+			func(s *Store, since time.Duration) []probe.Record { return s.BySwitch("agg/p0/a1", since) },
+			func(r probe.Record) bool { return touches(r, "agg/p0/a1") }},
+		{"BySwitch(spine)",
+			func(s *Store, since time.Duration) []probe.Record { return s.BySwitch("spine/s0", since) },
+			func(r probe.Record) bool { return touches(r, "spine/s0") }},
+		{"BySwitch(prefix of a switch name)",
+			func(s *Store, since time.Duration) []probe.Record { return s.BySwitch("tor/p0/r", since) }, none},
+		{"BySwitch(nic): not a query dimension",
+			func(s *Store, since time.Duration) []probe.Record { return s.BySwitch("nic/h0/r1", since) }, none},
 	}
-	// Each record is indexed under its src and dst container.
-	if total != 2*capacity {
-		t.Fatalf("container queries covered %d entries, want %d", total, 2*capacity)
+	cases := []struct {
+		name     string
+		capacity int
+		batch    func(i int) int // size of the i-th batch
+	}{
+		{"single records", 16, func(int) int { return 1 }},
+		{"uneven batches with empties", 16, func(i int) int { return i % 6 }},
+		{"batch straddles the wrap", 10, func(int) int { return 7 }},
+		{"batch longer than the ring", 8, func(i int) int { return 8 + 13*(i%2) }},
+		{"never fills", 256, func(int) int { return 5 }},
+		{"capacity one", 1, func(i int) int { return 1 + i%3 }},
 	}
-	check("BySwitch", s.BySwitch("tor/p0/r1", 0))
-	if got := s.BySwitch("tor/p0/r1", 0); len(got) != capacity {
-		t.Fatalf("switch query = %d, want %d", len(got), capacity)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(tc.capacity)
+			for done, i := 0, 0; done < len(stream); i++ {
+				n := tc.batch(i)
+				if done+n > len(stream) {
+					n = len(stream) - done
+				}
+				batch := append([]probe.Record(nil), stream[done:done+n]...)
+				s.AppendBatch(batch)
+				// The caller may reuse the batch's backing array.
+				for j := range batch {
+					batch[j].SrcContainer = 999
+				}
+				done += n
+
+				live := stream[:done]
+				if len(live) > tc.capacity {
+					live = live[len(live)-tc.capacity:]
+				}
+				if s.Len() != len(live) {
+					t.Fatalf("after %d appends: Len = %d, want %d", done, s.Len(), len(live))
+				}
+				if len(live) == 0 {
+					continue
+				}
+				if at, full := s.OldestAt(); at != live[0].At || full != (done >= tc.capacity) {
+					t.Fatalf("after %d appends: OldestAt = (%v, %v), want (%v, %v)",
+						done, at, full, live[0].At, done >= tc.capacity)
+				}
+				for _, q := range queries {
+					for _, since := range []time.Duration{0, live[len(live)/2].At, time.Hour} {
+						var want []probe.Record
+						for _, r := range live {
+							if r.At >= since && q.match(r) {
+								want = append(want, r)
+							}
+						}
+						if got := q.run(s, since); !reflect.DeepEqual(got, want) {
+							t.Fatalf("after %d appends, %s since %v:\n got %d records at %v\nwant %d records at %v",
+								done, q.name, since, len(got), ats(got), len(want), ats(want))
+						}
+					}
+				}
+			}
+		})
 	}
-	for h := 0; h < 3; h++ {
-		check("ByRNIC", s.ByRNIC(h, 1, 0))
+}
+
+func ats(recs []probe.Record) []time.Duration {
+	out := make([]time.Duration, len(recs))
+	for i, r := range recs {
+		out[i] = r.At
 	}
-	// The index holds no entries beyond the retained records' fan-out.
-	if _, entries := s.IndexStats(); entries > capacity*6 {
-		t.Fatalf("index entries = %d, want ≤ %d", entries, capacity*6)
-	}
+	return out
 }
 
 // TestQueryDuringEvictionNeverServesEvicted races a writer wrapping
-// the ring against readers on every index dimension. Readers must
+// the ring against readers on every query dimension. Readers must
 // never observe a record older than the low-water mark the writer has
 // already advanced past — the ring had provably evicted those before
 // the query started — and nothing may panic mid-eviction.
@@ -308,7 +257,7 @@ func TestQueryDuringEvictionNeverServesEvicted(t *testing.T) {
 	s := New(capacity)
 	// Pre-fill so eviction is active from the first concurrent append.
 	for i := 0; i < capacity; i++ {
-		s.Append(rec("t1", i%4, (i+1)%4, time.Duration(i)*time.Second,
+		put(s, rec("t1", i%4, (i+1)%4, time.Duration(i)*time.Second,
 			"nic/h0/r1--tor/p0/r1"))
 	}
 
@@ -318,7 +267,7 @@ func TestQueryDuringEvictionNeverServesEvicted(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := capacity; i < capacity*40; i++ {
-			s.Append(rec("t1", i%4, (i+1)%4, time.Duration(i)*time.Second,
+			put(s, rec("t1", i%4, (i+1)%4, time.Duration(i)*time.Second,
 				"nic/h0/r1--tor/p0/r1"))
 			mu.Lock()
 			appended = int64(i + 1)

@@ -50,8 +50,10 @@ const (
 	RecordsShed
 	// RecordsLogged counts records retained by the log store.
 	RecordsLogged
-	// IndexKeysDropped counts log-store index keys removed when their
-	// last retained record was evicted.
+	// IndexKeysDropped is never incremented: the log store it counted
+	// for no longer keeps an index (queries scan the ring). It stays
+	// declared because benchmark/ — frozen, so results stay comparable
+	// across commits — reads it by name.
 	IndexKeysDropped
 	// WindowsEvaluated counts detector windows closed with enough
 	// samples to evaluate.
@@ -135,93 +137,67 @@ const (
 	// ChainsEmitted counts lead-lag causal chains attached to gray
 	// alarms as incident evidence.
 	ChainsEmitted
+	// ReplayTruncated counts controller recoveries whose log replay was
+	// cut short: the ring had already overwritten records newer than
+	// the checkpoint being recovered from.
+	ReplayTruncated
+	// EvidenceTruncated counts evidence gathers whose look-back window
+	// reaches past the oldest record the ring still holds.
+	EvidenceTruncated
 
 	numCounters
 )
 
+// counterNames is the exported name of every counter, indexed by Counter.
+var counterNames = [numCounters]string{
+	ProbeRounds:             "probe-rounds",
+	ProbesSent:              "probes-sent",
+	BatchesIngested:         "batches-ingested",
+	BatchesDropped:          "batches-dropped",
+	BatchesDuplicated:       "batches-duplicated",
+	BatchesReordered:        "batches-reordered",
+	RecordsIngested:         "records-ingested",
+	RecordsShed:             "records-shed",
+	RecordsLogged:           "records-logged",
+	IndexKeysDropped:        "index-keys-dropped",
+	WindowsEvaluated:        "windows-evaluated",
+	AnomaliesDetected:       "anomalies-detected",
+	RoundsRun:               "rounds-run",
+	RoundsDelayed:           "rounds-delayed",
+	AlarmsRaised:            "alarms-raised",
+	AgentCrashes:            "agent-crashes",
+	AgentRestarts:           "agent-restarts",
+	CheckpointsTaken:        "checkpoints-taken",
+	ControllerCrashes:       "controller-crashes",
+	ControllerRestores:      "controller-restores",
+	AgentReregisters:        "agent-reregisters",
+	IncidentsOpened:         "incidents-opened",
+	IncidentsReopened:       "incidents-reopened",
+	IncidentsMitigated:      "incidents-mitigated",
+	IncidentsResolved:       "incidents-resolved",
+	ProbeRoundsGrouped:      "probe-rounds-grouped",
+	WorkerBusyNanos:         "worker-busy-nanos",
+	WorkerWallNanos:         "worker-wall-nanos",
+	IncidentsRepaired:       "incidents-repaired",
+	MigrationsExhausted:     "migrations-exhausted",
+	RemedyActionsExecuted:   "remedy-actions-executed",
+	RemedyActionsDeferred:   "remedy-actions-deferred",
+	RemedyActionsCommitted:  "remedy-actions-committed",
+	RemedyActionsRolledBack: "remedy-actions-rolled-back",
+	RemedyActionsEscalated:  "remedy-actions-escalated",
+	RemedyDryRunIntents:     "remedy-dry-run-intents",
+	ChangepointsRaised:      "changepoints-raised",
+	AlarmsDeduped:           "alarms-deduped",
+	ChainsEmitted:           "chains-emitted",
+	ReplayTruncated:         "replay-truncated",
+	EvidenceTruncated:       "evidence-truncated",
+}
+
 func (c Counter) String() string {
-	switch c {
-	case ProbeRounds:
-		return "probe-rounds"
-	case ProbesSent:
-		return "probes-sent"
-	case BatchesIngested:
-		return "batches-ingested"
-	case BatchesDropped:
-		return "batches-dropped"
-	case BatchesDuplicated:
-		return "batches-duplicated"
-	case BatchesReordered:
-		return "batches-reordered"
-	case RecordsIngested:
-		return "records-ingested"
-	case RecordsShed:
-		return "records-shed"
-	case RecordsLogged:
-		return "records-logged"
-	case IndexKeysDropped:
-		return "index-keys-dropped"
-	case WindowsEvaluated:
-		return "windows-evaluated"
-	case AnomaliesDetected:
-		return "anomalies-detected"
-	case RoundsRun:
-		return "rounds-run"
-	case RoundsDelayed:
-		return "rounds-delayed"
-	case AlarmsRaised:
-		return "alarms-raised"
-	case AgentCrashes:
-		return "agent-crashes"
-	case AgentRestarts:
-		return "agent-restarts"
-	case CheckpointsTaken:
-		return "checkpoints-taken"
-	case ControllerCrashes:
-		return "controller-crashes"
-	case ControllerRestores:
-		return "controller-restores"
-	case AgentReregisters:
-		return "agent-reregisters"
-	case IncidentsOpened:
-		return "incidents-opened"
-	case IncidentsReopened:
-		return "incidents-reopened"
-	case IncidentsMitigated:
-		return "incidents-mitigated"
-	case IncidentsResolved:
-		return "incidents-resolved"
-	case ProbeRoundsGrouped:
-		return "probe-rounds-grouped"
-	case WorkerBusyNanos:
-		return "worker-busy-nanos"
-	case WorkerWallNanos:
-		return "worker-wall-nanos"
-	case IncidentsRepaired:
-		return "incidents-repaired"
-	case MigrationsExhausted:
-		return "migrations-exhausted"
-	case RemedyActionsExecuted:
-		return "remedy-actions-executed"
-	case RemedyActionsDeferred:
-		return "remedy-actions-deferred"
-	case RemedyActionsCommitted:
-		return "remedy-actions-committed"
-	case RemedyActionsRolledBack:
-		return "remedy-actions-rolled-back"
-	case RemedyActionsEscalated:
-		return "remedy-actions-escalated"
-	case RemedyDryRunIntents:
-		return "remedy-dry-run-intents"
-	case ChangepointsRaised:
-		return "changepoints-raised"
-	case AlarmsDeduped:
-		return "alarms-deduped"
-	case ChainsEmitted:
-		return "chains-emitted"
-	default:
+	if c < 0 || c >= numCounters {
 		return fmt.Sprintf("counter(%d)", int(c))
 	}
+	return counterNames[c]
 }
 
 // Counters enumerates every counter in declaration order.

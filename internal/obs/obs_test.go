@@ -97,7 +97,7 @@ func TestCounterNamesUnique(t *testing.T) {
 		if seen[n] {
 			t.Fatalf("duplicate counter name %q", n)
 		}
-		if strings.HasPrefix(n, "counter(") {
+		if n == "" || strings.HasPrefix(n, "counter(") {
 			t.Fatalf("counter %d has no name", int(c))
 		}
 		seen[n] = true

@@ -26,11 +26,11 @@ import (
 )
 
 // ShardSink lands grouped rounds shard-by-shard without a global lock
-// on the hot path. Prepare and Commit run serially on the engine
+// on the hot path. Prepare and Land run serially on the engine
 // goroutine (before and after the parallel section); Consume runs on
 // worker goroutines, but never concurrently for the same task — the
-// engine pins each task to one worker slot. The batch passed to Consume
-// is only valid for the duration of the call.
+// engine pins each task to one worker slot. A batch is valid until its
+// agent's next round, so the one Consume saw is the one Land sees.
 type ShardSink interface {
 	// FastOK reports whether the sink can take this round through the
 	// sharded path. False falls back to serial per-agent delivery
@@ -42,9 +42,11 @@ type ShardSink interface {
 	Prepare(tasks []cluster.TaskID)
 	// Consume lands one agent round's batch for the given task shard.
 	Consume(task cluster.TaskID, b Batch)
-	// Commit is called serially after the round barrier; shard-staged
-	// state must merge here in deterministic (sorted-key) order.
-	Commit(now time.Duration)
+	// Land is called serially after the round barrier, once per agent
+	// that ran, in the round's sorted (task, container) order — the
+	// order the serial fallback delivers in — for whatever must be
+	// written in one deterministic sequence.
+	Land(b Batch)
 }
 
 // RoundEngine drives grouped, parallel probing rounds. Agents enroll by
@@ -227,9 +229,11 @@ func (re *RoundEngine) execute(run []*OverlayAgent, now time.Duration) {
 	// the round's batches.
 	re.Net.CommitQueues(re.ctxs...)
 	if fast {
-		commit := time.Now()
-		re.Sink.Commit(now)
-		re.Obs.ObserveDuration("stage-ingest-ms", time.Since(commit))
+		land := time.Now()
+		for _, a := range run {
+			re.Sink.Land(a.batch)
+		}
+		re.Obs.ObserveDuration("stage-ingest-ms", time.Since(land))
 	} else {
 		// Serial-fallback delivery is a different code path with
 		// different costs (per-agent, through the telemetry injector) —

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,41 +10,66 @@ import (
 	"skeletonhunter/internal/parallelism"
 )
 
-// testShardSink is a ShardSink that stages per-task record counts the
-// way the analyzer does: Prepare pre-creates shard state serially, so
-// Consume (on worker goroutines) only ever looks the map up.
+// testShardSink is a ShardSink that counts per-task records the way
+// the analyzer does: Prepare pre-creates shard state serially, so
+// Consume (on worker goroutines) only ever looks the map up. Land
+// checks the barrier contract as it goes.
 type testShardSink struct {
 	ok       bool
-	shards   map[cluster.TaskID]*int
+	shards   map[cluster.TaskID]*shardTally
 	prepared [][]cluster.TaskID
-	commits  []time.Duration
-	consumed int
+	landed   []agentRound // one per Land call with records, in call order
+	faults   []string     // barrier-contract violations seen by Land
+}
+
+type shardTally struct{ batches, records int }
+
+// agentRound identifies one agent's round by what its records carry.
+type agentRound struct {
+	task      cluster.TaskID
+	container int
+	at        time.Duration
 }
 
 func (s *testShardSink) FastOK() bool { return s.ok }
 
 func (s *testShardSink) Prepare(tasks []cluster.TaskID) {
 	if s.shards == nil {
-		s.shards = map[cluster.TaskID]*int{}
+		s.shards = map[cluster.TaskID]*shardTally{}
 	}
 	for _, t := range tasks {
 		if s.shards[t] == nil {
-			s.shards[t] = new(int)
+			s.shards[t] = &shardTally{}
 		}
 	}
 	s.prepared = append(s.prepared, append([]cluster.TaskID(nil), tasks...))
 }
 
 func (s *testShardSink) Consume(task cluster.TaskID, b Batch) {
-	*s.shards[task] += len(b)
+	if len(b) > 0 {
+		s.shards[task].batches++
+		s.shards[task].records += len(b)
+	}
 }
 
-func (s *testShardSink) Commit(now time.Duration) {
-	s.commits = append(s.commits, now)
-	s.consumed = 0
-	for _, n := range s.shards {
-		s.consumed += *n
+func (s *testShardSink) Land(b Batch) {
+	if len(b) == 0 {
+		return
 	}
+	cur := agentRound{b[0].Task, b[0].SrcContainer, b[0].At}
+	if n := len(s.landed); n > 0 {
+		prev := s.landed[n-1]
+		switch {
+		case cur.at < prev.at:
+			s.faults = append(s.faults, fmt.Sprintf("round at %v landed after %v", cur.at, prev.at))
+		case cur.at == prev.at && (cur.task < prev.task || (cur.task == prev.task && cur.container <= prev.container)):
+			// Same round boundary: strictly ascending (task, container),
+			// so no agent lands twice and the order is the sorted one.
+			s.faults = append(s.faults, fmt.Sprintf("%s/c%d landed after %s/c%d in the round at %v",
+				cur.task, cur.container, prev.task, prev.container, cur.at))
+		}
+	}
+	s.landed = append(s.landed, cur)
 }
 
 func startEngineAgents(r *rig, re *RoundEngine, task *cluster.Task, sink Sink) []*OverlayAgent {
@@ -99,7 +125,8 @@ func TestRoundEngineMatchesTickerMode(t *testing.T) {
 
 // TestRoundEngineShardSinkParallel drives the sharded fast path with
 // two tasks over four workers: batches land per task shard, Prepare
-// sees sorted shard keys, and every Commit runs at a round boundary.
+// sees sorted shard keys, and the barrier lands every consumed batch
+// exactly once per agent per round boundary, in sorted order.
 func TestRoundEngineShardSinkParallel(t *testing.T) {
 	r := newRig(t)
 	task2, err := r.cp.Submit(cluster.TaskSpec{Par: parallelism.Config{TP: 8, PP: 2, DP: 2}})
@@ -118,14 +145,13 @@ func TestRoundEngineShardSinkParallel(t *testing.T) {
 	if len(sink.shards) != 2 {
 		t.Fatalf("sink saw %d task shards, want 2", len(sink.shards))
 	}
+	consumed := 0
 	for _, task := range []*cluster.Task{r.task, task2} {
 		n := sink.shards[task.ID]
-		if n == nil || *n == 0 {
+		if n == nil || n.records == 0 {
 			t.Fatalf("task %s landed no records", task.ID)
 		}
-	}
-	if sink.consumed == 0 {
-		t.Fatal("commit never tallied consumed records")
+		consumed += n.batches
 	}
 	for _, tasks := range sink.prepared {
 		for i := 1; i < len(tasks); i++ {
@@ -134,13 +160,14 @@ func TestRoundEngineShardSinkParallel(t *testing.T) {
 			}
 		}
 	}
-	if len(sink.commits) == 0 {
-		t.Fatal("no commits")
+	if len(sink.landed) != consumed {
+		t.Fatalf("barrier landed %d batches, workers consumed %d", len(sink.landed), consumed)
 	}
-	for i := 1; i < len(sink.commits); i++ {
-		if sink.commits[i] <= sink.commits[i-1] {
-			t.Fatalf("commit times not strictly increasing: %v", sink.commits)
-		}
+	for _, f := range sink.faults {
+		t.Error(f)
+	}
+	if first, last := sink.landed[0], sink.landed[len(sink.landed)-1]; last.at <= first.at {
+		t.Fatalf("landings span one round boundary (%v); want several", first.at)
 	}
 	if stats.Get(obs.ProbeRoundsGrouped) == 0 {
 		t.Fatal("grouped-round counter never incremented")
@@ -161,8 +188,8 @@ func TestRoundEngineSinkFallback(t *testing.T) {
 	if records == 0 {
 		t.Fatal("serial fallback delivered nothing")
 	}
-	if len(shard.shards) != 0 || len(shard.commits) != 0 {
-		t.Fatalf("declined sink still saw traffic: %d shards, %d commits", len(shard.shards), len(shard.commits))
+	if len(shard.shards) != 0 || len(shard.landed) != 0 {
+		t.Fatalf("declined sink still saw traffic: %d shards, %d landings", len(shard.shards), len(shard.landed))
 	}
 }
 
