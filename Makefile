@@ -32,7 +32,9 @@ fmt-check:
 # for CI to archive, so analysis- and incident-plane perf regressions
 # show up as an artifact diff. The log-store pair is the round's
 # barrier append and a full-ring scan per query dimension — the read
-# cost the scan-on-read store accepts, as a number. The scalebench
+# cost the scan-on-read store accepts, as a number. The netsim pair is
+# one overlay trace-cache miss and a tenant's probes while another
+# tenant churns (misses/op should stay 0). The scalebench
 # campaign (4096 hosts × 8 rails, deterministic fault schedule) runs
 # the full -workers 1,4,16 matrix at paper scale and reports end-to-end
 # rounds/sec, allocs/round and peak heap per worker count the same way.
@@ -43,6 +45,8 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_incident.json
 	$(GO) test -run xxx -bench 'AppendBatch|Scan' -benchmem ./internal/logstore | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
+	$(GO) test -run xxx -bench 'TraceForward|ProbeUnderChurn' -benchmem ./internal/overlay ./internal/netsim | tee /dev/stderr \
+		| $(GO) run ./cmd/benchjson -o BENCH_netsim.json
 	GOGC=50 $(GO) run ./cmd/scalebench -o BENCH_scale.json
 
 # CI-sized scalebench: the same 1/4/16 worker matrix on a shrunken
@@ -59,6 +63,8 @@ bench-ci:
 		| $(GO) run ./cmd/benchjson -o BENCH_incident.json
 	$(GO) test -run xxx -bench 'AppendBatch|Scan' -benchmem ./internal/logstore | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
+	$(GO) test -run xxx -bench 'TraceForward|ProbeUnderChurn' -benchmem ./internal/overlay ./internal/netsim | tee /dev/stderr \
+		| $(GO) run ./cmd/benchjson -o BENCH_netsim.json
 	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -o BENCH_scale.json
 	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -campaign gray -o BENCH_scale_gray.json
 

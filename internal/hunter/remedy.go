@@ -132,13 +132,10 @@ func (d *Deployment) remedyExecute(kind remedy.ActionKind, comp component.ID) (s
 		if !ok {
 			return "", fmt.Errorf("component %s is not an RNIC", comp)
 		}
-		vsw := d.Overlay.VSwitch(host)
 		cleared := 0
-		for _, k := range vsw.Keys() {
-			if e, ok := vsw.Lookup(k); ok && e.Action.Rail == rail && e.Offloaded && e.OffloadStale {
-				if d.Overlay.RestoreOffload(host, k.VNI, k.Dst) {
-					cleared++
-				}
+		for _, k := range d.Overlay.DumpOffload(host, rail).Inconsistent {
+			if d.Overlay.RestoreOffload(host, k.VNI, k.Dst) {
+				cleared++
 			}
 		}
 		if cleared == 0 {

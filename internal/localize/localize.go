@@ -291,7 +291,7 @@ func (l *Localizer) overlayReachability(ev Evidence) (Verdict, bool) {
 	case overlay.Looped:
 		last := tr.Chain[len(tr.Chain)-1]
 		return Verdict{
-			Components: []component.ID{overlayComponentID(last)},
+			Components: []component.ID{component.ID(last.String())},
 			Layer:      LayerOverlay,
 			Detail:     fmt.Sprintf("forwarding loop revisiting %s", last),
 			Pairs:      1,
@@ -299,22 +299,11 @@ func (l *Localizer) overlayReachability(ev Evidence) (Verdict, bool) {
 	default: // Broken
 		last := tr.Chain[len(tr.Chain)-1]
 		return Verdict{
-			Components: []component.ID{overlayComponentID(last)},
+			Components: []component.ID{component.ID(last.String())},
 			Layer:      LayerOverlay,
 			Detail:     fmt.Sprintf("forwarding chain dead-ends at %s", last),
 			Pairs:      1,
 		}, true
-	}
-}
-
-func overlayComponentID(c overlay.Component) component.ID {
-	switch c.Kind {
-	case overlay.CompVSwitch:
-		return component.ID("vswitch/" + c.ID)
-	case overlay.CompVPort:
-		return component.ID("vport/" + c.ID)
-	default:
-		return component.ID("vtep/" + c.ID)
 	}
 }
 

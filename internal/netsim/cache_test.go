@@ -1,0 +1,212 @@
+package netsim
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"skeletonhunter/internal/overlay"
+	"skeletonhunter/internal/sim"
+	"skeletonhunter/internal/topology"
+)
+
+// cacheWorld is a fabric with three tenants of four endpoints each:
+// same-host, same-pod and cross-pod pairs in every VNI.
+func cacheWorld(t *testing.T) (*Net, [][]overlay.Addr) {
+	t.Helper()
+	fab, err := topology.New(topology.Spec{Pods: 2, HostsPerPod: 4, Rails: 4, AggPerPod: 2, Spines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(sim.NewEngine(1), fab, overlay.NewNetwork())
+	placement := [][][2]int{ // per VNI: (host, rail) of each endpoint
+		{{0, 0}, {0, 1}, {5, 0}, {3, 2}},
+		{{0, 2}, {2, 2}, {6, 2}, {7, 3}},
+		{{1, 1}, {5, 1}, {5, 3}, {0, 3}},
+	}
+	tenants := make([][]overlay.Addr, len(placement))
+	for i, eps := range placement {
+		vni := overlay.VNI(i + 1)
+		for _, hr := range eps {
+			a := overlay.Addr{VNI: vni, IP: fmt.Sprintf("10.%d.%d.%d", vni, hr[0], hr[1]), Host: hr[0], Rail: hr[1]}
+			if err := n.Overlay.AttachEndpoint(a); err != nil {
+				t.Fatal(err)
+			}
+			tenants[i] = append(tenants[i], a)
+		}
+	}
+	return n, tenants
+}
+
+// TestTraceCacheDifferential is the oracle for the trace cache's
+// invalidation: it interleaves every overlay mutator across three VNIs
+// and, after each step, probes every ordered pair of every tenant —
+// detached endpoints included — through one long-lived ProbeCtx and
+// through a fresh one. A generation bump missing from any mutator
+// leaves the long-lived ctx serving a stale trace, and the two
+// disagree.
+func TestTraceCacheDifferential(t *testing.T) {
+	n, tenants := cacheWorld(t)
+	ovl := n.Overlay
+	rng := rand.New(rand.NewSource(1))
+	attached := map[overlay.Addr]bool{}
+	for _, eps := range tenants {
+		for _, a := range eps {
+			attached[a] = true
+		}
+	}
+	tenant := func() []overlay.Addr { return tenants[rng.Intn(len(tenants))] }
+	anyEp := func() overlay.Addr { eps := tenant(); return eps[rng.Intn(len(eps))] }
+	host := func() int { return rng.Intn(n.Fabric.Hosts()) }
+
+	long := n.NewProbeCtx()
+	var probes uint64
+	check := func(step int, op string) {
+		t.Helper()
+		var got, want Result
+		for _, eps := range tenants {
+			for _, src := range eps {
+				for _, dst := range eps {
+					if src == dst {
+						continue
+					}
+					entropy := uint64(step)
+					n.ProbeIntoCtx(long, &got, src, dst, entropy)
+					n.ProbeIntoCtx(n.NewProbeCtx(), &want, src, dst, entropy)
+					probes++
+					if got.Lost != want.Lost || got.RTT != want.RTT || !slices.Equal(got.UnderlayPath, want.UnderlayPath) {
+						t.Fatalf("step %d (%s): %s→%s through the long-lived ctx = {lost %v rtt %v path %v}, fresh ctx = {lost %v rtt %v path %v}",
+							step, op, src.IP, dst.IP, got.Lost, got.RTT, got.UnderlayPath, want.Lost, want.RTT, want.UnderlayPath)
+					}
+				}
+			}
+		}
+	}
+
+	ops := []struct {
+		name string
+		do   func()
+	}{
+		{"attach", func() {
+			for _, a := range tenant() {
+				if !attached[a] {
+					_ = ovl.AttachEndpoint(a)
+					attached[a] = true
+					return
+				}
+			}
+		}},
+		{"detach", func() {
+			a := anyEp()
+			ovl.DetachEndpoint(a)
+			attached[a] = false
+		}},
+		{"SetOffloaded", func() {
+			a, b := anyEp(), anyEp()
+			ovl.SetOffloaded(a.Host, a.VNI, b.IP, rng.Intn(2) == 0)
+		}},
+		{"InvalidateOffload", func() {
+			a, b := anyEp(), anyEp()
+			ovl.InvalidateOffload(a.Host, a.VNI, b.IP)
+		}},
+		{"RestoreOffload", func() {
+			// Restore what a dump finds stale, the way the remedy does.
+			a := anyEp()
+			if stale := ovl.DumpOffload(a.Host, a.Rail).Inconsistent; len(stale) > 0 {
+				k := stale[rng.Intn(len(stale))]
+				ovl.RestoreOffload(a.Host, k.VNI, k.Dst)
+			}
+		}},
+		{"CorruptEntry", func() {
+			a, b := anyEp(), anyEp()
+			actions := []overlay.FlowAction{
+				{Type: overlay.ActionDrop},
+				{Type: overlay.ActionLocal, Rail: rng.Intn(4)},
+				{Type: overlay.ActionTunnel, RemoteHost: host(), Rail: rng.Intn(4)},
+			}
+			ovl.CorruptEntry(a.Host, a.VNI, b.IP, actions[rng.Intn(len(actions))])
+		}},
+		{"RemoveEntry", func() {
+			a, b := anyEp(), anyEp()
+			ovl.RemoveEntry(a.Host, a.VNI, b.IP)
+		}},
+		{"VSwitch handout", func() {
+			// The fault injector's path: edit entries through the handle.
+			vsw := ovl.VSwitch(anyEp().Host)
+			if keys := vsw.Keys(); len(keys) > 0 {
+				e, _ := vsw.Lookup(keys[rng.Intn(len(keys))])
+				e.OffloadStale = !e.OffloadStale
+			}
+		}},
+		{"DeOffloadAll", func() { ovl.DeOffloadAll(anyEp().Host) }},
+		{"ReOffloadAll", func() { ovl.ReOffloadAll(anyEp().Host) }},
+	}
+
+	for step := 0; step < 400; step++ {
+		op := ops[rng.Intn(len(ops))]
+		op.do()
+		check(step, op.name)
+		if step%40 == 39 {
+			// Retire a tenant, then bring it back on the same IPs: the
+			// new incarnation must not be served the old one's traces.
+			eps := tenant()
+			for _, a := range eps {
+				ovl.DetachEndpoint(a)
+				attached[a] = false
+			}
+			check(step, "retire")
+			for _, a := range eps {
+				_ = ovl.AttachEndpoint(a)
+				attached[a] = true
+			}
+			check(step, "re-create")
+		}
+	}
+	if misses := long.TakeMisses(); misses == 0 || misses*2 > probes {
+		t.Fatalf("long-lived ctx missed %d of %d probes; the oracle needs a cache that mostly hits", misses, probes)
+	}
+}
+
+// TestTraceCacheScopedToVNI: a mutation in one VNI costs no other VNI a
+// miss, a quiet repeat costs none at all, and a retired VNI's entries
+// are freed on the next probe.
+func TestTraceCacheScopedToVNI(t *testing.T) {
+	n, tenants := cacheWorld(t)
+	ctx := n.NewProbeCtx()
+	var res Result
+	probeAll := func(eps []overlay.Addr) uint64 {
+		for _, src := range eps {
+			for _, dst := range eps {
+				if src != dst {
+					n.ProbeIntoCtx(ctx, &res, src, dst, 0)
+				}
+			}
+		}
+		return ctx.TakeMisses()
+	}
+	a, b := tenants[0], tenants[1]
+	const pairs = 4 * 3
+	if got := probeAll(a) + probeAll(b); got != 2*pairs {
+		t.Fatalf("cold probes missed %d times, want %d", got, 2*pairs)
+	}
+	if got := probeAll(a) + probeAll(b); got != 0 {
+		t.Fatalf("quiet repeat missed %d times, want 0", got)
+	}
+
+	n.Overlay.InvalidateOffload(a[0].Host, a[0].VNI, a[2].IP)
+	if got := probeAll(b); got != 0 {
+		t.Fatalf("a mutation in VNI %d cost VNI %d %d misses", a[0].VNI, b[0].VNI, got)
+	}
+	if got := probeAll(a); got != pairs {
+		t.Fatalf("the mutated VNI missed %d times, want %d", got, pairs)
+	}
+
+	for _, ep := range a {
+		n.Overlay.DetachEndpoint(ep)
+	}
+	probeAll(b)
+	if _, ok := ctx.traces[a[0].VNI]; ok || len(ctx.traces) != 1 {
+		t.Fatalf("retired VNI's cache survives: %d VNI caches held", len(ctx.traces))
+	}
+}

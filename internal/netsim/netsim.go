@@ -134,14 +134,11 @@ type Net struct {
 	// so detection must actually filter noise. Zero disables.
 	TransientCongestionProb float64
 
-	// Conditions live twice: the maps are the API surface (arbitrary
-	// IDs, introspection via LinkCondition &c.), the dense tables are
-	// what the probe hot path reads — indexed by the fabric's interned
-	// link/node ordinals, so a traversal costs an array load instead of
-	// a string-keyed map lookup. Set*Condition keeps both in sync; only
-	// IDs outside the fabric (possible in hand-built tests) live solely
-	// in the maps, and probes never traverse those.
-	linkCond  map[topology.LinkID]*Condition
+	// The probe hot path reads link and node conditions from dense
+	// tables indexed by the fabric's interned ordinals, so a traversal
+	// costs an array load instead of a string-keyed map lookup; probes
+	// never traverse a link or node outside the fabric. Node conditions
+	// are also kept by ID for QueueLength, which takes any NodeID.
 	nodeCond  map[topology.NodeID]*Condition
 	hostCond  map[int]*Condition
 	linkCondD []*Condition // by link ordinal
@@ -183,7 +180,6 @@ func New(eng *sim.Engine, fab *topology.Fabric, ovl *overlay.Network) *Net {
 		Engine:    eng,
 		Fabric:    fab,
 		Overlay:   ovl,
-		linkCond:  make(map[topology.LinkID]*Condition),
 		nodeCond:  make(map[topology.NodeID]*Condition),
 		hostCond:  make(map[int]*Condition),
 		linkCondD: make([]*Condition, fab.NumLinks()),
@@ -232,15 +228,11 @@ func (n *Net) QueueLength(node topology.NodeID) float64 {
 }
 
 // SetLinkCondition installs (or, with nil, clears) a link's condition.
+// A link outside the fabric is ignored: no probe traverses it.
 func (n *Net) SetLinkCondition(id topology.LinkID, c *Condition) {
 	if ord, ok := n.Fabric.LinkIndex(id); ok {
 		n.linkCondD[ord] = c
 	}
-	if c == nil {
-		delete(n.linkCond, id)
-		return
-	}
-	n.linkCond[id] = c
 }
 
 // SetNodeCondition installs (or clears) a switch/NIC node condition.
@@ -273,23 +265,12 @@ func (n *Net) SetTransport(t *Transport) { n.transport = t }
 // TransportConfig returns the installed transport model (nil if none).
 func (n *Net) TransportConfig() *Transport { return n.transport }
 
-// LinkCondition returns the current condition of a link (nil if healthy).
-func (n *Net) LinkCondition(id topology.LinkID) *Condition { return n.linkCond[id] }
-
-// NodeCondition returns the current condition of a node (nil if healthy).
-func (n *Net) NodeCondition(id topology.NodeID) *Condition { return n.nodeCond[id] }
-
-// HostCondition returns the current condition of a host (nil if healthy).
-func (n *Net) HostCondition(host int) *Condition { return n.hostCond[host] }
-
 // Result is the outcome of one probe.
 type Result struct {
 	// Lost reports the probe (or its reply) never arrived.
 	Lost bool
 	// RTT is the measured round-trip time (valid only when !Lost).
 	RTT time.Duration
-	// OverlayTrace is the logical forwarding chain the probe resolved.
-	OverlayTrace overlay.Trace
 	// UnderlayPath lists the physical links of every tunnel leg actually
 	// traversed (the traceroute view a host agent would obtain).
 	UnderlayPath []topology.LinkID
@@ -303,19 +284,23 @@ type Result struct {
 //
 // Ownership contract: a ProbeCtx belongs to exactly one worker at a
 // time — calls into ProbeIntoCtx with the same ctx must not overlap.
-// The round engine gives each worker slot its own ctx; CommitQueues is
-// called from the serial round barrier, never concurrently with probes.
+// The round engine gives each worker slot its own ctx; CommitQueues and
+// TakeMisses are called from the serial round barrier, never
+// concurrently with probes.
 // The -race campaign test in internal/hunter exercises exactly this
 // contract.
 type ProbeCtx struct {
 	hashBuf []byte
 
-	// traces memoizes overlay.TraceForward keyed by flow endpoints,
-	// valid while the overlay's forwarding generation holds still.
-	// Skeleton ping lists re-probe the same pairs every round, so after
-	// the first round of a quiescent overlay every probe hits the cache.
-	traces   map[traceKey]*cachedTrace
+	// traces memoizes what the probe walk reads of overlay.TraceForward,
+	// one map per source VNI. A VNI's map is valid while its VNIGen
+	// holds still, and every map while the fleet-wide Gen does. Skeleton
+	// ping lists re-probe the same pairs every round, so after the first
+	// round of a quiescent tenant every probe hits, and one tenant's
+	// churn costs no other tenant a miss.
+	traces   map[overlay.VNI]*vniTraces
 	traceGen uint64
+	misses   uint64 // TraceForward calls since the last TakeMisses
 
 	// qCount tallies node traversals by node ordinal; qTouched lists the
 	// ordinals with nonzero tallies (sparse reset).
@@ -323,25 +308,41 @@ type ProbeCtx struct {
 	qTouched []int32
 }
 
-type traceKey struct {
-	vni        overlay.VNI
-	srcIP      string
-	dstIP      string
-	host, rail int
+type vniTraces struct {
+	gen     uint64
+	entries map[traceKey]cachedTrace
 }
 
+type traceKey struct {
+	srcIP, dstIP string
+	host, rail   int
+}
+
+// cachedTrace keeps the part of a trace the probe walk reads. The chain
+// is not kept: nothing downstream of a probe reads it, and the
+// localizer traces afresh.
 type cachedTrace struct {
-	tr  overlay.Trace
-	err error
+	reached  bool // false also for an unregistered source
+	slowPath bool
+	legs     []overlay.TunnelLeg
 }
 
 // NewProbeCtx returns a probe context sized for this simulator's
 // fabric. Each concurrent prober needs its own.
 func (n *Net) NewProbeCtx() *ProbeCtx {
 	return &ProbeCtx{
-		traces: make(map[traceKey]*cachedTrace),
+		traces: make(map[overlay.VNI]*vniTraces),
 		qCount: make([]uint32, n.Fabric.NumNodes()),
 	}
+}
+
+// TakeMisses returns the number of trace-cache misses since the last
+// call and resets the count. Like CommitQueues it belongs to the round
+// barrier, never to a moment when the ctx is probing.
+func (ctx *ProbeCtx) TakeMisses() uint64 {
+	m := ctx.misses
+	ctx.misses = 0
+	return m
 }
 
 func (ctx *ProbeCtx) bump(ord int32) {
@@ -351,25 +352,33 @@ func (ctx *ProbeCtx) bump(ord int32) {
 	ctx.qCount[ord]++
 }
 
-// trace resolves (and memoizes) the overlay forwarding chain for a
-// flow. The cache is invalidated wholesale whenever the overlay's
-// forwarding generation moves — fault injections and container churn
-// are rare next to the hundreds of thousands of probes per round.
-func (ctx *ProbeCtx) trace(n *Net, src overlay.Addr, dstIP string) (*overlay.Trace, error) {
+// trace resolves (and memoizes) the overlay forwarding outcome of a
+// flow. A move of the fleet-wide generation drops every VNI's entries
+// (a retired VNI's with them); a move of the source VNI's generation
+// drops that VNI's only.
+func (ctx *ProbeCtx) trace(n *Net, src overlay.Addr, dstIP string) cachedTrace {
 	if g := n.Overlay.Gen(); g != ctx.traceGen {
-		for k := range ctx.traces {
-			delete(ctx.traces, k)
-		}
+		clear(ctx.traces)
 		ctx.traceGen = g
 	}
-	k := traceKey{vni: src.VNI, srcIP: src.IP, dstIP: dstIP, host: src.Host, rail: src.Rail}
-	if c, ok := ctx.traces[k]; ok {
-		return &c.tr, c.err
+	g := n.Overlay.VNIGen(src.VNI)
+	vt := ctx.traces[src.VNI]
+	if vt == nil {
+		vt = &vniTraces{gen: g, entries: make(map[traceKey]cachedTrace)}
+		ctx.traces[src.VNI] = vt
+	} else if vt.gen != g {
+		clear(vt.entries)
+		vt.gen = g
 	}
+	k := traceKey{srcIP: src.IP, dstIP: dstIP, host: src.Host, rail: src.Rail}
+	if c, ok := vt.entries[k]; ok {
+		return c
+	}
+	ctx.misses++
 	tr, err := n.Overlay.TraceForward(src, dstIP)
-	c := &cachedTrace{tr: tr, err: err}
-	ctx.traces[k] = c
-	return &c.tr, c.err
+	c := cachedTrace{reached: err == nil && tr.Outcome == overlay.Reached, slowPath: tr.SlowPath, legs: tr.TunnelLegs}
+	vt.entries[k] = c
+	return c
 }
 
 // CommitQueues folds the queue tallies of one or more probe contexts
@@ -471,14 +480,10 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 		UnderlayPath:  res.UnderlayPath[:0],
 		UnderlayNodes: res.UnderlayNodes[:0],
 	}
-	tr, err := ctx.trace(n, src, dst.IP)
-	if err != nil {
-		// Unregistered source: the probe cannot even leave the vport.
-		res.Lost = true
-		return
-	}
-	res.OverlayTrace = *tr
-	if tr.Outcome != overlay.Reached {
+	tr := ctx.trace(n, src, dst.IP)
+	if !tr.reached {
+		// A broken or looped chain, or an unregistered source that
+		// cannot even leave its vport.
 		res.Lost = true
 		return
 	}
@@ -506,7 +511,7 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 		return
 	}
 
-	if tr.SlowPath {
+	if tr.slowPath {
 		ef.latency += slowPathCost
 		ef.addLoss(slowPathLossRate)
 	}
@@ -516,7 +521,7 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 	// slices are materialized — and conditions are read from the dense
 	// ordinal-indexed tables.
 	var pv topology.PathView
-	for legIdx, leg := range tr.TunnelLegs {
+	for legIdx, leg := range tr.legs {
 		srcNIC := topology.NIC{Host: leg.SrcHost, Rail: leg.SrcRail}
 		dstNIC := topology.NIC{Host: leg.DstHost, Rail: leg.DstRail}
 		b = append(b[:base], '#')
@@ -551,7 +556,7 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 			ef.latency += linkCost
 		}
 	}
-	if len(tr.TunnelLegs) == 0 {
+	if len(tr.legs) == 0 {
 		// Same-host delivery through the vswitch only.
 		ef.latency += 2 * time.Microsecond
 	}

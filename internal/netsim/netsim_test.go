@@ -46,17 +46,6 @@ func TestHealthyProbeRTT(t *testing.T) {
 	}
 }
 
-func TestProbeRecordsOverlayChain(t *testing.T) {
-	n, a, b := world(t)
-	res := n.Probe(a, b, 0)
-	if res.OverlayTrace.Outcome != overlay.Reached {
-		t.Fatalf("overlay outcome = %v", res.OverlayTrace.Outcome)
-	}
-	if len(res.OverlayTrace.Chain) != 6 {
-		t.Fatalf("chain = %v", res.OverlayTrace.Chain)
-	}
-}
-
 func TestLinkDownDropsProbe(t *testing.T) {
 	n, a, b := world(t)
 	// Kill the NIC–ToR link of the destination.
@@ -163,11 +152,8 @@ func TestBrokenOverlayLosesProbe(t *testing.T) {
 	n, a, b := world(t)
 	n.Overlay.RemoveEntry(a.Host, a.VNI, b.IP)
 	res := n.Probe(a, b, 0)
-	if !res.Lost {
-		t.Fatal("probe survived missing flow entry")
-	}
-	if res.OverlayTrace.Outcome != overlay.Broken {
-		t.Fatalf("overlay outcome = %v, want broken", res.OverlayTrace.Outcome)
+	if !res.Lost || len(res.UnderlayPath) != 0 {
+		t.Fatalf("probe over a missing flow entry: lost=%v path=%v, want lost before the underlay", res.Lost, res.UnderlayPath)
 	}
 }
 

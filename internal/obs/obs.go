@@ -144,6 +144,10 @@ const (
 	// EvidenceTruncated counts evidence gathers whose look-back window
 	// reaches past the oldest record the ring still holds.
 	EvidenceTruncated
+	// TraceCacheMisses counts probes whose overlay forwarding trace was
+	// not in their worker's cache and had to be resolved afresh — the
+	// probe-plane cost of container churn and overlay faults.
+	TraceCacheMisses
 
 	numCounters
 )
@@ -191,6 +195,7 @@ var counterNames = [numCounters]string{
 	ChainsEmitted:           "chains-emitted",
 	ReplayTruncated:         "replay-truncated",
 	EvidenceTruncated:       "evidence-truncated",
+	TraceCacheMisses:        "trace-cache-misses",
 }
 
 func (c Counter) String() string {

@@ -15,7 +15,9 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // VNI is a VXLAN network identifier; each training task (tenant slice)
@@ -32,7 +34,7 @@ type Addr struct {
 
 // ComponentKind discriminates overlay components for localization
 // verdicts.
-type ComponentKind int
+type ComponentKind uint8
 
 const (
 	CompVPort ComponentKind = iota
@@ -53,27 +55,51 @@ func (k ComponentKind) String() string {
 	}
 }
 
-// Component identifies one overlay component instance.
+// Component identifies one overlay component instance. It is a small
+// comparable value (32 bytes): a trace builds its chain without
+// formatting anything, and the string form is rendered only when a
+// verdict or a log line asks for it. Each kind sets only the fields
+// that name it — a vport its VNI and IP, a vswitch its host, a VTEP
+// its host and rail — so two components are equal exactly when their
+// IDs are.
 type Component struct {
 	Kind ComponentKind
-	ID   string
+	vni  VNI
+	host int32
+	rail int32
+	ip   string
 }
 
-func (c Component) String() string { return c.Kind.String() + "/" + c.ID }
+// ID renders the component's identity within its kind: "vni3/10.3.1.2"
+// for a vport, "h4" for a vswitch, "h4/r5" for a VTEP.
+func (c Component) ID() string {
+	switch c.Kind {
+	case CompVPort:
+		return "vni" + strconv.FormatUint(uint64(c.vni), 10) + "/" + c.ip
+	case CompVSwitch:
+		return "h" + strconv.Itoa(int(c.host))
+	default:
+		return "h" + strconv.Itoa(int(c.host)) + "/r" + strconv.Itoa(int(c.rail))
+	}
+}
+
+func (c Component) String() string { return c.Kind.String() + "/" + c.ID() }
 
 // VPortComponent returns the component for an endpoint's vport.
-func VPortComponent(a Addr) Component {
-	return Component{Kind: CompVPort, ID: fmt.Sprintf("vni%d/%s", a.VNI, a.IP)}
+func VPortComponent(a Addr) Component { return vport(a.VNI, a.IP) }
+
+func vport(vni VNI, ip string) Component {
+	return Component{Kind: CompVPort, vni: vni, ip: ip}
 }
 
 // VSwitchComponent returns the component for a host's virtual switch.
 func VSwitchComponent(host int) Component {
-	return Component{Kind: CompVSwitch, ID: fmt.Sprintf("h%d", host)}
+	return Component{Kind: CompVSwitch, host: int32(host)}
 }
 
 // VTEPComponent returns the component for a host/rail tunnel endpoint.
 func VTEPComponent(host, rail int) Component {
-	return Component{Kind: CompVTEP, ID: fmt.Sprintf("h%d/r%d", host, rail)}
+	return Component{Kind: CompVTEP, host: int32(host), rail: int32(rail)}
 }
 
 // ActionType enumerates flow actions.
@@ -162,13 +188,18 @@ func (v *VSwitch) Keys() []FlowKey {
 type Network struct {
 	vswitches map[int]*VSwitch
 	endpoints map[VNI]map[string]Addr // VNI → IP → Addr
-	// gen counts forwarding-state mutations. Every path that can change
-	// what TraceForward would return bumps it: handing out a mutable
-	// vswitch (VSwitch is how the fault injector and the control plane
-	// reach flow entries) and DetachEndpoint (which edits vswitches
-	// without going through VSwitch). Trace caches compare their stored
-	// generation against Gen() and refill on mismatch.
-	gen uint64
+	// Forwarding-state generations, two levels deep. A trace from src
+	// reads only flow entries keyed by src.VNI and endpoints of src.VNI,
+	// so a mutation scoped to one VNI (attach, detach, and the per-entry
+	// hooks) moves only that VNI's generation, stamped from vniSeq so a
+	// VNI that dies and comes back never reuses an old value. gen moves
+	// on everything else: handing out a mutable vswitch (VSwitch reaches
+	// every tenant's entries on the host) and a VNI's last endpoint
+	// leaving, which lets caches free the dead tenant's entries. Trace
+	// caches check Gen() first, then VNIGen(vni), and refill on mismatch.
+	gen    uint64
+	vniSeq uint64
+	vniGen map[VNI]uint64
 }
 
 // NewNetwork returns an empty overlay network.
@@ -176,24 +207,48 @@ func NewNetwork() *Network {
 	return &Network{
 		vswitches: make(map[int]*VSwitch),
 		endpoints: make(map[VNI]map[string]Addr),
+		vniGen:    make(map[VNI]uint64),
 	}
 }
 
-// Gen returns the forwarding-state generation: it changes whenever the
-// overlay's forwarding behaviour may have changed, so cached
-// TraceForward results tagged with a generation can be reused while it
-// holds still. Reading Gen concurrently from analysis or probe workers
-// is safe as long as nothing mutates the overlay at the same time — the
-// single-threaded simulation engine guarantees that (mutations happen
-// in serial engine events, fan-outs inside one event only read).
+// Gen returns the fleet-wide forwarding-state generation: while it and
+// a VNI's VNIGen both hold still, TraceForward results for sources in
+// that VNI can be reused. Reading Gen or VNIGen concurrently from
+// analysis or probe workers is safe as long as nothing mutates the
+// overlay at the same time — the single-threaded simulation engine
+// guarantees that (mutations happen in serial engine events, fan-outs
+// inside one event only read).
 func (n *Network) Gen() uint64 { return n.gen }
 
+// VNIGen returns the forwarding-state generation of one VNI: it moves
+// on every mutation scoped to that VNI. Mutations that may touch any
+// VNI move Gen instead.
+func (n *Network) VNIGen(vni VNI) uint64 { return n.vniGen[vni] }
+
+// bumpVNI moves a VNI's generation to a value it has never held.
+func (n *Network) bumpVNI(vni VNI) {
+	n.vniSeq++
+	n.vniGen[vni] = n.vniSeq
+}
+
 // VSwitch returns (creating if needed) the vswitch of a host. The
-// returned handle is mutable, so handing it out conservatively bumps
-// the forwarding generation; read paths (TraceForward, DumpOffload) go
-// through the non-bumping vswitchRO instead.
+// returned handle is mutable and reaches every VNI's entries, so
+// handing it out conservatively bumps the fleet-wide generation; read
+// paths (TraceForward, DumpOffload) go through the non-bumping
+// vswitchRO, and the VNI-scoped mutators through vswitchIn.
 func (n *Network) VSwitch(host int) *VSwitch {
 	n.gen++
+	return n.vswitch(host)
+}
+
+// vswitchIn is the accessor of mutations that touch only entries keyed
+// by vni: it bumps that VNI's generation, not the fleet-wide one.
+func (n *Network) vswitchIn(host int, vni VNI) *VSwitch {
+	n.bumpVNI(vni)
+	return n.vswitch(host)
+}
+
+func (n *Network) vswitch(host int) *VSwitch {
 	if v, ok := n.vswitches[host]; ok {
 		return v
 	}
@@ -214,17 +269,6 @@ func (n *Network) vswitchRO(host int) *VSwitch {
 	return &VSwitch{Host: host}
 }
 
-// Hosts returns the hosts that currently have a vswitch instantiated,
-// sorted ascending.
-func (n *Network) Hosts() []int {
-	out := make([]int, 0, len(n.vswitches))
-	for h := range n.vswitches {
-		out = append(out, h)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // AttachEndpoint registers an endpoint and programs forwarding state:
 // a local-delivery entry on its own host, and tunnel entries toward it
 // on every host that already has an endpoint in the same VNI (and vice
@@ -241,12 +285,12 @@ func (n *Network) AttachEndpoint(a Addr) error {
 		return fmt.Errorf("overlay: duplicate endpoint %s in VNI %d", a.IP, a.VNI)
 	}
 
-	local := n.VSwitch(a.Host)
+	local := n.vswitchIn(a.Host, a.VNI)
 	local.Install(FlowKey{VNI: a.VNI, Dst: a.IP}, FlowAction{Type: ActionLocal, Rail: a.Rail})
 	for _, peer := range vniEps {
 		if peer.Host != a.Host {
 			// Peer's host learns how to reach the new endpoint…
-			n.VSwitch(peer.Host).Install(
+			n.vswitch(peer.Host).Install(
 				FlowKey{VNI: a.VNI, Dst: a.IP},
 				FlowAction{Type: ActionTunnel, RemoteHost: a.Host, Rail: a.Rail},
 			)
@@ -263,20 +307,24 @@ func (n *Network) AttachEndpoint(a Addr) error {
 	return nil
 }
 
-// DetachEndpoint removes an endpoint and all rules referencing it.
+// DetachEndpoint removes an endpoint and all rules referencing it. The
+// VNI's last endpoint leaving retires the VNI: its generation is
+// forgotten and the fleet-wide one moves, so caches drop its entries.
 func (n *Network) DetachEndpoint(a Addr) {
 	vniEps := n.endpoints[a.VNI]
 	if vniEps == nil {
 		return
 	}
 	delete(vniEps, a.IP)
-	n.gen++
+	n.bumpVNI(a.VNI)
 	key := FlowKey{VNI: a.VNI, Dst: a.IP}
 	for _, v := range n.vswitches {
 		v.Remove(key)
 	}
 	if len(vniEps) == 0 {
 		delete(n.endpoints, a.VNI)
+		delete(n.vniGen, a.VNI)
+		n.gen++
 	}
 }
 
@@ -284,17 +332,6 @@ func (n *Network) DetachEndpoint(a Addr) {
 func (n *Network) Endpoint(vni VNI, ip string) (Addr, bool) {
 	a, ok := n.endpoints[vni][ip]
 	return a, ok
-}
-
-// EndpointsInVNI returns all endpoints of a VNI sorted by IP.
-func (n *Network) EndpointsInVNI(vni VNI) []Addr {
-	m := n.endpoints[vni]
-	out := make([]Addr, 0, len(m))
-	for _, a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
-	return out
 }
 
 // TraceOutcome classifies the result of a forwarding trace.
@@ -351,8 +388,9 @@ var ErrUnknownEndpoint = errors.New("overlay: unknown endpoint")
 // TraceForward resolves the logical forwarding chain from src toward
 // dstIP within src's VNI. It walks vport → vswitch → (vtep → vtep →
 // vswitch)* → vport, following the installed flow entries wherever they
-// point — including into loops, which it detects via a visited set,
-// exactly as Algorithm 1's overlay reachability does.
+// point — including into loops, which it detects by finding a component
+// already on the chain, exactly as Algorithm 1's overlay reachability
+// does.
 //
 // TraceForward is read-only and safe to call from concurrent analysis
 // shards, provided nothing mutates the overlay concurrently (in this
@@ -362,24 +400,16 @@ func (n *Network) TraceForward(src Addr, dstIP string) (Trace, error) {
 	if _, ok := n.Endpoint(src.VNI, src.IP); !ok {
 		return Trace{}, ErrUnknownEndpoint
 	}
-	var tr Trace
-	visited := make(map[Component]bool)
-	visit := func(c Component) bool { // false ⇒ loop
-		tr.Chain = append(tr.Chain, c)
-		if visited[c] {
-			return false
-		}
-		visited[c] = true
-		return true
-	}
-
-	visit(VPortComponent(src))
+	// A healthy cross-host chain is vport → vswitch → vtep → vtep →
+	// vswitch → vport: six components, one allocation.
+	tr := Trace{Chain: make([]Component, 0, 6)}
+	tr.visit(VPortComponent(src))
 	host := src.Host
 	// A forwarding chain in a healthy overlay is at most a handful of
 	// components; the bound only guards against pathological rule sets.
 	for hops := 0; hops < 64; hops++ {
 		vsw := n.vswitchRO(host)
-		if !visit(VSwitchComponent(host)) {
+		if !tr.visit(VSwitchComponent(host)) {
 			tr.Outcome = Looped
 			return tr, nil
 		}
@@ -403,11 +433,11 @@ func (n *Network) TraceForward(src Addr, dstIP string) (Trace, error) {
 			if !ok || dst.Host != host {
 				// Rule says "local" but the endpoint isn't here: the vport
 				// is the broken component.
-				tr.Chain = append(tr.Chain, Component{Kind: CompVPort, ID: fmt.Sprintf("vni%d/%s", src.VNI, dstIP)})
+				tr.Chain = append(tr.Chain, vport(src.VNI, dstIP))
 				tr.Outcome = Broken
 				return tr, nil
 			}
-			if !visit(VPortComponent(dst)) {
+			if !tr.visit(VPortComponent(dst)) {
 				tr.Outcome = Looped
 				return tr, nil
 			}
@@ -415,12 +445,12 @@ func (n *Network) TraceForward(src Addr, dstIP string) (Trace, error) {
 			return tr, nil
 		case ActionTunnel:
 			srcRail := entry.Action.Rail
-			if !visit(VTEPComponent(host, srcRail)) {
+			if !tr.visit(VTEPComponent(host, srcRail)) {
 				tr.Outcome = Looped
 				return tr, nil
 			}
 			remote := entry.Action.RemoteHost
-			if !visit(VTEPComponent(remote, srcRail)) {
+			if !tr.visit(VTEPComponent(remote, srcRail)) {
 				tr.Outcome = Looped
 				return tr, nil
 			}
@@ -435,6 +465,15 @@ func (n *Network) TraceForward(src Addr, dstIP string) (Trace, error) {
 	}
 	tr.Outcome = Looped
 	return tr, nil
+}
+
+// visit appends c to the chain and reports false if c was already on
+// it (a loop). Chains are a handful of components, so a scan beats a
+// visited set.
+func (tr *Trace) visit(c Component) bool {
+	seen := slices.Contains(tr.Chain, c)
+	tr.Chain = append(tr.Chain, c)
+	return !seen
 }
 
 // OffloadDump is the result of dumping an RNIC's offloaded flow table
@@ -479,7 +518,7 @@ func (n *Network) DumpOffload(host, rail int) OffloadDump {
 // SetOffloaded flips the offload flag of one entry (fault hook for
 // flows falling back to the software stack).
 func (n *Network) SetOffloaded(host int, vni VNI, dstIP string, offloaded bool) bool {
-	e, ok := n.VSwitch(host).Lookup(FlowKey{VNI: vni, Dst: dstIP})
+	e, ok := n.vswitchIn(host, vni).Lookup(FlowKey{VNI: vni, Dst: dstIP})
 	if !ok {
 		return false
 	}
@@ -516,7 +555,7 @@ func (n *Network) ReOffloadAll(host int) {
 // in the RNIC without updating the vswitch view — the fault hook that
 // reproduces issues 15/16 and Fig. 18.
 func (n *Network) InvalidateOffload(host int, vni VNI, dstIP string) bool {
-	e, ok := n.VSwitch(host).Lookup(FlowKey{VNI: vni, Dst: dstIP})
+	e, ok := n.vswitchIn(host, vni).Lookup(FlowKey{VNI: vni, Dst: dstIP})
 	if !ok {
 		return false
 	}
@@ -527,7 +566,7 @@ func (n *Network) InvalidateOffload(host int, vni VNI, dstIP string) bool {
 // RestoreOffload clears the stale flag (recovery after RNIC isolation
 // in the Fig. 18 case study).
 func (n *Network) RestoreOffload(host int, vni VNI, dstIP string) bool {
-	e, ok := n.VSwitch(host).Lookup(FlowKey{VNI: vni, Dst: dstIP})
+	e, ok := n.vswitchIn(host, vni).Lookup(FlowKey{VNI: vni, Dst: dstIP})
 	if !ok {
 		return false
 	}
@@ -538,8 +577,7 @@ func (n *Network) RestoreOffload(host int, vni VNI, dstIP string) bool {
 // CorruptEntry overwrites the action for (vni, dstIP) on host — the
 // fault hook for wrong-forwarding / loop scenarios.
 func (n *Network) CorruptEntry(host int, vni VNI, dstIP string, action FlowAction) bool {
-	vsw := n.VSwitch(host)
-	e, ok := vsw.Lookup(FlowKey{VNI: vni, Dst: dstIP})
+	e, ok := n.vswitchIn(host, vni).Lookup(FlowKey{VNI: vni, Dst: dstIP})
 	if !ok {
 		return false
 	}
@@ -550,5 +588,5 @@ func (n *Network) CorruptEntry(host int, vni VNI, dstIP string, action FlowActio
 // RemoveEntry deletes the entry for (vni, dstIP) on host — the fault
 // hook for blackhole scenarios.
 func (n *Network) RemoveEntry(host int, vni VNI, dstIP string) {
-	n.VSwitch(host).Remove(FlowKey{VNI: vni, Dst: dstIP})
+	n.vswitchIn(host, vni).Remove(FlowKey{VNI: vni, Dst: dstIP})
 }

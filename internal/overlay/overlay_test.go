@@ -3,6 +3,7 @@ package overlay
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 func addr(vni VNI, host, rail int) Addr {
@@ -149,6 +150,16 @@ func TestTraceForwardLoop(t *testing.T) {
 	if tr.Outcome != Looped {
 		t.Fatalf("outcome = %v, want looped (chain %v)", tr.Outcome, tr.Chain)
 	}
+	// The revisited component is appended before the loop is reported.
+	want := []string{"vport/vni7/10.7.0.1", "vswitch/h0", "vtep/h0/r1", "vtep/h3/r1", "vswitch/h3", "vtep/h3/r1"}
+	if len(tr.Chain) != len(want) {
+		t.Fatalf("chain = %v, want %v", tr.Chain, want)
+	}
+	for i, c := range tr.Chain {
+		if c.String() != want[i] {
+			t.Fatalf("chain[%d] = %v, want %s (chain %v)", i, c, want[i], tr.Chain)
+		}
+	}
 }
 
 func TestTraceForwardMisdeliveredLocal(t *testing.T) {
@@ -241,20 +252,6 @@ func TestFlowTableGrowth(t *testing.T) {
 			t.Fatalf("host %d table size = %d, want %d", h, got, k)
 		}
 	}
-	if got := len(n.EndpointsInVNI(9)); got != k {
-		t.Fatalf("endpoints in VNI = %d, want %d", got, k)
-	}
-}
-
-func TestHostsEnumeration(t *testing.T) {
-	n := NewNetwork()
-	_ = n.AttachEndpoint(addr(1, 4, 0))
-	_ = n.AttachEndpoint(addr(1, 2, 0))
-	_ = n.AttachEndpoint(addr(1, 7, 0))
-	hosts := n.Hosts()
-	if len(hosts) != 3 || hosts[0] != 2 || hosts[1] != 4 || hosts[2] != 7 {
-		t.Fatalf("hosts = %v", hosts)
-	}
 }
 
 func TestOffloadFlagManipulation(t *testing.T) {
@@ -305,5 +302,56 @@ func TestComponentStrings(t *testing.T) {
 	}
 	if got := VTEPComponent(4, 5).String(); got != "vtep/h4/r5" {
 		t.Fatalf("vtep component = %q", got)
+	}
+	if size := unsafe.Sizeof(Component{}); size > 32 {
+		t.Fatalf("Component is %d bytes, want ≤ 32", size)
+	}
+}
+
+// TestGenerationScope pins which generation each mutator moves: a
+// mutation scoped to one VNI moves only that VNI's, a host-wide handout
+// moves the fleet-wide one, and a VNI's last endpoint leaving retires
+// the VNI.
+func TestGenerationScope(t *testing.T) {
+	n, a, b := buildPair(t)
+	other := addr(8, 1, 0)
+	if err := n.AttachEndpoint(other); err != nil {
+		t.Fatal(err)
+	}
+	type mutation struct {
+		name string
+		mut  func()
+	}
+	scoped := []mutation{
+		{"SetOffloaded", func() { n.SetOffloaded(a.Host, a.VNI, b.IP, false) }},
+		{"InvalidateOffload", func() { n.InvalidateOffload(a.Host, a.VNI, b.IP) }},
+		{"RestoreOffload", func() { n.RestoreOffload(a.Host, a.VNI, b.IP) }},
+		{"CorruptEntry", func() { n.CorruptEntry(a.Host, a.VNI, b.IP, FlowAction{Type: ActionDrop}) }},
+		{"RemoveEntry", func() { n.RemoveEntry(a.Host, a.VNI, b.IP) }},
+		{"DetachEndpoint", func() { n.DetachEndpoint(b) }},
+		{"AttachEndpoint", func() { _ = n.AttachEndpoint(b) }},
+	}
+	for _, m := range scoped {
+		gen, vg, og := n.Gen(), n.VNIGen(a.VNI), n.VNIGen(other.VNI)
+		m.mut()
+		if n.Gen() != gen || n.VNIGen(a.VNI) == vg || n.VNIGen(other.VNI) != og {
+			t.Fatalf("%s: gen %d→%d, vni %d→%d, other vni %d→%d; want only the VNI's to move",
+				m.name, gen, n.Gen(), vg, n.VNIGen(a.VNI), og, n.VNIGen(other.VNI))
+		}
+	}
+	for _, m := range []mutation{
+		{"VSwitch", func() { n.VSwitch(a.Host) }},
+		{"DeOffloadAll", func() { n.DeOffloadAll(a.Host) }},
+		{"ReOffloadAll", func() { n.ReOffloadAll(a.Host) }},
+		{"last detach", func() { n.DetachEndpoint(other) }},
+	} {
+		gen := n.Gen()
+		m.mut()
+		if n.Gen() == gen {
+			t.Fatalf("%s did not move the fleet-wide generation", m.name)
+		}
+	}
+	if n.VNIGen(other.VNI) != 0 {
+		t.Fatalf("retired VNI keeps generation %d", n.VNIGen(other.VNI))
 	}
 }

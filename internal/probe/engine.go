@@ -225,9 +225,12 @@ func (re *RoundEngine) execute(run []*OverlayAgent, now time.Duration) {
 	}
 
 	// Round barrier: merge worker queue tallies as integers (one float
-	// update per touched node — partitioning-independent), then land
-	// the round's batches.
+	// update per touched node — partitioning-independent) and trace-cache
+	// misses, then land the round's batches.
 	re.Net.CommitQueues(re.ctxs...)
+	for _, ctx := range re.ctxs {
+		re.Obs.Add(obs.TraceCacheMisses, ctx.TakeMisses())
+	}
 	if fast {
 		land := time.Now()
 		for _, a := range run {

@@ -241,3 +241,45 @@ func TestRoundEngineAgentLifecycle(t *testing.T) {
 		t.Fatalf("probing continued after all agents killed: %d → %d", snapshot, total())
 	}
 }
+
+// TestRoundEngineCountsTraceCacheMisses: the barrier folds every
+// worker's trace-cache misses into trace-cache-misses. A quiet round
+// adds none, and a mutation in one tenant's VNI costs exactly that
+// tenant's flows a miss and the other tenant none.
+func TestRoundEngineCountsTraceCacheMisses(t *testing.T) {
+	r := newRig(t)
+	taskB, err := r.cp.Submit(cluster.TaskSpec{Par: parallelism.Config{TP: 8, PP: 2, DP: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunUntil(r.eng.Now() + 10*time.Minute)
+
+	sink := &testShardSink{ok: true}
+	stats := obs.New()
+	re := &RoundEngine{Sim: r.eng, Net: r.net, Workers: 4, Sink: sink, Obs: stats}
+	startEngineAgents(r, re, r.task, nil)
+	startEngineAgents(r, re, taskB, nil)
+	r.eng.RunUntil(r.eng.Now() + 3*time.Second)
+	if stats.Get(obs.TraceCacheMisses) == 0 {
+		t.Fatal("cold rounds counted no trace-cache misses")
+	}
+
+	round := func() (misses uint64, recordsA int) {
+		m0, a0 := stats.Get(obs.TraceCacheMisses), sink.shards[r.task.ID].records
+		r.eng.RunUntil(r.eng.Now() + time.Second)
+		return stats.Get(obs.TraceCacheMisses) - m0, sink.shards[r.task.ID].records - a0
+	}
+	if misses, _ := round(); misses != 0 {
+		t.Fatalf("quiet round counted %d trace-cache misses, want 0", misses)
+	}
+
+	a, b := r.task.Containers[0].Addrs[0], r.task.Containers[1].Addrs[0]
+	if !r.net.Overlay.InvalidateOffload(a.Host, a.VNI, b.IP) {
+		t.Fatal("no flow entry to invalidate")
+	}
+	// Every probe of a round is a distinct flow, so a whole-VNI refill
+	// misses once per record of task A — and not once for task B.
+	if misses, recordsA := round(); recordsA == 0 || misses != uint64(recordsA) {
+		t.Fatalf("after a mutation in task A's VNI: %d misses, task A sent %d probes", misses, recordsA)
+	}
+}
