@@ -34,7 +34,9 @@ fmt-check:
 # barrier append and a full-ring scan per query dimension — the read
 # cost the scan-on-read store accepts, as a number. The netsim pair is
 # one overlay trace-cache miss and a tenant's probes while another
-# tenant churns (misses/op should stay 0). The scalebench
+# tenant churns (misses/op should stay 0). The detect pair is one LOF
+# score against a full look-back and one healthy short-window close
+# (allocs/op should stay 0). The scalebench
 # campaign (4096 hosts × 8 rails, deterministic fault schedule) runs
 # the full -workers 1,4,16 matrix at paper scale and reports end-to-end
 # rounds/sec, allocs/round and peak heap per worker count the same way.
@@ -47,6 +49,8 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
 	$(GO) test -run xxx -bench 'TraceForward|ProbeUnderChurn' -benchmem ./internal/overlay ./internal/netsim | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_netsim.json
+	$(GO) test -run xxx -bench 'LOFScore|DetectorWindowClose' -benchmem ./internal/stats ./internal/detect | tee /dev/stderr \
+		| $(GO) run ./cmd/benchjson -o BENCH_detect.json
 	GOGC=50 $(GO) run ./cmd/scalebench -o BENCH_scale.json
 
 # CI-sized scalebench: the same 1/4/16 worker matrix on a shrunken
@@ -65,6 +69,8 @@ bench-ci:
 		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
 	$(GO) test -run xxx -bench 'TraceForward|ProbeUnderChurn' -benchmem ./internal/overlay ./internal/netsim | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_netsim.json
+	$(GO) test -run xxx -bench 'LOFScore|DetectorWindowClose' -benchmem ./internal/stats ./internal/detect | tee /dev/stderr \
+		| $(GO) run ./cmd/benchjson -o BENCH_detect.json
 	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -o BENCH_scale.json
 	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -campaign gray -o BENCH_scale_gray.json
 

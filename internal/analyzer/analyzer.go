@@ -120,7 +120,10 @@ func (c Config) withDefaults() Config {
 
 type pairInfo struct {
 	src, dst overlay.Addr
-	paths    [][]topology.LinkID
+	// paths holds the pair's last PathMemory probe paths, oldest first:
+	// a copy-shift ring, so a full memory admits a path without
+	// reallocating.
+	paths [][]topology.LinkID
 }
 
 // shard is the per-task analysis partition: the keyed unit of the
@@ -238,9 +241,15 @@ func (s *shard) drain(cs *correlate.Shard) (records int) {
 			runPI = pi
 		}
 		if len(rec.Path) > 0 {
-			runPI.paths = append(runPI.paths, rec.Path)
-			if len(runPI.paths) > s.cfg.PathMemory {
-				runPI.paths = runPI.paths[1:]
+			switch paths := runPI.paths; {
+			case len(paths) < s.cfg.PathMemory:
+				if paths == nil {
+					paths = make([][]topology.LinkID, 0, s.cfg.PathMemory)
+				}
+				runPI.paths = append(paths, rec.Path)
+			case len(paths) > 0:
+				copy(paths, paths[1:])
+				paths[len(paths)-1] = rec.Path
 			}
 		}
 		if !rec.Lost && len(rec.Path) > 0 && rec.RTT < 50*time.Microsecond {
@@ -318,6 +327,11 @@ type Analyzer struct {
 	// round (newly raised, suppression-counted, or chain-extended).
 	// Only called when Config.Correlate is set.
 	OnGray func(correlate.Alarm)
+	// OnRoundEnd runs once at the end of every round that ran (gated
+	// rounds change nothing and skip it), after OnGray and OnAlarm,
+	// whether or not the round raised anything: the deployment
+	// publishes everything the round changed here, once.
+	OnRoundEnd func(now time.Duration)
 	// Gate, when set, is consulted at the top of every analysis round;
 	// returning true withholds the round (telemetry-fault injection:
 	// the streaming job falling behind its schedule). A withheld
@@ -332,7 +346,6 @@ type Analyzer struct {
 
 	alarms    []Alarm
 	blacklist map[component.ID]time.Duration // component → first blacklisted
-	ticker    *sim.Ticker
 }
 
 // New builds an analyzer over an engine and a localizer.
@@ -358,15 +371,8 @@ func newShardMap(an *Analyzer) *pipeline.Sharded[shard] {
 
 // Start begins periodic analysis rounds.
 func (an *Analyzer) Start() {
-	an.ticker = an.Engine.Every(an.Engine.Now()+an.cfg.AnalysisInterval, an.cfg.AnalysisInterval,
+	an.Engine.Every(an.Engine.Now()+an.cfg.AnalysisInterval, an.cfg.AnalysisInterval,
 		"analysis-round", func(now time.Duration) { an.Round(now) })
-}
-
-// Stop halts analysis rounds.
-func (an *Analyzer) Stop() {
-	if an.ticker != nil {
-		an.ticker.Stop()
-	}
 }
 
 // warmCorrelate mirrors analyzer shard creation into the correlate
@@ -432,6 +438,9 @@ func (an *Analyzer) Round(now time.Duration) {
 	o.Inc(obs.RoundsRun)
 	roundStart := time.Now()
 	defer func() { o.ObserveDuration("analysis-round-ms", time.Since(roundStart)) }()
+	if an.OnRoundEnd != nil {
+		defer an.OnRoundEnd(now)
+	}
 
 	// Wall-clock stage timings are observability only: they are
 	// recorded after the shard's work completes and never feed back

@@ -8,8 +8,10 @@ import (
 	"skeletonhunter/internal/component"
 	"skeletonhunter/internal/localize"
 	"skeletonhunter/internal/netsim"
+	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/overlay"
 	"skeletonhunter/internal/parallelism"
+	"skeletonhunter/internal/pipeline"
 	"skeletonhunter/internal/probe"
 	"skeletonhunter/internal/sim"
 	"skeletonhunter/internal/topology"
@@ -212,5 +214,144 @@ func TestAlarmComponentsSortedDeterministically(t *testing.T) {
 	}
 	if got := (Alarm{}).Components(); len(got) != 0 {
 		t.Fatalf("empty alarm: %v", got)
+	}
+}
+
+// TestAnalyzerSnapshotCrashRestore pins crash recovery's durable half:
+// the snapshot carries the alarms and blacklist, a crash drops every
+// shard, alarm and blacklist entry, and a restore brings the alarms and
+// blacklist back without sharing later appends with the snapshot.
+func TestAnalyzerSnapshotCrashRestore(t *testing.T) {
+	r := newRig(t)
+	r.pump(6 * time.Minute)
+	addr := r.task.Containers[1].Addrs[0]
+	r.net.SetNodeCondition(topology.NIC{Host: addr.Host, Rail: 0}.ID(), &netsim.Condition{Down: true})
+	r.pump(time.Minute)
+	alarms := len(r.an.Alarms())
+	if alarms == 0 {
+		t.Fatal("no alarms to snapshot")
+	}
+	snap := r.an.SnapshotState()
+	if len(snap.Alarms) != alarms || len(snap.Blacklist) != len(r.an.Blacklist()) {
+		t.Fatalf("snapshot holds %d alarms / %d blacklisted, want %d / %d",
+			len(snap.Alarms), len(snap.Blacklist), alarms, len(r.an.Blacklist()))
+	}
+
+	r.an.Crash()
+	if len(r.an.Alarms()) != 0 || len(r.an.Blacklist()) != 0 || r.an.Shards() != 0 {
+		t.Fatalf("crash kept %d alarms, %d blacklisted, %d shards",
+			len(r.an.Alarms()), len(r.an.Blacklist()), r.an.Shards())
+	}
+
+	r.an.RestoreState(snap)
+	if len(r.an.Alarms()) != alarms || len(r.an.Blacklist()) != len(snap.Blacklist) || r.an.Shards() != 0 {
+		t.Fatalf("restore: %d alarms, %d blacklisted, %d shards", len(r.an.Alarms()), len(r.an.Blacklist()), r.an.Shards())
+	}
+	if _, ok := r.an.Blacklisted("rnic/h1/r0"); !ok {
+		t.Fatal("restored blacklist lost the faulty RNIC")
+	}
+	r.pump(time.Minute) // the fault persists: new alarms append
+	if len(r.an.Alarms()) <= alarms {
+		t.Fatal("restored analyzer raised nothing on a persisting fault")
+	}
+	if len(snap.Alarms) != alarms {
+		t.Fatal("post-restore alarms leaked into the snapshot")
+	}
+}
+
+// TestAnalyzerRoundEndHook pins the publish hook: it runs once per
+// round that ran, after the round's alarm handler, also when the round
+// raised nothing, and never for a gated round.
+func TestAnalyzerRoundEndHook(t *testing.T) {
+	r := newRig(t)
+	var calls []string
+	r.an.OnAlarm = func(Alarm) { calls = append(calls, "alarm") }
+	r.an.OnRoundEnd = func(time.Duration) { calls = append(calls, "end") }
+	r.an.Round(r.eng.Now())
+	if len(calls) != 1 || calls[0] != "end" {
+		t.Fatalf("quiet round: calls %v, want [end]", calls)
+	}
+
+	calls = nil
+	r.an.Gate = func(time.Duration) bool { return true }
+	r.an.Round(r.eng.Now())
+	if len(calls) != 0 {
+		t.Fatalf("gated round: calls %v, want none", calls)
+	}
+	r.an.Gate = nil
+
+	r.pump(6 * time.Minute)
+	addr := r.task.Containers[1].Addrs[0]
+	r.net.SetNodeCondition(topology.NIC{Host: addr.Host, Rail: 0}.ID(), &netsim.Condition{Down: true})
+	calls = nil
+	r.pump(time.Minute)
+	alarmed := false
+	for i, c := range calls {
+		if c == "alarm" {
+			alarmed = true
+			if i+1 >= len(calls) || calls[i+1] != "end" {
+				t.Fatalf("alarm not followed by its round's end: %v", calls)
+			}
+		}
+	}
+	if !alarmed {
+		t.Fatal("faulty minute raised no alarm")
+	}
+}
+
+// TestPathMemoryRingKeepsNewest pins the per-pair path ring: the newest
+// PathMemory paths, oldest first, in a slice that never outgrows its
+// capacity.
+func TestPathMemoryRingKeepsNewest(t *testing.T) {
+	r := newRig(t)
+	an := New(r.eng, r.an.Localizer, Config{PathMemory: 3})
+	for i := 0; i < 7; i++ {
+		rec := r.record(0, 1, 0, uint64(i))
+		rec.Path = []topology.LinkID{topology.LinkID(rune('a' + i))}
+		an.Ingest(rec)
+	}
+	an.Round(r.eng.Now())
+	s, ok := an.shards.Peek(string(r.task.ID))
+	if !ok || len(s.pairs) != 1 {
+		t.Fatal("no shard state for the probed pair")
+	}
+	for _, pi := range s.pairs {
+		if len(pi.paths) != 3 || cap(pi.paths) != 3 {
+			t.Fatalf("paths len %d cap %d, want 3/3", len(pi.paths), cap(pi.paths))
+		}
+		for i, p := range pi.paths {
+			if want := topology.LinkID(rune('e' + i)); p[0] != want {
+				t.Fatalf("paths[%d] = %v, want %v", i, p, want)
+			}
+		}
+	}
+}
+
+// TestAnalyzerInboxShedsOverflow pins the bounded inbox on the batch
+// path: a warmed shard admits records up to InboxLimit, sheds and
+// counts the rest, and the ingest stage counts only what it admitted.
+func TestAnalyzerInboxShedsOverflow(t *testing.T) {
+	r := newRig(t)
+	st := obs.New()
+	an := New(r.eng, r.an.Localizer, Config{InboxLimit: 5, Obs: st})
+	an.WarmShard(string(r.task.ID))
+	if an.Shards() != 1 {
+		t.Fatalf("WarmShard made %d shards, want 1", an.Shards())
+	}
+	batch := make(probe.Batch, 8)
+	for i := range batch {
+		batch[i] = r.record(0, 1, 0, uint64(i))
+	}
+	an.IngestBatch(batch)
+	an.IngestBatch(nil)
+	if got := an.Stats().Get(pipeline.StageIngest); got != 5 {
+		t.Fatalf("ingest stage counted %d records, want 5", got)
+	}
+	if shed := st.Get(obs.RecordsShed); shed != 3 {
+		t.Fatalf("shed %d records, want 3", shed)
+	}
+	an.Round(r.eng.Now())
+	if got := an.Stats().Get(pipeline.StageDetect); got != 5 {
+		t.Fatalf("detect stage drained %d records, want 5", got)
 	}
 }

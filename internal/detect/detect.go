@@ -149,7 +149,10 @@ type pairState struct {
 	rtts     []float64 // µs
 	lost     int
 	total    int
-	history  [][]float64 // summary vectors of recent healthy windows
+	// history holds the summary vectors of the last LookBack healthy
+	// windows, oldest first: a copy-shift ring whose evicted vector is
+	// overwritten with the newest, so a full history never allocates.
+	history [][]float64
 
 	// Long-term accumulation.
 	longStart time.Duration
@@ -165,6 +168,12 @@ type Detector struct {
 	pairs     map[PairKey]*pairState
 	emit      func(Anomaly)
 	Evaluated int // closed short windows, for introspection
+
+	// Window-close scratch, reused by every pair: the sorted copy of
+	// the closing window, its robust vector, and the LOF tables.
+	sorted []float64
+	vec    [4]float64
+	lof    stats.LOFScratch
 }
 
 // New returns a detector delivering anomalies to emit.
@@ -305,9 +314,9 @@ func (d *Detector) closeShort(key PairKey, st *pairState, now time.Duration) {
 	// order of magnitude without any component being at fault, while a
 	// genuine fault (slow path, firmware, misconfiguration) shifts the
 	// entire distribution and therefore the order statistics.
-	vec := robustVector(st.rtts)
+	vec := d.robustVector(st.rtts)
 	if len(st.history) >= 6 {
-		score := stats.LOFScore(vec, st.history, d.cfg.LOFNeighbors)
+		score := stats.LOFScore(&d.lof, vec, st.history, d.cfg.LOFNeighbors)
 		if score > d.cfg.LOFThreshold {
 			d.emit(Anomaly{Key: key, Type: LatencyShortTerm, At: at, Score: score,
 				WindowRTTs: append([]float64(nil), st.rtts...)})
@@ -316,9 +325,16 @@ func (d *Detector) closeShort(key PairKey, st *pairState, now time.Duration) {
 			return
 		}
 	}
-	st.history = append(st.history, vec)
-	if len(st.history) > d.cfg.LookBack {
-		st.history = st.history[1:]
+	switch {
+	case len(st.history) < d.cfg.LookBack:
+		if st.history == nil {
+			st.history = make([][]float64, 0, d.cfg.LookBack)
+		}
+		st.history = append(st.history, append([]float64(nil), vec...))
+	case len(st.history) > 0:
+		evicted := st.history[0]
+		copy(st.history, st.history[1:])
+		st.history[len(st.history)-1] = append(evicted[:0], vec...)
 	}
 }
 
@@ -354,9 +370,12 @@ func (d *Detector) closeLong(key PairKey, st *pairState, now time.Duration) {
 }
 
 // robustVector summarizes a window by outlier-resistant order
-// statistics: P25, P50, P75 and the 10–90 % trimmed mean.
-func robustVector(rtts []float64) []float64 {
-	s := append([]float64(nil), rtts...)
+// statistics: P25, P50, P75 and the 10–90 % trimmed mean. It sorts a
+// copy of rtts in the detector's buffer and returns the detector's
+// vector, which the next call overwrites.
+func (d *Detector) robustVector(rtts []float64) []float64 {
+	d.sorted = append(d.sorted[:0], rtts...)
+	s := d.sorted
 	sort.Float64s(s)
 	lo := len(s) / 10
 	hi := len(s) - lo
@@ -367,12 +386,13 @@ func robustVector(rtts []float64) []float64 {
 	if hi > lo {
 		trimmed /= float64(hi - lo)
 	}
-	return []float64{
+	d.vec = [4]float64{
 		stats.Percentile(s, 0.25),
 		stats.Percentile(s, 0.50),
 		stats.Percentile(s, 0.75),
 		trimmed,
 	}
+	return d.vec[:]
 }
 
 func sampleTail(xs []float64, n int) []float64 {

@@ -361,3 +361,115 @@ func TestPairKeyString(t *testing.T) {
 		t.Fatalf("key string = %q", got)
 	}
 }
+
+func TestAnomalyTypeString(t *testing.T) {
+	for typ, want := range map[AnomalyType]string{
+		Unconnectivity:   "unconnectivity",
+		PacketLoss:       "packet-loss",
+		LatencyShortTerm: "latency-short-term",
+		LatencyLongTerm:  "latency-long-term",
+		AnomalyType(9):   "anomaly(9)",
+	} {
+		if got := typ.String(); got != want {
+			t.Errorf("AnomalyType(%d).String() = %q, want %q", int(typ), got, want)
+		}
+	}
+}
+
+func TestForgetPair(t *testing.T) {
+	d := New(Config{}, func(Anomaly) {})
+	d.Observe(testKey, 0, 16*time.Microsecond, false)
+	d.Forget(testKey)
+	if len(d.pairs) != 0 {
+		t.Fatal("Forget kept the pair's state")
+	}
+}
+
+func TestForgetMatching(t *testing.T) {
+	d := New(Config{}, func(Anomaly) {})
+	other := PairKey{Task: "t1", SrcContainer: 2, DstContainer: 3}
+	d.Observe(testKey, 0, 16*time.Microsecond, false)
+	d.Observe(other, 0, 16*time.Microsecond, false)
+	d.ForgetMatching(func(k PairKey) bool { return k.SrcContainer == 0 || k.DstContainer == 0 })
+	if _, ok := d.pairs[testKey]; ok {
+		t.Fatal("matching pair kept")
+	}
+	if _, ok := d.pairs[other]; !ok {
+		t.Fatal("non-matching pair dropped")
+	}
+}
+
+// TestHistoryRingKeepsNewestOldestFirst pins the copy-shift ring: the
+// look-back holds the newest LookBack healthy vectors, oldest first,
+// never outgrows its capacity, and overwrites the evicted vector in
+// place instead of allocating a new one.
+func TestHistoryRingKeepsNewestOldestFirst(t *testing.T) {
+	d := New(Config{ShortWindow: 10 * time.Second, LookBack: 3}, func(Anomaly) {})
+	window := func(w int) {
+		for i := 0; i < 10; i++ {
+			at := time.Duration(w*10+i) * time.Second
+			d.Observe(testKey, at, time.Duration(10+w)*time.Microsecond, false)
+		}
+	}
+	for w := 0; w < 7; w++ {
+		window(w)
+	}
+	// Window 6 is still open; flushing it evicts the oldest vector.
+	evicted := &d.pairs[testKey].history[0][0]
+	d.Flush(70 * time.Second)
+	st := d.pairs[testKey]
+	if len(st.history) != 3 || cap(st.history) != 3 {
+		t.Fatalf("history len %d cap %d, want 3/3", len(st.history), cap(st.history))
+	}
+	for i, vec := range st.history {
+		if want := float64(14 + i); vec[0] != want || vec[3] != want {
+			t.Fatalf("history[%d] = %v, want the window at %v µs", i, vec, want)
+		}
+	}
+	if &st.history[2][0] != evicted {
+		t.Fatal("newest vector was allocated instead of recycling the evicted one")
+	}
+}
+
+// warmDetector returns a detector whose test pair has a full look-back
+// of healthy 16 µs windows, and one more healthy window's RTTs (µs).
+func warmDetector(tb testing.TB) (*Detector, *pairState, []float64) {
+	d := New(Config{}, func(a Anomaly) { tb.Fatalf("healthy window raised %+v", a) })
+	r := rand.New(rand.NewSource(37))
+	at := feed(d, r, 0, 6*time.Minute, 16, 0)
+	d.Flush(at)
+	st := d.pairs[testKey]
+	if len(st.history) != d.cfg.LookBack {
+		tb.Fatalf("history %d windows, want a full look-back of %d", len(st.history), d.cfg.LookBack)
+	}
+	dist := stats.LogNormal{Mu: math.Log(16), Sigma: 0.08}
+	window := make([]float64, 30)
+	for i := range window {
+		window[i] = dist.Sample(r)
+	}
+	return d, st, window
+}
+
+// closeWindow refills the pair's short window and closes it.
+func closeWindow(d *Detector, st *pairState, window []float64) {
+	st.rtts = append(st.rtts[:0], window...)
+	st.total, st.lost = len(window), 0
+	d.closeShort(testKey, st, st.winStart+d.cfg.ShortWindow)
+}
+
+func TestCloseShortHealthyAllocatesNothing(t *testing.T) {
+	d, st, window := warmDetector(t)
+	closeWindow(d, st, window)
+	if allocs := testing.AllocsPerRun(100, func() { closeWindow(d, st, window) }); allocs != 0 {
+		t.Fatalf("closing a healthy window allocated %v times, want 0", allocs)
+	}
+}
+
+func BenchmarkDetectorWindowClose(b *testing.B) {
+	d, st, window := warmDetector(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		closeWindow(d, st, window)
+	}
+}

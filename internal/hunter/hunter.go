@@ -166,15 +166,18 @@ type Deployment struct {
 	secrets       map[cluster.TaskID]string
 	lastCkpt      *Checkpoint
 
-	// refreshAPI's cached snapshot inputs: the cloned incident set,
-	// alarm copy and rendered blacklist entries are rebuilt only when
-	// their sources actually changed (correlator revision; append-only
-	// alarm/blacklist lengths — every mutation point calls refreshAPI,
-	// so a length is a sound change stamp). See refreshAPI.
-	apiIncidents    []incident.Incident
-	apiIncidentsRev uint64
-	apiAlarms       []analyzer.Alarm
-	apiBlacklist    []apiserver.BlacklistEntry
+	// Cached snapshot inputs, rebuilt only when their sources changed.
+	// incidents is the immutable incident snapshot the remediation
+	// sweep and refreshAPI share, current as of correlator revision
+	// incidentsRev (see incidentSnapshot). The alarm copy and rendered
+	// blacklist key on length: both only grow inside an analysis round,
+	// which publishes at its end, and shrink only at a crash or
+	// recovery, which publish too — so no two publishes see different
+	// contents at the same length.
+	incidents    []incident.Incident
+	incidentsRev uint64
+	apiAlarms    []analyzer.Alarm
+	apiBlacklist []apiserver.BlacklistEntry
 }
 
 // New builds and wires a deployment.
@@ -280,6 +283,9 @@ func New(opts Options) (*Deployment, error) {
 		d.Correlate = cor
 		an.OnGray = d.handleGrayAlarm
 	}
+	// The alarm handlers only fold; what a round changed is published
+	// once, at its end.
+	an.OnRoundEnd = func(time.Duration) { d.refreshAPI() }
 	if opts.CheckpointInterval > 0 {
 		eng.Every(opts.CheckpointInterval, opts.CheckpointInterval, "checkpoint",
 			func(time.Duration) { d.Checkpoint() })
@@ -291,9 +297,9 @@ func New(opts Options) (*Deployment, error) {
 			Offload:     ovl.DumpOffload,
 		})
 		d.Incidents.Obs = st
-		// Resolution sweeps ride the analysis-round cadence: incidents
-		// can only change on alarms or sweeps, so this is also where the
-		// API's published view refreshes.
+		// Resolution sweeps ride the analysis-round cadence. Incidents
+		// change only in analysis rounds, sweeps, crashes and
+		// recoveries, and each of those publishes once at its end.
 		sweep := opts.AnalysisInterval
 		if sweep == 0 {
 			sweep = 30 * time.Second
@@ -310,7 +316,7 @@ func New(opts Options) (*Deployment, error) {
 		eng.Every(sweep, sweep, "incident-sweep", func(now time.Duration) {
 			d.Incidents.Sweep(now)
 			if d.Remedy != nil {
-				d.Remedy.Tick(now, d.Incidents.Incidents())
+				d.Remedy.Tick(now, d.incidentSnapshot())
 			}
 			d.refreshAPI()
 		})
@@ -454,7 +460,6 @@ func (d *Deployment) AgentRestartStorm(frac float64, downFor time.Duration) int 
 func (d *Deployment) handleGrayAlarm(al correlate.Alarm) {
 	if d.Incidents != nil {
 		d.Incidents.ObserveGray(al)
-		d.refreshAPI()
 	}
 	if d.OnGray != nil {
 		d.OnGray(al)
@@ -471,7 +476,6 @@ func (d *Deployment) handleAlarm(al analyzer.Alarm) {
 	if d.feedbackOff {
 		// Alarms are recorded (and incidents opened) but operations do
 		// not act, so nothing is ever marked mitigated.
-		d.refreshAPI()
 		if d.OnAlarm != nil {
 			d.OnAlarm(al)
 		}
@@ -517,7 +521,6 @@ func (d *Deployment) handleAlarm(al analyzer.Alarm) {
 			d.Incidents.NoteMitigated(c, al.At, how)
 		}
 	}
-	d.refreshAPI()
 	if d.OnAlarm != nil {
 		d.OnAlarm(al)
 	}

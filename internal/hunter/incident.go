@@ -12,6 +12,7 @@ import (
 	"skeletonhunter/internal/analyzer"
 	"skeletonhunter/internal/apiserver"
 	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/incident"
 	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/probe"
 )
@@ -141,19 +142,31 @@ func sortRecords(recs []probe.Record) []probe.Record {
 	return recs
 }
 
-// refreshAPI re-renders the query API's published snapshot. Runs on
-// the engine goroutine wherever incident or alarm state can change
-// (alarm handling, sweeps, crash recovery); a cheap no-op without a
-// server.
+// incidentSnapshot returns the incident set in open order as an
+// immutable deep copy, shared by the remediation sweep and refreshAPI.
+// Only incidents whose revision moved since the previous snapshot are
+// re-cloned, and an unchanged correlator returns the previous snapshot
+// itself. Requires the incident plane.
+func (d *Deployment) incidentSnapshot() []incident.Incident {
+	if rev := d.Incidents.Rev(); d.incidents == nil || rev != d.incidentsRev {
+		d.incidents = d.Incidents.IncidentsReusing(d.incidents)
+		d.incidentsRev = rev
+	}
+	return d.incidents
+}
+
+// refreshAPI re-renders the query API's published snapshot; a cheap
+// no-op without a server. It runs on the engine goroutine once at the
+// end of each step that can change incident or alarm state — every
+// analysis round (the alarm handlers only fold), every sweep, crash
+// and recovery — so a round that folds hundreds of alarms publishes
+// once, and a watcher sees one event carrying every changed path.
 //
 // The snapshot inputs are cached between refreshes and rebuilt only
-// dirty: the incident set is re-cloned only when the correlator's
-// mutation revision moved, and the alarm copy / blacklist rendering
-// only when their (append-only between refreshes — crash recovery
-// passes through a zero-length refresh) lengths changed. The cached
-// slices are immutable once handed to the API server, which is what
-// lets its delta renderer reuse pre-marshaled fragments across epochs
-// instead of re-marshaling a 32K-entry blacklist every round.
+// dirty (see the cache fields on Deployment). The cached slices are
+// immutable once handed to the API server, which is what lets its
+// delta renderer reuse pre-marshaled fragments across epochs instead
+// of re-marshaling a 32K-entry blacklist every round.
 func (d *Deployment) refreshAPI() {
 	if d.API == nil {
 		return
@@ -175,18 +188,16 @@ func (d *Deployment) refreshAPI() {
 		}
 		d.apiBlacklist = entries
 	}
+	var incs []incident.Incident
 	if d.Incidents != nil {
-		if rev := d.Incidents.Rev(); d.apiIncidents == nil || rev != d.apiIncidentsRev {
-			d.apiIncidents = d.Incidents.Incidents()
-			d.apiIncidentsRev = rev
-		}
+		incs = d.incidentSnapshot()
 	}
 	if alarms := d.Analyzer.Alarms(); len(alarms) != len(d.apiAlarms) {
 		d.apiAlarms = append([]analyzer.Alarm(nil), alarms...)
 	}
 	d.API.Update(apiserver.Snapshot{
 		Now:       d.Engine.Now(),
-		Incidents: d.apiIncidents,
+		Incidents: incs,
 		Alarms:    d.apiAlarms,
 		Blacklist: d.apiBlacklist,
 		Stats:     d.Stats(),

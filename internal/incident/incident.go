@@ -604,9 +604,27 @@ func (c *Correlator) Sweep(now time.Duration) {
 }
 
 // Incidents returns a deep copy of every incident, in open order.
-func (c *Correlator) Incidents() []Incident {
+func (c *Correlator) Incidents() []Incident { return c.IncidentsReusing(nil) }
+
+// IncidentsReusing returns what Incidents returns, but reuses prev's
+// copy of every incident whose (ID, Rev) has not moved since prev was
+// taken, so a snapshot costs one clone per changed incident instead of
+// one per incident. prev must be an unmodified earlier result of
+// Incidents or IncidentsReusing on this correlator; it is left as it
+// was, and the result shares only those unchanged copies with it.
+//
+// An equal (ID, Rev) pins the content: every mutation stamps a fresh
+// revision, and revisions stay monotonic across Crash and Restore.
+// Incidents are matched by position: open order only appends, and
+// Restore rebuilds the checkpointed order, so anything that moved an
+// incident also moved the (ID, Rev) at its position.
+func (c *Correlator) IncidentsReusing(prev []Incident) []Incident {
 	out := make([]Incident, len(c.incidents))
 	for i, inc := range c.incidents {
+		if i < len(prev) && prev[i].ID == inc.ID && prev[i].Rev == inc.Rev {
+			out[i] = prev[i]
+			continue
+		}
 		out[i] = inc.clone()
 	}
 	return out

@@ -16,112 +16,83 @@ import (
 // windows hold at most tens of points (5 min / 30 s = 10 per pair), so
 // a spatial index would be pure overhead.
 
-// LOFScores returns the local outlier factor of every point in data with
-// respect to the whole set, using k nearest neighbours. Scores near 1
-// indicate inliers; scores substantially above 1 indicate outliers.
-// k is clamped to len(data)-1; fewer than 2 points yields all-1 scores
-// (a single observation can never be an outlier relative to itself).
-func LOFScores(data [][]float64, k int) []float64 {
-	n := len(data)
-	scores := make([]float64, n)
-	if n < 2 {
-		for i := range scores {
-			scores[i] = 1
-		}
-		return scores
-	}
-	if k >= n {
-		k = n - 1
-	}
-	if k < 1 {
-		k = 1
-	}
+// LOFScratch is LOFScore's reusable workspace: a flat n×n distance
+// matrix, the per-point k-neighbourhoods as one flat index buffer, and
+// the per-point k-distances and densities. The detector closes
+// thousands of windows per analysis round, and building those tables
+// afresh for each one was a third of every byte the fleet allocated.
+// A warmed scratch scores without allocating. The zero value is ready
+// to use; a scratch is not safe for concurrent use.
+type LOFScratch struct {
+	dist  []float64 // history distances, row-major n×n
+	qd    []float64 // query → history distances
+	kdist []float64 // per-point k-distance
+	lrd   []float64 // per-point local reachability density
+	neigh []int     // per-point neighbourhood, row i at [i*n, i*n+nn[i])
+	nn    []int     // per-point neighbourhood size
+	order byDistance
+}
 
-	// Pairwise distances.
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := EuclideanDistance(data[i], data[j])
-			dist[i][j] = d
-			dist[j][i] = d
-		}
-	}
+// byDistance sorts neighbour indices by their distance in one row. It
+// is a sort.Interface over a pointer, so sort.Sort runs the same
+// pdqsort (the same comparisons and swaps, hence the same order among
+// ties) as sort.Slice would, without boxing anything.
+type byDistance struct {
+	idx []int
+	row []float64
+}
 
-	// k-distance and k-neighbourhood per point.
-	kdist := make([]float64, n)
-	neigh := make([][]int, n)
-	for i := 0; i < n; i++ {
-		idx := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				idx = append(idx, j)
-			}
-		}
-		sort.Slice(idx, func(a, b int) bool { return dist[i][idx[a]] < dist[i][idx[b]] })
-		kdist[i] = dist[i][idx[k-1]]
-		// The k-neighbourhood includes all points at distance ≤ k-distance
-		// (may exceed k on ties).
-		m := k
-		for m < len(idx) && dist[i][idx[m]] == kdist[i] {
-			m++
-		}
-		neigh[i] = idx[:m]
-	}
+func (b *byDistance) Len() int           { return len(b.idx) }
+func (b *byDistance) Less(i, j int) bool { return b.row[b.idx[i]] < b.row[b.idx[j]] }
+func (b *byDistance) Swap(i, j int)      { b.idx[i], b.idx[j] = b.idx[j], b.idx[i] }
 
-	// Local reachability density.
-	lrd := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var sum float64
-		for _, j := range neigh[i] {
-			sum += math.Max(kdist[j], dist[i][j]) // reachability distance
-		}
-		if sum == 0 {
-			lrd[i] = math.Inf(1) // duplicate points: infinite density
-		} else {
-			lrd[i] = float64(len(neigh[i])) / sum
-		}
+// grow sizes the scratch tables for n history points.
+func (s *LOFScratch) grow(n int) {
+	if cap(s.qd) < n {
+		s.dist = make([]float64, n*n)
+		s.qd = make([]float64, n)
+		s.kdist = make([]float64, n)
+		s.lrd = make([]float64, n)
+		s.neigh = make([]int, n*n)
+		s.nn = make([]int, n)
 	}
+	s.dist = s.dist[:n*n]
+	s.qd = s.qd[:n]
+	s.kdist = s.kdist[:n]
+	s.lrd = s.lrd[:n]
+	s.neigh = s.neigh[:n*n]
+	s.nn = s.nn[:n]
+}
 
-	// LOF: mean ratio of neighbour densities to own density.
-	for i := 0; i < n; i++ {
-		var sum float64
-		allInf := true
-		for _, j := range neigh[i] {
-			if math.IsInf(lrd[j], 1) {
-				if math.IsInf(lrd[i], 1) {
-					sum++ // inf/inf treated as 1 (coincident duplicates)
-				} else {
-					// Neighbour infinitely denser than us: strongly outlying,
-					// but keep the score finite and comparable.
-					sum += math.MaxFloat64 / float64(len(neigh[i]))
-					allInf = false
-				}
-				continue
-			}
-			allInf = false
-			if math.IsInf(lrd[i], 1) {
-				// We are infinitely dense relative to a finite neighbour.
-				continue
-			}
-			sum += lrd[j] / lrd[i]
-		}
-		if allInf && math.IsInf(lrd[i], 1) {
-			scores[i] = 1
-			continue
-		}
-		scores[i] = sum / float64(len(neigh[i]))
+// neighbours sorts idx by distance in row and returns the
+// k-distance and the k-neighbourhood: the k nearest, plus every point
+// tied with the k-th (the neighbourhood may exceed k on ties).
+func (s *LOFScratch) neighbours(idx []int, row []float64, k int) (float64, []int) {
+	s.order = byDistance{idx: idx, row: row}
+	sort.Sort(&s.order)
+	if k > len(idx) {
+		k = len(idx)
 	}
-	return scores
+	if k == 0 {
+		return 0, nil
+	}
+	kd := row[idx[k-1]]
+	m := k
+	for m < len(idx) && row[idx[m]] == kd {
+		m++
+	}
+	return kd, idx[:m]
 }
 
 // LOFScore scores a single query point against a reference set (the
 // look-back window) without including the query in the reference
 // densities — the streaming form used by the detector, where each new
-// window is judged against history.
-func LOFScore(query []float64, history [][]float64, k int) float64 {
+// window is judged against history. Scores near 1 indicate an inlier;
+// scores substantially above 1 an outlier. k is clamped to
+// [1, len(history)]; an empty history scores 1 (no evidence).
+//
+// The tables live in s, which callers keep across calls.
+func LOFScore(s *LOFScratch, query []float64, history [][]float64, k int) float64 {
 	n := len(history)
 	if n == 0 {
 		return 1
@@ -132,90 +103,62 @@ func LOFScore(query []float64, history [][]float64, k int) float64 {
 	if k < 1 {
 		k = 1
 	}
+	s.grow(n)
 
 	// Distances among history points and from query to history.
-	hd := make([][]float64, n)
-	for i := range hd {
-		hd[i] = make([]float64, n)
-	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := EuclideanDistance(history[i], history[j])
-			hd[i][j] = d
-			hd[j][i] = d
+			s.dist[i*n+j] = d
+			s.dist[j*n+i] = d
 		}
 	}
-	qd := make([]float64, n)
 	for i := range history {
-		qd[i] = EuclideanDistance(query, history[i])
+		s.qd[i] = EuclideanDistance(query, history[i])
 	}
 
-	kdistOf := func(row []float64, self int) (float64, []int) {
-		idx := make([]int, 0, n)
+	// History k-distances and neighbourhoods: row i of the neighbour
+	// buffer holds every other point, sorted by distance from i.
+	for i := 0; i < n; i++ {
+		idx := s.neigh[i*n : i*n : i*n+n]
 		for j := 0; j < n; j++ {
-			if j != self {
+			if j != i {
 				idx = append(idx, j)
 			}
 		}
-		sort.Slice(idx, func(a, b int) bool { return row[idx[a]] < row[idx[b]] })
-		kk := k
-		if kk > len(idx) {
-			kk = len(idx)
-		}
-		if kk == 0 {
-			return 0, nil
-		}
-		kd := row[idx[kk-1]]
-		m := kk
-		for m < len(idx) && row[idx[m]] == kd {
-			m++
-		}
-		return kd, idx[:m]
+		kd, nb := s.neighbours(idx, s.dist[i*n:i*n+n], k)
+		s.kdist[i], s.nn[i] = kd, len(nb)
 	}
 
 	// History local reachability densities.
-	hkdist := make([]float64, n)
-	hneigh := make([][]int, n)
 	for i := 0; i < n; i++ {
-		hkdist[i], hneigh[i] = kdistOf(hd[i], i)
-	}
-	hlrd := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if len(hneigh[i]) == 0 {
-			hlrd[i] = math.Inf(1)
+		nb := s.neigh[i*n : i*n+s.nn[i]]
+		if len(nb) == 0 {
+			s.lrd[i] = math.Inf(1)
 			continue
 		}
 		var sum float64
-		for _, j := range hneigh[i] {
-			sum += math.Max(hkdist[j], hd[i][j])
+		for _, j := range nb {
+			sum += math.Max(s.kdist[j], s.dist[i*n+j])
 		}
 		if sum == 0 {
-			hlrd[i] = math.Inf(1)
+			s.lrd[i] = math.Inf(1)
 		} else {
-			hlrd[i] = float64(len(hneigh[i])) / sum
+			s.lrd[i] = float64(len(nb)) / sum
 		}
 	}
 
-	// Query neighbourhood and density.
-	qidx := make([]int, n)
+	// Query neighbourhood and density. Every history row is consumed
+	// above, so row 0 of the neighbour buffer is free to reuse.
+	qidx := s.neigh[:n]
 	for i := range qidx {
 		qidx[i] = i
 	}
-	sort.Slice(qidx, func(a, b int) bool { return qd[qidx[a]] < qd[qidx[b]] })
-	kk := k
-	if kk > n {
-		kk = n
-	}
-	qkdist := qd[qidx[kk-1]]
-	m := kk
-	for m < n && qd[qidx[m]] == qkdist {
-		m++
-	}
-	qneigh := qidx[:m]
+	_, qneigh := s.neighbours(qidx, s.qd, k)
 
 	var reachSum float64
 	for _, j := range qneigh {
-		reachSum += math.Max(hkdist[j], qd[j])
+		reachSum += math.Max(s.kdist[j], s.qd[j])
 	}
 	var qlrd float64
 	if reachSum == 0 {
@@ -227,14 +170,14 @@ func LOFScore(query []float64, history [][]float64, k int) float64 {
 	var ratio float64
 	for _, j := range qneigh {
 		switch {
-		case math.IsInf(hlrd[j], 1) && math.IsInf(qlrd, 1):
+		case math.IsInf(s.lrd[j], 1) && math.IsInf(qlrd, 1):
 			ratio++
-		case math.IsInf(hlrd[j], 1):
+		case math.IsInf(s.lrd[j], 1):
 			return math.Inf(1)
 		case math.IsInf(qlrd, 1):
 			// query denser than neighbours — inlier
 		default:
-			ratio += hlrd[j] / qlrd
+			ratio += s.lrd[j] / qlrd
 		}
 	}
 	return ratio / float64(len(qneigh))
