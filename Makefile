@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-api bench-ci bench-correlate bench-remedy bench-scenarios bench-all cover smoke fuzz
+.PHONY: all build test race vet fmt-check deadcode bench bench-api bench-ci bench-correlate bench-remedy bench-scenarios bench-all cover smoke fuzz
 
 all: build vet test
 
@@ -26,6 +26,13 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# Type-checks every non-test package and fails on any exported symbol
+# under internal/ that no non-test code references. Symbols kept for
+# tests or paper artefacts are allowlisted, each with a reason, in
+# deadcode_test.go; a stale allowlist entry fails too.
+deadcode:
+	$(GO) test -count=1 -run '^TestNoUnreferencedExports$$' .
 
 # Runs the analyzer-round, incident-correlator and log-store benchmarks
 # and writes machine-readable summaries (name → ns/op, B/op, allocs/op)

@@ -451,7 +451,7 @@ func BenchmarkAblationLongTerm(b *testing.B) {
 			dist := stats.LogNormal{Mu: math.Log(median), Sigma: 0.08}
 			for i := 0; i < 30; i++ {
 				rtt := time.Duration(dist.Sample(r) * float64(time.Microsecond))
-				d.Observe(key, at, rtt, false)
+				d.ObserveMany(key, []detect.Sample{{At: at, RTT: rtt}})
 				at += time.Second
 			}
 			median *= 1.003 // +0.3 % per 30 s window

@@ -316,7 +316,7 @@ func (s *shard) localizeRound(loc *localize.Localizer) ([]detect.Anomaly, []loca
 type Analyzer struct {
 	Engine *sim.Engine
 	// Localizer is the read-only disentanglement core shared by every
-	// shard. Its Localize path (overlay trace, tomography votes,
+	// shard. Its LocalizeWith path (overlay trace, tomography votes,
 	// offload dumps, control-plane lookups) performs no writes — see
 	// the audit note on localize.Localizer — so concurrent shards may
 	// call it without locking.
@@ -382,15 +382,6 @@ func (an *Analyzer) warmCorrelate(task string) {
 	if an.cfg.Correlate != nil {
 		an.cfg.Correlate.Warm(task)
 	}
-}
-
-// Ingest consumes one probe record: the single-record convenience
-// entry point (tests, replay tools). Agents use IngestBatch.
-func (an *Analyzer) Ingest(rec probe.Record) {
-	an.warmCorrelate(string(rec.Task))
-	sh := an.shards.Get(string(rec.Task))
-	n := sh.enqueue(rec)
-	an.stats.Add(pipeline.StageIngest, uint64(n))
 }
 
 // IngestBatch consumes one agent round's records at once — the ingest
@@ -478,10 +469,10 @@ func (an *Analyzer) Round(now time.Duration) {
 		return res
 	}, observe)
 
-	// Deterministic merge: FanOut returns results in ascending task-key
+	// Deterministic merge: FanOutTimed returns results in ascending task-key
 	// order; concatenation preserves it. Cross-shard duplicates (two
 	// tasks blaming the same component) collapse via MergeVerdicts,
-	// exactly as a single-batch Localize would have collapsed them.
+	// exactly as a single-batch LocalizeWith would have collapsed them.
 	var anomalies []detect.Anomaly
 	var verdicts []localize.Verdict
 	var changePoints []correlate.ChangePoint

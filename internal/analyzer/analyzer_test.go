@@ -71,7 +71,7 @@ func (r *rig) pump(dur time.Duration) {
 				}
 				for rail := 0; rail < 2; rail++ { // two rails suffice
 					entropy++
-					r.an.Ingest(r.record(s, d, rail, entropy))
+					r.an.IngestBatch(probe.Batch{r.record(s, d, rail, entropy)})
 				}
 			}
 		}
@@ -308,7 +308,7 @@ func TestPathMemoryRingKeepsNewest(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		rec := r.record(0, 1, 0, uint64(i))
 		rec.Path = []topology.LinkID{topology.LinkID(rune('a' + i))}
-		an.Ingest(rec)
+		an.IngestBatch(probe.Batch{rec})
 	}
 	an.Round(r.eng.Now())
 	s, ok := an.shards.Peek(string(r.task.ID))

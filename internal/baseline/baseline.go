@@ -1,10 +1,9 @@
 // Package baseline implements the comparison points of the evaluation
 // (Figs. 15–16): the full-mesh Pingmesh strawman, the rail-pruned basic
-// list, and a deTector-style topology-aware prober that minimizes
-// probes by greedy link coverage — aware of the data-center topology
-// but, crucially, not of the training workload's traffic sparsity,
-// which is why it still needs an order of magnitude more probes than a
-// skeleton-pruned list.
+// list, and a probe-count model of deTector's topology-aware prober —
+// aware of the data-center topology but, crucially, not of the training
+// workload's traffic sparsity, which is why it still needs an order of
+// magnitude more probes than a skeleton-pruned list.
 package baseline
 
 import (
@@ -39,95 +38,14 @@ func PerEndpointBasic(nContainers int) int {
 	return nContainers - 1
 }
 
-// Probe is one deTector-style probe assignment: a NIC pair plus the
-// ECMP path index it is steered onto (deTector assumes source-routing
-// style control over which equal-cost path a probe takes).
-type Probe struct {
-	Src, Dst  topology.NIC
-	PathIndex int
-}
-
-// DeTectorProbes computes a probe set covering every physical link
-// reachable from the given NICs with the requested redundancy, via
-// greedy set cover over (pair, path) candidates. It models deTector's
-// topology-aware minimal probing: the result is far below full mesh
-// but — being workload-blind — still covers links no training traffic
-// would ever use.
-func DeTectorProbes(fab *topology.Fabric, nics []topology.NIC, redundancy int) []Probe {
-	if redundancy < 1 {
-		redundancy = 1
-	}
-	// Universe: links appearing on any candidate path, with required
-	// coverage counts.
-	type candidate struct {
-		probe Probe
-		links []topology.LinkID
-	}
-	var candidates []candidate
-	need := map[topology.LinkID]int{}
-	for i, src := range nics {
-		for j, dst := range nics {
-			if i == j {
-				continue
-			}
-			// VisitPaths walks the ECMP set without materializing it;
-			// the candidate retains its links, so copy them out of the
-			// reused view.
-			_ = fab.VisitPaths(src, dst, func(pi int, p *topology.PathView) bool {
-				links := p.Links(make([]topology.LinkID, 0, p.NumLinks()))
-				candidates = append(candidates, candidate{
-					probe: Probe{Src: src, Dst: dst, PathIndex: pi},
-					links: links,
-				})
-				for _, l := range links {
-					need[l] = redundancy
-				}
-				return true
-			})
-		}
-	}
-
-	var out []Probe
-	remaining := 0
-	for _, n := range need {
-		remaining += n
-	}
-	for remaining > 0 {
-		bestIdx, bestGain := -1, 0
-		for i, c := range candidates {
-			gain := 0
-			for _, l := range c.links {
-				if need[l] > 0 {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				bestGain, bestIdx = gain, i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		c := candidates[bestIdx]
-		out = append(out, c.probe)
-		for _, l := range c.links {
-			if need[l] > 0 {
-				need[l]--
-				remaining--
-			}
-		}
-	}
-	return out
-}
-
 // EstimateDeTectorProbes models deTector's probe count at cluster
-// scale without running the greedy cover (which is cubic in endpoint
-// count): every physical link needs `redundancy` covering probes, and
-// ECMP fan-out means a probe pins roughly one of `ecmpFactor` possible
-// paths per link, so the expected probe count is links × redundancy ×
-// ecmpFactor. With the paper-calibrated defaults (3, 2) a 2 048-RNIC
-// production fabric needs ≈15 K probes per round — the figure quoted
-// in §7.1.
+// scale without running its greedy set cover (which is cubic in
+// endpoint count): every physical link needs `redundancy` covering
+// probes, and ECMP fan-out means a probe pins roughly one of
+// `ecmpFactor` possible paths per link, so the expected probe count is
+// links × redundancy × ecmpFactor. With the paper-calibrated defaults
+// (3, 2) a 2 048-RNIC production fabric needs ≈15 K probes per round —
+// the figure quoted in §7.1.
 func EstimateDeTectorProbes(fab *topology.Fabric, redundancy, ecmpFactor int) int {
 	if redundancy < 1 {
 		redundancy = 3

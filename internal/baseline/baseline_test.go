@@ -28,56 +28,17 @@ func TestTargetCounts(t *testing.T) {
 	}
 }
 
-func TestDeTectorCoversAllLinks(t *testing.T) {
+func TestEstimateDeTectorProbes(t *testing.T) {
 	fab, err := topology.New(topology.Spec{Pods: 2, HostsPerPod: 4, Rails: 2, AggPerPod: 2, Spines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nics []topology.NIC
-	for h := 0; h < fab.Hosts(); h++ {
-		for r := 0; r < 2; r++ {
-			nics = append(nics, topology.NIC{Host: h, Rail: r})
-		}
+	if got, want := EstimateDeTectorProbes(fab, 3, 2), fab.NumLinks()*6; got != want {
+		t.Fatalf("probes = %d, want links × redundancy × ECMP = %d", got, want)
 	}
-	probes := DeTectorProbes(fab, nics, 1)
-	if len(probes) == 0 {
-		t.Fatal("no probes")
-	}
-	// Every link must be covered by at least one probe's path.
-	covered := map[topology.LinkID]bool{}
-	for _, p := range probes {
-		paths, err := fab.Paths(p.Src, p.Dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range paths[p.PathIndex].Links {
-			covered[l] = true
-		}
-	}
-	fab.EachLink(func(id topology.LinkID, _ [2]topology.NodeID) {
-		if !covered[id] {
-			t.Fatalf("link %s not covered", id)
-		}
-	})
-	// And the probe count is far below the full mesh.
-	full := len(nics) * (len(nics) - 2)
-	if len(probes) >= full/2 {
-		t.Fatalf("deTector probes = %d, not below full mesh %d", len(probes), full)
-	}
-}
-
-func TestDeTectorRedundancyGrowsProbes(t *testing.T) {
-	fab, _ := topology.New(topology.Spec{Pods: 1, HostsPerPod: 4, Rails: 2, AggPerPod: 2})
-	var nics []topology.NIC
-	for h := 0; h < 4; h++ {
-		for r := 0; r < 2; r++ {
-			nics = append(nics, topology.NIC{Host: h, Rail: r})
-		}
-	}
-	p1 := DeTectorProbes(fab, nics, 1)
-	p3 := DeTectorProbes(fab, nics, 3)
-	if len(p3) <= len(p1) {
-		t.Fatalf("redundancy 3 (%d probes) not above redundancy 1 (%d)", len(p3), len(p1))
+	// Non-positive knobs fall back to the paper-calibrated (3, 2).
+	if got, want := EstimateDeTectorProbes(fab, 0, 0), EstimateDeTectorProbes(fab, 3, 2); got != want {
+		t.Fatalf("default probes = %d, want %d", got, want)
 	}
 }
 

@@ -74,12 +74,6 @@ type Container struct {
 	Addrs []overlay.Addr
 }
 
-// NIC returns the physical RNIC behind the container's endpoint on the
-// given rail.
-func (c *Container) NIC(rail int) topology.NIC {
-	return topology.NIC{Host: c.Host, Rail: rail}
-}
-
 // Task is a training task (a tenant workload).
 type Task struct {
 	ID               TaskID

@@ -352,13 +352,6 @@ func (c *Controller) SetFrozen(frozen bool) {
 	}
 }
 
-// Frozen reports whether ping-list serving is frozen.
-func (c *Controller) Frozen() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.frozen
-}
-
 // PingList returns the active probe targets for one source container:
 // the current-phase list filtered to leased destinations (and a leased
 // source — an unregistered agent probes nothing). While frozen
@@ -483,16 +476,6 @@ func (c *Controller) RevertToBasic(id cluster.TaskID) {
 		ts.phase = PhasePreload
 		ts.skeleton = nil
 	}
-}
-
-// PhaseOf returns a task's current ping-list phase.
-func (c *Controller) PhaseOf(id cluster.TaskID) Phase {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ts, ok := c.tasks[id]; ok {
-		return ts.phase
-	}
-	return PhasePreload
 }
 
 // Stats summarizes probing scale for one task (Fig. 15's metric).

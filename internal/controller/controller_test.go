@@ -126,10 +126,10 @@ func TestApplySkeletonSwitchesPhase(t *testing.T) {
 	if err := ctl.ApplySkeleton(task.ID, inf); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.PhaseOf(task.ID) != PhaseSkeleton {
-		t.Fatalf("phase = %v", ctl.PhaseOf(task.ID))
-	}
 	st, _ := ctl.StatsOf(task.ID)
+	if st.Phase != PhaseSkeleton {
+		t.Fatalf("phase = %v", st.Phase)
+	}
 	if st.CurrentTargets != 8 { // 4 pairs × 2 directions
 		t.Fatalf("skeleton targets = %d, want 8", st.CurrentTargets)
 	}

@@ -26,7 +26,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := ctl.ApplySkeleton(task.ID, inf); err != nil {
 		t.Fatal(err)
 	}
-	wantPhase := ctl.PhaseOf(task.ID)
+	wantStats, _ := ctl.StatsOf(task.ID)
 	wantList := ctl.PingList(task.ID, 0)
 	wantRegs := ctl.Registrations(task.ID)
 	if len(wantRegs) != task.NumContainers() {
@@ -60,8 +60,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if got := ctl.Epoch(); got != 2 {
 		t.Fatalf("epoch after restore = %d, want 2", got)
 	}
-	if got := ctl.PhaseOf(task.ID); got != wantPhase {
-		t.Fatalf("phase after restore = %v, want %v", got, wantPhase)
+	if got, _ := ctl.StatsOf(task.ID); got.Phase != wantStats.Phase {
+		t.Fatalf("phase after restore = %v, want %v", got.Phase, wantStats.Phase)
 	}
 	if got := ctl.PingList(task.ID, 0); !reflect.DeepEqual(got, wantList) {
 		t.Fatalf("ping list after restore = %+v, want %+v", got, wantList)
@@ -160,5 +160,47 @@ func TestSnapshotDeterministicFingerprint(t *testing.T) {
 	ctl.Deregister(a.Tasks[0].ID, 0)
 	if ctl.Snapshot().Fingerprint() == a.Fingerprint() {
 		t.Fatal("state change did not move the fingerprint")
+	}
+}
+
+func TestPingListInto(t *testing.T) {
+	_, task, ctl, _ := steadyController(t)
+	want := ctl.PingList(task.ID, 0)
+	if len(want) == 0 {
+		t.Fatal("steady controller serves no targets")
+	}
+	// The buffer is filled from index 0 and its backing array reused.
+	buf := make([]Target, 3, 4*len(want))
+	got := ctl.PingListInto(task.ID, 0, buf)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("PingListInto = %+v, want %+v", got, want)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("PingListInto did not reuse the caller's buffer")
+	}
+	if got := ctl.PingListInto("no-such-task", 0, buf); len(got) != 0 {
+		t.Fatalf("unknown task served %d targets", len(got))
+	}
+
+	// Frozen: the cached snapshot is copied out, never aliased, and
+	// survives a phase change.
+	ctl.SetFrozen(true)
+	frozen := ctl.PingListInto(task.ID, 0, nil)
+	frozen[0] = Target{}
+	inf := skeleton.Inference{Pairs: []skeleton.Pair{{A: 0, B: 8}}}
+	if err := ctl.ApplySkeleton(task.ID, inf); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctl.PingListInto(task.ID, 0, buf); !reflect.DeepEqual(got, want) {
+		t.Fatalf("frozen PingListInto = %+v, want the pre-freeze list %+v", got, want)
+	}
+	ctl.SetFrozen(false)
+	if got := ctl.PingListInto(task.ID, 0, buf); reflect.DeepEqual(got, want) {
+		t.Fatal("unfrozen PingListInto still serves the frozen list")
+	}
+
+	ctl.Crash()
+	if got := ctl.PingListInto(task.ID, 0, buf); len(got) != 0 {
+		t.Fatalf("down controller served %d targets", len(got))
 	}
 }

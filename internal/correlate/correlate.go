@@ -574,9 +574,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Config returns the engine's resolved configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Warm ensures the task's shard exists. Serial prologue only — the
 // same contract as the analyzer's shard creation.
 func (e *Engine) Warm(task string) {
@@ -598,9 +595,6 @@ func (e *Engine) BeginRound() int {
 	e.round++
 	return e.round
 }
-
-// Round returns the current round index.
-func (e *Engine) Round() int { return e.round }
 
 func (e *Engine) queueSeries(node topology.NodeID) *series {
 	s, ok := e.queue[node]

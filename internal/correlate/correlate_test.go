@@ -424,7 +424,7 @@ func TestCrashWipesState(t *testing.T) {
 		d.round("job", pairRun(0, 1, 0, 1, d.now+roundLen, 10*time.Microsecond, 4, 2))
 	}
 	e.Crash()
-	if e.SeriesCount() != 0 || len(e.Alarms()) != 0 || e.Round() != 0 {
+	if e.SeriesCount() != 0 || len(e.Alarms()) != 0 || e.round != 0 {
 		t.Fatal("crash left state behind")
 	}
 }

@@ -161,7 +161,7 @@ type pairState struct {
 }
 
 // Detector is the streaming anomaly detector. Feed it samples with
-// Observe; it emits anomalies through the callback as windows close.
+// ObserveMany; it emits anomalies through the callback as windows close.
 // Not safe for concurrent use (the analyzer owns one per shard).
 type Detector struct {
 	cfg       Config
@@ -188,18 +188,13 @@ type Sample struct {
 	Lost bool
 }
 
-// Observe ingests one probe result. rtt is ignored when lost is true.
-// Windows close lazily when a sample arrives past the boundary; call
-// Flush to force evaluation at the end of a run.
-func (d *Detector) Observe(key PairKey, at time.Duration, rtt time.Duration, lost bool) {
-	d.observe(key, d.state(key, at), Sample{At: at, RTT: rtt, Lost: lost})
-}
-
-// ObserveMany ingests a run of samples for one pair with a single
-// state lookup — the batched hot path: an agent's probing round
-// delivers all of a pair's probes contiguously, so the analyzer calls
-// this once per pair per round instead of Observe once per record.
-// Samples must be in non-decreasing time order, as Observe's would be.
+// ObserveMany ingests a run of probe results for one pair with a
+// single state lookup: an agent's probing round delivers all of a
+// pair's probes contiguously, so the analyzer calls this once per pair
+// per round. Samples must be in non-decreasing time order; a lost
+// sample's RTT is ignored. Windows close lazily when a sample arrives
+// past the boundary; call Flush to force evaluation at the end of a
+// run.
 func (d *Detector) ObserveMany(key PairKey, samples []Sample) {
 	if len(samples) == 0 {
 		return
@@ -256,21 +251,9 @@ func (d *Detector) Flush(at time.Duration) {
 	}
 }
 
-// Forget drops all state for a pair (e.g. when its task finishes).
-func (d *Detector) Forget(key PairKey) { delete(d.pairs, key) }
-
-// ForgetTask drops every pair belonging to a task.
-func (d *Detector) ForgetTask(task string) {
-	for k := range d.pairs {
-		if k.Task == task {
-			delete(d.pairs, k)
-		}
-	}
-}
-
-// ForgetMatching drops every pair the predicate selects (e.g. pairs
-// touching a gracefully stopped container, whose half-open windows
-// would otherwise read as loss).
+// ForgetMatching drops every pair the predicate selects (e.g. a
+// finished task's pairs, or pairs touching a gracefully stopped
+// container, whose half-open windows would otherwise read as loss).
 func (d *Detector) ForgetMatching(match func(PairKey) bool) {
 	for k := range d.pairs {
 		if match(k) {

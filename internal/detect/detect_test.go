@@ -18,7 +18,7 @@ func feed(d *Detector, r *rand.Rand, from, dur time.Duration, medianUS float64, 
 	for at := from; at < from+dur; at += time.Second {
 		lost := r.Float64() < lossRate
 		rtt := time.Duration(dist.Sample(r) * float64(time.Microsecond))
-		d.Observe(testKey, at, rtt, lost)
+		d.ObserveMany(testKey, []Sample{{At: at, RTT: rtt, Lost: lost}})
 	}
 	return from + dur
 }
@@ -120,7 +120,7 @@ func TestTransientSpikeFiltered(t *testing.T) {
 		if i == 7 || i == 19 {
 			rtt += 40 * time.Microsecond
 		}
-		d.Observe(testKey, at, rtt, false)
+		d.ObserveMany(testKey, []Sample{{At: at, RTT: rtt}})
 		at += time.Second
 	}
 	at = feed(d, r, at, 5*time.Minute, 16, 0)
@@ -207,8 +207,8 @@ func TestMinSamplesGuard(t *testing.T) {
 	out, emit := collect()
 	d := New(Config{}, emit)
 	// Two lonely probes in a window: not enough evidence to evaluate.
-	d.Observe(testKey, 0, 16*time.Microsecond, false)
-	d.Observe(testKey, time.Second, 16*time.Microsecond, true)
+	d.ObserveMany(testKey, []Sample{{At: 0, RTT: 16 * time.Microsecond}})
+	d.ObserveMany(testKey, []Sample{{At: time.Second, RTT: 16 * time.Microsecond, Lost: true}})
 	d.Flush(time.Minute)
 	if len(*out) != 0 {
 		t.Fatalf("underpopulated window produced anomalies: %+v", *out)
@@ -220,7 +220,7 @@ func TestForget(t *testing.T) {
 	d := New(Config{}, emit)
 	r := rand.New(rand.NewSource(10))
 	feed(d, r, 0, 5*time.Minute, 16, 0)
-	d.ForgetTask("t1")
+	d.ForgetMatching(func(k PairKey) bool { return k.Task == "t1" })
 	d.Flush(10 * time.Minute)
 	if len(*out) != 0 {
 		t.Fatal("forgotten pair still evaluated")
@@ -230,9 +230,9 @@ func TestForget(t *testing.T) {
 	}
 }
 
-// TestObserveManyMatchesObserve proves the batched ingest path is
-// behaviourally identical to the per-record one: same samples, same
-// anomaly stream.
+// TestObserveManyMatchesObserve proves batched ingest is behaviourally
+// identical to feeding one sample at a time: same samples, same anomaly
+// stream.
 func TestObserveManyMatchesObserve(t *testing.T) {
 	sample := func(r *rand.Rand, median float64, lossRate float64, at time.Duration) Sample {
 		dist := stats.LogNormal{Mu: math.Log(median), Sigma: 0.08}
@@ -252,7 +252,7 @@ func TestObserveManyMatchesObserve(t *testing.T) {
 	serialOut, serialEmit := collect()
 	serial := New(Config{}, serialEmit)
 	for _, s := range samples {
-		serial.Observe(testKey, s.At, s.RTT, s.Lost)
+		serial.ObserveMany(testKey, []Sample{s})
 	}
 	serial.Flush(at)
 
@@ -306,7 +306,7 @@ func TestFlushEmitsInSortedPairOrder(t *testing.T) {
 		for _, c := range insertion {
 			key := PairKey{Task: "t1", SrcContainer: c, DstContainer: c + 1}
 			for i := 0; i < 10; i++ {
-				d.Observe(key, time.Duration(i)*time.Second, 0, true)
+				d.ObserveMany(key, []Sample{{At: time.Duration(i) * time.Second, Lost: true}})
 			}
 		}
 		d.Flush(time.Minute)
@@ -378,18 +378,18 @@ func TestAnomalyTypeString(t *testing.T) {
 
 func TestForgetPair(t *testing.T) {
 	d := New(Config{}, func(Anomaly) {})
-	d.Observe(testKey, 0, 16*time.Microsecond, false)
-	d.Forget(testKey)
+	d.ObserveMany(testKey, []Sample{{At: 0, RTT: 16 * time.Microsecond}})
+	d.ForgetMatching(func(k PairKey) bool { return k == testKey })
 	if len(d.pairs) != 0 {
-		t.Fatal("Forget kept the pair's state")
+		t.Fatal("ForgetMatching kept the pair's state")
 	}
 }
 
 func TestForgetMatching(t *testing.T) {
 	d := New(Config{}, func(Anomaly) {})
 	other := PairKey{Task: "t1", SrcContainer: 2, DstContainer: 3}
-	d.Observe(testKey, 0, 16*time.Microsecond, false)
-	d.Observe(other, 0, 16*time.Microsecond, false)
+	d.ObserveMany(testKey, []Sample{{At: 0, RTT: 16 * time.Microsecond}})
+	d.ObserveMany(other, []Sample{{At: 0, RTT: 16 * time.Microsecond}})
 	d.ForgetMatching(func(k PairKey) bool { return k.SrcContainer == 0 || k.DstContainer == 0 })
 	if _, ok := d.pairs[testKey]; ok {
 		t.Fatal("matching pair kept")
@@ -408,7 +408,7 @@ func TestHistoryRingKeepsNewestOldestFirst(t *testing.T) {
 	window := func(w int) {
 		for i := 0; i < 10; i++ {
 			at := time.Duration(w*10+i) * time.Second
-			d.Observe(testKey, at, time.Duration(10+w)*time.Microsecond, false)
+			d.ObserveMany(testKey, []Sample{{At: at, RTT: time.Duration(10+w) * time.Microsecond}})
 		}
 	}
 	for w := 0; w < 7; w++ {

@@ -1,8 +1,7 @@
 // Package dsp provides the signal-processing substrate for traffic
 // skeleton inference (§5.1): a radix-2 FFT, the Short-Time Fourier
-// Transform used to fingerprint RNIC throughput burst cycles, spectral
-// feature extraction, and cross-correlation lag estimation used to
-// order pipeline-parallel stages by their burst time shift.
+// Transform used to fingerprint RNIC throughput burst cycles, and
+// spectral feature extraction.
 package dsp
 
 import (
@@ -10,43 +9,9 @@ import (
 	"math/cmplx"
 )
 
-// FFT computes the discrete Fourier transform of x using an iterative
-// radix-2 Cooley–Tukey algorithm. If len(x) is not a power of two the
-// input is zero-padded to the next power of two. The input slice is not
-// modified; a new slice is returned.
-func FFT(x []complex128) []complex128 {
-	n := nextPow2(len(x))
-	a := make([]complex128, n)
-	copy(a, x)
-	fftInPlace(a, false)
-	return a
-}
-
-// IFFT computes the inverse DFT (with 1/N normalization), zero-padding
-// like FFT.
-func IFFT(x []complex128) []complex128 {
-	n := nextPow2(len(x))
-	a := make([]complex128, n)
-	copy(a, x)
-	fftInPlace(a, true)
-	inv := complex(1/float64(n), 0)
-	for i := range a {
-		a[i] *= inv
-	}
-	return a
-}
-
-// FFTReal transforms a real-valued signal and returns the full complex
-// spectrum (length = next power of two ≥ len(x)).
-func FFTReal(x []float64) []complex128 {
-	a := make([]complex128, nextPow2(len(x)))
-	for i, v := range x {
-		a[i] = complex(v, 0)
-	}
-	fftInPlace(a, false)
-	return a
-}
-
+// fftInPlace computes the DFT of a (len(a) a power of two) in place
+// with an iterative radix-2 Cooley–Tukey algorithm; inverse flips the
+// twiddle sign and leaves the 1/N normalization to the caller.
 func fftInPlace(a []complex128, inverse bool) {
 	n := len(a)
 	if n <= 1 {
@@ -94,15 +59,6 @@ func nextPow2(n int) int {
 	return p
 }
 
-// Magnitudes returns |X[k]| for each bin of a spectrum.
-func Magnitudes(spec []complex128) []float64 {
-	out := make([]float64, len(spec))
-	for i, c := range spec {
-		out[i] = cmplx.Abs(c)
-	}
-	return out
-}
-
 // HannWindow returns the n-point Hann window, the standard taper for
 // STFT analysis (reduces spectral leakage between burst harmonics).
 func HannWindow(n int) []float64 {
@@ -115,68 +71,4 @@ func HannWindow(n int) []float64 {
 		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
 	}
 	return w
-}
-
-// CrossCorrelationLag estimates the lag (in samples) of series b
-// relative to series a by locating the peak of their circular
-// cross-correlation, computed via FFT. A positive return value means b
-// lags a (b's bursts happen later), which is how pipeline stage k+1
-// relates to stage k. maxLag bounds the search window; lags outside
-// [-maxLag, maxLag] are ignored.
-func CrossCorrelationLag(a, b []float64, maxLag int) int {
-	n := nextPow2(maxInt(len(a), len(b)) * 2)
-	fa := make([]complex128, n)
-	fb := make([]complex128, n)
-	ma, mb := meanOf(a), meanOf(b)
-	for i, v := range a {
-		fa[i] = complex(v-ma, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v-mb, 0)
-	}
-	fftInPlace(fa, false)
-	fftInPlace(fb, false)
-	prod := make([]complex128, n)
-	for i := range prod {
-		prod[i] = fa[i] * cmplx.Conj(fb[i])
-	}
-	fftInPlace(prod, true)
-	// prod[m] = Σ_t a[t+m]·b[t]; when b trails a by L the peak lands at
-	// m = −L, so the lag of b relative to a is the negated peak index.
-	best, bestVal := 0, math.Inf(-1)
-	consider := func(lag, idx int) {
-		v := real(prod[idx])
-		if v > bestVal {
-			bestVal = v
-			best = lag
-		}
-	}
-	if maxLag >= n/2 {
-		maxLag = n/2 - 1
-	}
-	for lag := 0; lag <= maxLag; lag++ {
-		consider(lag, lag)
-	}
-	for lag := 1; lag <= maxLag; lag++ {
-		consider(-lag, n-lag)
-	}
-	return -best
-}
-
-func meanOf(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

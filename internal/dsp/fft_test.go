@@ -8,9 +8,23 @@ import (
 	"testing/quick"
 )
 
+// fft transforms a copy of x, zero-padded to a power of two, with the
+// in-place kernel STFT runs; inverse applies the 1/N-normalized inverse.
+func fft(x []complex128, inverse bool) []complex128 {
+	a := make([]complex128, nextPow2(len(x)))
+	copy(a, x)
+	fftInPlace(a, inverse)
+	if inverse {
+		for i := range a {
+			a[i] /= complex(float64(len(a)), 0)
+		}
+	}
+	return a
+}
+
 func TestFFTKnownImpulse(t *testing.T) {
 	// DFT of an impulse is flat.
-	spec := FFT([]complex128{1, 0, 0, 0})
+	spec := fft([]complex128{1, 0, 0, 0}, false)
 	for k, c := range spec {
 		if cmplx.Abs(c-1) > 1e-12 {
 			t.Fatalf("bin %d = %v, want 1", k, c)
@@ -20,7 +34,7 @@ func TestFFTKnownImpulse(t *testing.T) {
 
 func TestFFTKnownConstant(t *testing.T) {
 	// DFT of a constant concentrates at DC.
-	spec := FFT([]complex128{1, 1, 1, 1})
+	spec := fft([]complex128{1, 1, 1, 1}, false)
 	if cmplx.Abs(spec[0]-4) > 1e-12 {
 		t.Fatalf("DC = %v, want 4", spec[0])
 	}
@@ -34,14 +48,14 @@ func TestFFTKnownConstant(t *testing.T) {
 func TestFFTSinePeak(t *testing.T) {
 	// A pure sine at bin 5 of a 64-sample window peaks exactly there.
 	n := 64
-	x := make([]float64, n)
+	x := make([]complex128, n)
 	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * 5 * float64(i) / float64(n))
+		x[i] = complex(math.Sin(2*math.Pi*5*float64(i)/float64(n)), 0)
 	}
-	mags := Magnitudes(FFTReal(x))
+	spec := fft(x, false)
 	peak := 0
 	for k := 1; k <= n/2; k++ {
-		if mags[k] > mags[peak] {
+		if cmplx.Abs(spec[k]) > cmplx.Abs(spec[peak]) {
 			peak = k
 		}
 	}
@@ -57,7 +71,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	for i := range x {
 		x[i] = complex(r.NormFloat64(), r.NormFloat64())
 	}
-	got := FFT(x)
+	got := fft(x, false)
 	for k := 0; k < n; k++ {
 		var want complex128
 		for j := 0; j < n; j++ {
@@ -87,7 +101,7 @@ func TestIFFTRoundTripProperty(t *testing.T) {
 			// Bound magnitudes to keep roundoff comparable.
 			x[i] = complex(math.Mod(re[i], 1e6), math.Mod(im[i], 1e6))
 		}
-		y := IFFT(FFT(x))
+		y := fft(fft(x, false), true)
 		for i := 0; i < n; i++ {
 			if cmplx.Abs(y[i]-x[i]) > 1e-6*(1+cmplx.Abs(x[i])) {
 				return false
@@ -110,7 +124,7 @@ func TestFFTParseval(t *testing.T) {
 		x[i] = complex(r.NormFloat64(), 0)
 		tEnergy += real(x[i]) * real(x[i])
 	}
-	spec := FFT(x)
+	spec := fft(x, false)
 	var fEnergy float64
 	for _, c := range spec {
 		fEnergy += real(c)*real(c) + imag(c)*imag(c)
@@ -122,10 +136,10 @@ func TestFFTParseval(t *testing.T) {
 }
 
 func TestFFTZeroPadding(t *testing.T) {
-	if got := len(FFT(make([]complex128, 5))); got != 8 {
+	if got := len(fft(make([]complex128, 5), false)); got != 8 {
 		t.Fatalf("padded length = %d, want 8", got)
 	}
-	if got := len(FFT(nil)); got != 1 {
+	if got := len(fft(nil, false)); got != 1 {
 		t.Fatalf("empty input length = %d, want 1", got)
 	}
 }
@@ -146,30 +160,5 @@ func TestHannWindow(t *testing.T) {
 	}
 	if w := HannWindow(1); w[0] != 1 {
 		t.Fatal("1-point window should be identity")
-	}
-}
-
-func TestCrossCorrelationLag(t *testing.T) {
-	// b is a delayed by 7 samples — the PP-stage time shift situation.
-	n := 256
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		a[i] = math.Sin(2*math.Pi*float64(i)/32) + 0.3*math.Sin(2*math.Pi*float64(i)/8)
-	}
-	const shift = 7
-	for i := range b {
-		b[i] = a[((i-shift)%n+n)%n]
-	}
-	if lag := CrossCorrelationLag(a, b, 16); lag != shift {
-		t.Fatalf("lag = %d, want %d", lag, shift)
-	}
-	// Reversed direction yields the negative lag.
-	if lag := CrossCorrelationLag(b, a, 16); lag != -shift {
-		t.Fatalf("reverse lag = %d, want %d", lag, -shift)
-	}
-	// Identical series: zero lag.
-	if lag := CrossCorrelationLag(a, a, 16); lag != 0 {
-		t.Fatalf("self lag = %d, want 0", lag)
 	}
 }

@@ -161,17 +161,6 @@ func NewInjector(net *netsim.Net, cp *cluster.ControlPlane) *Injector {
 // Injections returns every injection performed, in order.
 func (inj *Injector) Injections() []*Injection { return inj.injections }
 
-// Active returns the injections not yet cleared.
-func (inj *Injector) Active() []*Injection {
-	var out []*Injection
-	for _, in := range inj.injections {
-		if !in.Cleared {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
 var errBadTarget = errors.New("faults: target missing required fields for issue type")
 
 // Inject applies one issue. It returns the injection record carrying
@@ -339,10 +328,6 @@ const scenarioIssueBase = 200
 // packs escalate through (rdma-mask's loss staircase).
 const ScenarioLinkLoss = IssueType(scenarioIssueBase + 1)
 
-// IsScenario reports whether an injection was made through a
-// scenario-pack primitive (InjectLinkLoss).
-func (in *Injection) IsScenario() bool { return in.Type >= scenarioIssueBase }
-
 // InjectLinkLoss applies a raw loss-rate condition to one link and
 // records ground truth. Unlike CRCError's fixed 5 % it takes the rate
 // as a parameter — the scenario packs walk a link through an escalating
@@ -425,13 +410,6 @@ func (inj *Injector) Clear(in *Injection) {
 	in.ClearedAt = inj.Net.Engine.Now()
 	if in.undo != nil {
 		in.undo()
-	}
-}
-
-// ClearAll clears every active injection.
-func (inj *Injector) ClearAll() {
-	for _, in := range inj.injections {
-		inj.Clear(in)
 	}
 }
 

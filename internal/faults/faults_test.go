@@ -95,6 +95,55 @@ func TestCatalogComplete(t *testing.T) {
 	}
 }
 
+func TestInjectLinkLoss(t *testing.T) {
+	r := newRig(t)
+	a, _ := r.pair()
+	nic := topology.NIC{Host: a.Host, Rail: a.Rail}
+	link := topology.MakeLinkID(nic.ID(), r.net.Fabric.ToR(0, a.Rail))
+
+	if _, err := r.inj.InjectLinkLoss("", 0.5); err == nil {
+		t.Fatal("empty link accepted")
+	}
+	for _, rate := range []float64{-0.1, 1.1} {
+		if _, err := r.inj.InjectLinkLoss(link, rate); err == nil {
+			t.Fatalf("loss rate %v accepted", rate)
+		}
+	}
+	if n := len(r.inj.Injections()); n != 0 {
+		t.Fatalf("rejected injections recorded: %d", n)
+	}
+
+	in, err := r.inj.InjectLinkLoss(link, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Type != ScenarioLinkLoss || in.Info.Symptom != SymptomPacketLoss {
+		t.Fatalf("injection = %v/%v, want scenario link loss", in.Type, in.Info.Symptom)
+	}
+	if len(in.Components) != 1 || in.Components[0] != component.Link(link) {
+		t.Fatalf("ground truth = %v", in.Components)
+	}
+	if lost, _ := r.probeStats(20); lost != 20 {
+		t.Fatalf("full loss dropped %d/20", lost)
+	}
+	r.inj.Clear(in)
+	if lost, _ := r.probeStats(20); lost != 0 {
+		t.Fatalf("after clear lost %d/20", lost)
+	}
+
+	// A partial rate loses some probes, not all.
+	in, err = r.inj.InjectLinkLoss(link, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost, _ := r.probeStats(200); lost == 0 || lost == 200 {
+		t.Fatalf("50%% loss dropped %d/200", lost)
+	}
+	if in.ID != 2 {
+		t.Fatalf("second injection ID = %d, want 2", in.ID)
+	}
+}
+
 func TestLinkFaults(t *testing.T) {
 	r := newRig(t)
 	a, _ := r.pair()
@@ -358,16 +407,34 @@ func TestSymptomStrings(t *testing.T) {
 	}
 }
 
+// active returns the injections not yet cleared.
+func active(inj *Injector) []*Injection {
+	var out []*Injection
+	for _, in := range inj.Injections() {
+		if !in.Cleared {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// clearAll clears every injection, as an operator ending a drill would.
+func clearAll(inj *Injector) {
+	for _, in := range inj.Injections() {
+		inj.Clear(in)
+	}
+}
+
 func TestClearAllAndBookkeeping(t *testing.T) {
 	r := newRig(t)
 	a, _ := r.pair()
 	r.inj.Inject(PCIeNICError, Target{Host: a.Host})
 	r.inj.Inject(GPUDirectRDMAError, Target{Host: r.task.Containers[1].Host})
-	if got := len(r.inj.Active()); got != 2 {
+	if got := len(active(r.inj)); got != 2 {
 		t.Fatalf("active = %d, want 2", got)
 	}
-	r.inj.ClearAll()
-	if got := len(r.inj.Active()); got != 0 {
+	clearAll(r.inj)
+	if got := len(active(r.inj)); got != 0 {
 		t.Fatalf("active after ClearAll = %d", got)
 	}
 	if got := len(r.inj.Injections()); got != 2 {
@@ -481,17 +548,17 @@ func TestClearAllRestoresFlowTables(t *testing.T) {
 		t.Fatal("injections left a flow table untouched")
 	}
 
-	r.inj.ClearAll()
+	clearAll(r.inj)
 	if got := flowTableImage(r, a.Host); !reflect.DeepEqual(got, beforeA) {
 		t.Fatal("ClearAll did not round-trip host A's flow table")
 	}
 	if got := flowTableImage(r, hostB); !reflect.DeepEqual(got, beforeB) {
 		t.Fatal("ClearAll did not round-trip host B's flow table")
 	}
-	if got := len(r.inj.Active()); got != 0 {
+	if got := len(active(r.inj)); got != 0 {
 		t.Fatalf("active after ClearAll = %d", got)
 	}
-	r.inj.ClearAll() // idempotent
+	clearAll(r.inj) // idempotent
 	if got := flowTableImage(r, a.Host); !reflect.DeepEqual(got, beforeA) {
 		t.Fatal("second ClearAll disturbed the flow table")
 	}

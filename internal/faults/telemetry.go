@@ -63,9 +63,6 @@ func NewTelemetryInjector(eng *sim.Engine, opts TelemetryOptions, stats *obs.Sta
 	}
 }
 
-// Options returns the injector's configuration.
-func (ti *TelemetryInjector) Options() TelemetryOptions { return ti.opts }
-
 // Deliver passes one agent batch through the fault model and hands the
 // surviving batches (possibly duplicated, possibly preceded by an
 // earlier held batch) to sink. A nil injector delivers verbatim.

@@ -390,7 +390,7 @@ func (rs roundSink) Prepare(tasks []cluster.TaskID) {
 // Consume feeds one agent round's batch to its task's analyzer shard.
 // Runs on a worker goroutine; the round engine guarantees one goroutine
 // per task, so the shard inbox is single-writer.
-func (rs roundSink) Consume(_ cluster.TaskID, b probe.Batch) {
+func (rs roundSink) Consume(b probe.Batch) {
 	if len(b) == 0 {
 		return
 	}
@@ -535,9 +535,6 @@ func (d *Deployment) BlockedHosts() []int {
 	sort.Ints(out)
 	return out
 }
-
-// UnblockHost readmits a repaired host to scheduling.
-func (d *Deployment) UnblockHost(h int) { delete(d.blockedHosts, h) }
 
 // Migrations returns the number of auto-migrations performed.
 func (d *Deployment) Migrations() int { return d.migrations }

@@ -7,6 +7,7 @@ import (
 
 	"skeletonhunter/internal/cluster"
 	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/controller"
 	"skeletonhunter/internal/faults"
 	"skeletonhunter/internal/metrics"
 	"skeletonhunter/internal/parallelism"
@@ -209,7 +210,7 @@ func TestSkeletonRevalidation(t *testing.T) {
 	if reverted || score < FidelityThreshold {
 		t.Fatalf("stable workload reverted (score %v)", score)
 	}
-	if d.Controller.PhaseOf(task.ID) != 1 { // PhaseSkeleton
+	if st, _ := d.Controller.StatsOf(task.ID); st.Phase != controller.PhaseSkeleton {
 		t.Fatal("phase regressed despite high fidelity")
 	}
 	// The tenant switches parallelism strategy (same GPU count): the
@@ -219,7 +220,7 @@ func TestSkeletonRevalidation(t *testing.T) {
 	if !reverted {
 		t.Fatalf("stale skeleton not reverted (score %v)", score)
 	}
-	if d.Controller.PhaseOf(task.ID) != 0 { // PhasePreload
+	if st, _ := d.Controller.StatsOf(task.ID); st.Phase != controller.PhasePreload {
 		t.Fatal("task not back on the basic list")
 	}
 	// Revalidating again without an inference is a no-op.
@@ -381,11 +382,6 @@ func TestBlacklistKeepsNewTasksOffBadHosts(t *testing.T) {
 		if c.Host == badHost {
 			t.Fatalf("new task scheduled on blacklisted host %d", badHost)
 		}
-	}
-	// After repair, the operator readmits the host.
-	d.UnblockHost(badHost)
-	if len(d.BlockedHosts()) != len(blocked)-1 {
-		t.Fatal("unblock did not shrink the blocklist")
 	}
 }
 

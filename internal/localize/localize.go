@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"skeletonhunter/internal/cluster"
 	"skeletonhunter/internal/component"
@@ -63,7 +62,7 @@ func (s Symptom) String() string {
 }
 
 // Evidence is one anomalous endpoint pair with its observed probe
-// paths (each probe's ECMP path, as reported by the host agents).
+// paths (each probe's ECMP path, as recorded with the probe).
 type Evidence struct {
 	Src, Dst overlay.Addr
 	Symptom  Symptom
@@ -211,16 +210,10 @@ type Scratch struct {
 	pairOrds [][]int32
 }
 
-// Localize runs the full disentanglement over a batch of evidence,
-// returning deduplicated verdicts ordered by explanatory power. It
-// allocates fresh vote tables; hot callers keep a Scratch and use
-// LocalizeWith.
-func (l *Localizer) Localize(evidence []Evidence, healthy []Observation) []Verdict {
-	return l.LocalizeWith(nil, evidence, healthy)
-}
-
-// LocalizeWith is Localize with caller-owned reusable scratch (nil
-// behaves like Localize).
+// LocalizeWith runs the full disentanglement over a batch of evidence,
+// returning deduplicated verdicts ordered by explanatory power. Hot
+// callers pass a Scratch they keep across rounds; nil allocates fresh
+// vote tables for this call.
 func (l *Localizer) LocalizeWith(sc *Scratch, evidence []Evidence, healthy []Observation) []Verdict {
 	if sc == nil {
 		sc = &Scratch{}
@@ -874,19 +867,4 @@ func MergeVerdicts(vs []Verdict) []Verdict {
 		out = append(out, v)
 	}
 	return out
-}
-
-// DetectionClock is a tiny helper recording how long localization took
-// relative to the fault's onset — the "8 s on average" claim of §1.
-type DetectionClock struct {
-	FaultAt    time.Duration
-	DetectedAt time.Duration
-}
-
-// Latency returns detection latency (zero-floored).
-func (c DetectionClock) Latency() time.Duration {
-	if c.DetectedAt < c.FaultAt {
-		return 0
-	}
-	return c.DetectedAt - c.FaultAt
 }

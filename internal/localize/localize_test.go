@@ -114,7 +114,7 @@ func TestLocalizeSwitchPortDown(t *testing.T) {
 	if len(ev) == 0 {
 		t.Fatal("no evidence gathered")
 	}
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	expectComponent(t, verdicts, in.Components)
 }
 
@@ -126,7 +126,7 @@ func TestLocalizeSwitchOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, healthy := r.gatherEvidence(SymptomUnreachable)
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	expectComponent(t, verdicts, in.Components)
 }
 
@@ -145,7 +145,7 @@ func TestLocalizeCRCErrorLink(t *testing.T) {
 	if len(ev) == 0 {
 		t.Skip("partial loss produced no anomalous windows this seed")
 	}
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	// The RNIC verdict is acceptable too (the link IS the NIC's link);
 	// ground truth allows the link.
 	expectComponent(t, verdicts, append(in.Components, component.RNIC(b.Host, 5)))
@@ -159,7 +159,7 @@ func TestLocalizeRNICDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, healthy := r.gatherEvidence(SymptomUnreachable)
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	expectComponent(t, verdicts, in.Components)
 }
 
@@ -174,7 +174,7 @@ func TestLocalizeFirmwareLatency(t *testing.T) {
 	if len(ev) == 0 {
 		t.Fatal("no latency evidence")
 	}
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	expectComponent(t, verdicts, in.Components)
 }
 
@@ -186,7 +186,7 @@ func TestLocalizeHostBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, healthy := r.gatherEvidence(SymptomLatency)
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	expectComponent(t, verdicts, in.Components)
 }
 
@@ -198,7 +198,7 @@ func TestLocalizeCongestionConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, healthy := r.gatherEvidence(SymptomLatency)
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	expectComponent(t, verdicts, in.Components)
 }
 
@@ -215,7 +215,7 @@ func TestLocalizeOffloadInconsistencyFig18(t *testing.T) {
 	if len(ev) == 0 {
 		t.Fatal("no latency evidence")
 	}
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	expectComponent(t, verdicts, in.Components)
 	// And it must have come from RNIC validation, not tomography.
 	for _, v := range verdicts {
@@ -235,7 +235,7 @@ func TestLocalizeNotUsingRDMA(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, healthy := r.gatherEvidence(SymptomLatency)
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	expectComponent(t, verdicts, in.Components)
 }
 
@@ -245,7 +245,7 @@ func TestLocalizeOverlayBlackhole(t *testing.T) {
 	b := r.task.Containers[1].Addrs[1]
 	r.net.Overlay.RemoveEntry(a.Host, a.VNI, b.IP)
 	ev := []Evidence{{Src: a, Dst: b, Symptom: SymptomUnreachable}}
-	verdicts := r.loc.Localize(ev, nil)
+	verdicts := r.loc.LocalizeWith(nil, ev, nil)
 	if len(verdicts) != 1 || verdicts[0].Layer != LayerOverlay {
 		t.Fatalf("verdicts = %+v", verdicts)
 	}
@@ -260,7 +260,7 @@ func TestLocalizeOverlayLoop(t *testing.T) {
 		Type: overlay.ActionTunnel, RemoteHost: a.Host, Rail: b.Rail,
 	})
 	ev := []Evidence{{Src: a, Dst: b, Symptom: SymptomUnreachable}}
-	verdicts := r.loc.Localize(ev, nil)
+	verdicts := r.loc.LocalizeWith(nil, ev, nil)
 	if len(verdicts) != 1 || verdicts[0].Layer != LayerOverlay {
 		t.Fatalf("verdicts = %+v", verdicts)
 	}
@@ -275,7 +275,7 @@ func TestLocalizeContainerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := []Evidence{{Src: a, Dst: b, Symptom: SymptomUnreachable}}
-	verdicts := r.loc.Localize(ev, nil)
+	verdicts := r.loc.LocalizeWith(nil, ev, nil)
 	if len(verdicts) != 1 || verdicts[0].Layer != LayerControlPlane {
 		t.Fatalf("verdicts = %+v", verdicts)
 	}
@@ -296,7 +296,7 @@ func TestLocalizeConcurrentFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, healthy := r.gatherEvidence(SymptomUnreachable)
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	expectComponent(t, verdicts, in1.Components)
 	expectComponent(t, verdicts, in2.Components)
 }
@@ -310,20 +310,9 @@ func TestLocalizeNothingWrong(t *testing.T) {
 	res := r.net.Probe(a, b, 1)
 	ev := []Evidence{{Src: a, Dst: b, Symptom: SymptomLatency, Paths: [][]topology.LinkID{res.UnderlayPath}}}
 	healthy := []Observation{{Path: res.UnderlayPath}}
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	if len(verdicts) != 1 || verdicts[0].Layer != LayerUnknown {
 		t.Fatalf("verdicts = %+v", verdicts)
-	}
-}
-
-func TestDetectionClock(t *testing.T) {
-	c := DetectionClock{FaultAt: 10 * time.Second, DetectedAt: 18 * time.Second}
-	if c.Latency() != 8*time.Second {
-		t.Fatalf("latency = %v", c.Latency())
-	}
-	c = DetectionClock{FaultAt: 20 * time.Second, DetectedAt: 10 * time.Second}
-	if c.Latency() != 0 {
-		t.Fatal("negative latency not floored")
 	}
 }
 

@@ -27,7 +27,7 @@ func TestStaleViewHidesFaultyLink(t *testing.T) {
 
 	// Ghost view: the topology service has lost the flapping link.
 	r.loc.View = func(l topology.LinkID) bool { return l != link }
-	verdicts := r.loc.Localize(ev, healthy)
+	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	for _, v := range verdicts {
 		for _, c := range v.Components {
 			for _, want := range in.Components {
@@ -40,7 +40,7 @@ func TestStaleViewHidesFaultyLink(t *testing.T) {
 
 	// Refresh: the same evidence now votes on the real link.
 	r.loc.View = nil
-	expectComponent(t, r.loc.Localize(ev, healthy), in.Components)
+	expectComponent(t, r.loc.LocalizeWith(nil, ev, healthy), in.Components)
 }
 
 // TestFullViewIsNoOp: a view that knows every link must not perturb
@@ -53,9 +53,9 @@ func TestFullViewIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, healthy := r.gatherEvidence(SymptomUnreachable)
-	base := r.loc.Localize(ev, healthy)
+	base := r.loc.LocalizeWith(nil, ev, healthy)
 	r.loc.View = func(topology.LinkID) bool { return true }
-	full := r.loc.Localize(ev, healthy)
+	full := r.loc.LocalizeWith(nil, ev, healthy)
 	if len(base) != len(full) {
 		t.Fatalf("full view changed verdict count: %d vs %d", len(base), len(full))
 	}

@@ -63,14 +63,6 @@ func (r Report) EpisodeRecall() float64 {
 	return float64(r.DetectedEpisodes) / float64(r.Episodes)
 }
 
-// EpisodeLocalization is correctly localized / detected episodes.
-func (r Report) EpisodeLocalization() float64 {
-	if r.DetectedEpisodes == 0 {
-		return 0
-	}
-	return float64(r.LocalizedEpisodes) / float64(r.DetectedEpisodes)
-}
-
 // Precision is TP alarms / all alarms.
 func (r Report) Precision() float64 {
 	if r.Alarms == 0 {

@@ -15,7 +15,7 @@ func TestProbeCtxPartitioningInvariant(t *testing.T) {
 		rtt  int64
 		path string
 	}
-	run := func(nctx int) ([]outcome, []float64) {
+	run := func(nctx int) ([]outcome, []queueState) {
 		n, a, b := world(t)
 		n.TransientCongestionProb = 0.3
 		ctxs := make([]*ProbeCtx, nctx)
@@ -33,11 +33,7 @@ func TestProbeCtxPartitioningInvariant(t *testing.T) {
 			out = append(out, outcome{lost: res.Lost, rtt: int64(res.RTT), path: p})
 		}
 		n.CommitQueues(ctxs...)
-		qs := make([]float64, n.Fabric.NumNodes())
-		for ord := int32(0); ord < int32(n.Fabric.NumNodes()); ord++ {
-			qs[ord] = n.QueueLength(n.Fabric.NodeByIndex(ord))
-		}
-		return out, qs
+		return out, append([]queueState(nil), n.queueD...)
 	}
 
 	base, baseQ := run(1)
@@ -50,7 +46,7 @@ func TestProbeCtxPartitioningInvariant(t *testing.T) {
 		}
 		for ord := range baseQ {
 			if gotQ[ord] != baseQ[ord] {
-				t.Fatalf("nctx=%d queue[ord %d] = %v, want %v", nctx, ord, gotQ[ord], baseQ[ord])
+				t.Fatalf("nctx=%d queue[ord %d] = %+v, want %+v", nctx, ord, gotQ[ord], baseQ[ord])
 			}
 		}
 	}

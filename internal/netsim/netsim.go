@@ -272,7 +272,7 @@ type Result struct {
 	// RTT is the measured round-trip time (valid only when !Lost).
 	RTT time.Duration
 	// UnderlayPath lists the physical links of every tunnel leg actually
-	// traversed (the traceroute view a host agent would obtain).
+	// traversed (the view a traceroute with the same flow would return).
 	UnderlayPath []topology.LinkID
 	// UnderlayNodes lists the traversed fabric nodes, in order.
 	UnderlayNodes []topology.NodeID
@@ -596,14 +596,6 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 		rtt += retryLatency
 	}
 	res.Lost = true
-}
-
-// Traceroute resolves the underlay path a flow with the given entropy
-// takes between two NICs — the host agent's probing primitive for
-// physical path intersection (§5.3). It does not consult conditions:
-// traceroute shows the configured route even across lossy components.
-func (n *Net) Traceroute(src, dst topology.NIC, entropy uint64) (topology.Path, error) {
-	return n.Fabric.PathByHash(src, dst, entropy)
 }
 
 // probeRNG is the per-probe keyed random generator: splitmix64 over a

@@ -299,25 +299,3 @@ func TestRampedConditionGrowsLatencyAndQueue(t *testing.T) {
 		t.Fatalf("saturated queue = %v, want the 500-packet cap", q)
 	}
 }
-
-func TestTracerouteMatchesECMPSelection(t *testing.T) {
-	n, _, _ := world(t)
-	src := topology.NIC{Host: 0, Rail: 1}
-	dst := topology.NIC{Host: 6, Rail: 1}
-	p1, err := n.Traceroute(src, dst, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := n.Traceroute(src, dst, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p1.Links) == 0 || len(p1.Links) != len(p2.Links) {
-		t.Fatal("traceroute not deterministic")
-	}
-	for i := range p1.Links {
-		if p1.Links[i] != p2.Links[i] {
-			t.Fatal("traceroute not deterministic")
-		}
-	}
-}

@@ -44,7 +44,7 @@ func TestProbePathValidity(t *testing.T) {
 			return false
 		}
 		for _, l := range res.UnderlayPath {
-			if _, ok := net.Fabric.LinkEndpoints(l); !ok {
+			if _, ok := net.Fabric.LinkIndex(l); !ok {
 				return false
 			}
 		}

@@ -314,8 +314,7 @@ func (s *Stats) Get(c Counter) uint64 {
 
 // Histogram returns (creating if needed) the named histogram. Returns
 // nil on a nil Stats; *Histogram methods must then not be called, so
-// use ObserveDuration/Observe on Stats instead when the receiver may be
-// nil.
+// use ObserveDuration on Stats instead when the receiver may be nil.
 func (s *Stats) Histogram(name string) *Histogram {
 	if s == nil {
 		return nil
@@ -328,14 +327,6 @@ func (s *Stats) Histogram(name string) *Histogram {
 		s.hists[name] = h
 	}
 	return h
-}
-
-// Observe records a value into the named histogram.
-func (s *Stats) Observe(name string, v float64) {
-	if s == nil {
-		return
-	}
-	s.Histogram(name).Observe(v)
 }
 
 // ObserveDuration records a duration (in milliseconds) into the named

@@ -27,7 +27,6 @@ func TestNilStatsIsSafe(t *testing.T) {
 	var s *Stats
 	s.Inc(RecordsIngested)
 	s.Add(RecordsShed, 5)
-	s.Observe("x", 1)
 	s.ObserveDuration("y", time.Millisecond)
 	if got := s.Get(RecordsShed); got != 0 {
 		t.Fatalf("nil stats returned %d", got)
@@ -41,7 +40,7 @@ func TestNilStatsIsSafe(t *testing.T) {
 func TestHistogramSummary(t *testing.T) {
 	s := New()
 	for _, v := range []float64{1, 2, 3, 10} {
-		s.Observe("lat", v)
+		s.Histogram("lat").Observe(v)
 	}
 	snap := s.Histogram("lat").Snapshot()
 	if snap.Count != 4 || snap.Min != 1 || snap.Max != 10 {
@@ -64,7 +63,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				s.Inc(ProbesSent)
-				s.Observe("round", float64(i%7)+1)
+				s.Histogram("round").Observe(float64(i%7) + 1)
 			}
 		}()
 	}

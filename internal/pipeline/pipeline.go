@@ -8,18 +8,18 @@
 //     alarm) with per-stage Counters for introspection;
 //   - Sharded[S], a keyed shard map whose iteration order is always the
 //     sorted key order;
-//   - FanOut, a bounded worker pool that runs one function per shard
+//   - FanOutTimed, a bounded worker pool that runs one function per shard
 //     concurrently and merges the results deterministically (ascending
 //     key order), so the same input produces bit-identical output at
 //     any GOMAXPROCS or worker count.
 //
-// Concurrency contract: Get/Delete/Keys mutate or read the shard map
+// Concurrency contract: Get/Delete/Each mutate or read the shard map
 // and must only be called from the owning goroutine (in this repo, the
-// single-threaded simulation engine). FanOut may be called from that
-// same goroutine; during a FanOut each shard is touched by exactly one
-// worker, so shard-local state needs no locking — but the per-shard
-// function must not reach into other shards or into shared mutable
-// state.
+// single-threaded simulation engine). FanOutTimed may be called from
+// that same goroutine; during a fan-out each shard is touched by
+// exactly one worker, so shard-local state needs no locking — but the
+// per-shard function must not reach into other shards or into shared
+// mutable state.
 package pipeline
 
 import (
@@ -146,12 +146,6 @@ func (m *Sharded[S]) Delete(key string) {
 // Len returns the number of live shards.
 func (m *Sharded[S]) Len() int { return len(m.shards) }
 
-// Keys returns the shard keys in ascending order. The returned slice
-// is a copy.
-func (m *Sharded[S]) Keys() []string {
-	return append([]string(nil), m.keys...)
-}
-
 // Each visits every shard serially in ascending key order.
 func (m *Sharded[S]) Each(fn func(key string, s *S)) {
 	for _, k := range m.keys {
@@ -163,21 +157,16 @@ func (m *Sharded[S]) Each(fn func(key string, s *S)) {
 // workers <= 0: the scheduler's current parallelism.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// FanOut runs fn once per shard on at most workers goroutines and
+// FanOutTimed runs fn once per shard on at most workers goroutines and
 // returns the results in ascending key order — the deterministic
 // merge: the result slice is identical whatever the worker count or
 // interleaving. workers <= 0 selects DefaultWorkers; a single shard or
 // a single worker runs inline with no goroutines.
-func FanOut[S, R any](m *Sharded[S], workers int, fn func(key string, s *S) R) []R {
-	return FanOutTimed(m, workers, fn, nil)
-}
-
-// FanOutTimed is FanOut with a per-shard wall-clock observer: observe
-// (when non-nil) receives each shard's key and the time fn spent on it.
-// The observer runs on the worker that processed the shard, so it must
-// be safe for concurrent use (obs histograms are). Timings flow only
-// into observability — the result slice is the same deterministic merge
-// FanOut produces.
+//
+// observe (when non-nil) receives each shard's key and the wall-clock
+// time fn spent on it. It runs on the worker that processed the shard,
+// so it must be safe for concurrent use (obs histograms are). Timings
+// flow only into observability; they never change the merge.
 func FanOutTimed[S, R any](m *Sharded[S], workers int, fn func(key string, s *S) R, observe func(key string, d time.Duration)) []R {
 	keys := m.keys
 	run := fn

@@ -14,6 +14,13 @@ type shard struct {
 	seen int
 }
 
+// keysOf lists a shard map's keys in the order Each visits them.
+func keysOf(m *Sharded[shard]) []string {
+	var keys []string
+	m.Each(func(key string, _ *shard) { keys = append(keys, key) })
+	return keys
+}
+
 func TestShardedGetCreatesOnce(t *testing.T) {
 	m := NewSharded(func(key string) *shard { return &shard{key: key} })
 	a := m.Get("task-2")
@@ -37,7 +44,7 @@ func TestShardedKeysSorted(t *testing.T) {
 	for _, k := range []string{"task-3", "task-1", "task-10", "task-2"} {
 		m.Get(k)
 	}
-	got := m.Keys()
+	got := keysOf(m)
 	want := append([]string(nil), got...)
 	sort.Strings(want)
 	if !reflect.DeepEqual(got, want) {
@@ -48,7 +55,7 @@ func TestShardedKeysSorted(t *testing.T) {
 	if m.Len() != 3 {
 		t.Fatalf("len after delete = %d, want 3", m.Len())
 	}
-	for _, k := range m.Keys() {
+	for _, k := range keysOf(m) {
 		if k == "task-10" {
 			t.Fatal("deleted key still listed")
 		}
@@ -83,9 +90,9 @@ func TestFanOutDeterministicMerge(t *testing.T) {
 		m.Get(fmt.Sprintf("task-%03d", i)).seen = i
 	}
 	run := func(workers int) []string {
-		return FanOut(m, workers, func(key string, s *shard) string {
+		return FanOutTimed(m, workers, func(key string, s *shard) string {
 			return fmt.Sprintf("%s/%d", key, s.seen)
-		})
+		}, nil)
 	}
 	want := run(1)
 	for _, workers := range []int{0, 2, 3, 8, 64, 200} {
@@ -102,10 +109,10 @@ func TestFanOutTouchesEachShardOnce(t *testing.T) {
 	for i := 0; i < 33; i++ {
 		m.Get(fmt.Sprintf("t%02d", i))
 	}
-	FanOut(m, 7, func(key string, s *shard) int {
+	FanOutTimed(m, 7, func(key string, s *shard) int {
 		s.seen++ // exclusive ownership during the fan-out: no lock needed
 		return 0
-	})
+	}, nil)
 	m.Each(func(key string, s *shard) {
 		if s.seen != 1 {
 			t.Fatalf("shard %s visited %d times", key, s.seen)
@@ -130,10 +137,10 @@ func TestFanOutTimedObservesEveryShard(t *testing.T) {
 		timed[key]++
 		mu.Unlock()
 	})
-	if !reflect.DeepEqual(got, m.Keys()) {
+	if !reflect.DeepEqual(got, keysOf(m)) {
 		t.Fatalf("timed fan-out changed the merge: %v", got)
 	}
-	for _, k := range m.Keys() {
+	for _, k := range keysOf(m) {
 		if timed[k] != 1 {
 			t.Fatalf("shard %s observed %d times", k, timed[k])
 		}
@@ -142,7 +149,7 @@ func TestFanOutTimedObservesEveryShard(t *testing.T) {
 
 func TestFanOutEmpty(t *testing.T) {
 	m := NewSharded(func(key string) *shard { return &shard{key: key} })
-	if got := FanOut(m, 4, func(string, *shard) int { return 1 }); len(got) != 0 {
+	if got := FanOutTimed(m, 4, func(string, *shard) int { return 1 }, nil); len(got) != 0 {
 		t.Fatalf("fan-out over no shards returned %v", got)
 	}
 }

@@ -40,8 +40,9 @@ type ShardSink interface {
 	// sorted order, before any Consume — the place to pre-create any
 	// per-shard state workers will look up.
 	Prepare(tasks []cluster.TaskID)
-	// Consume lands one agent round's batch for the given task shard.
-	Consume(task cluster.TaskID, b Batch)
+	// Consume lands one agent round's batch; every record in it belongs
+	// to the one task shard the calling worker owns.
+	Consume(b Batch)
 	// Land is called serially after the round barrier, once per agent
 	// that ran, in the round's sorted (task, container) order — the
 	// order the serial fallback delivers in — for whatever must be
@@ -258,7 +259,7 @@ func (re *RoundEngine) runSpan(ctx *netsim.ProbeCtx, sp taskSpan, run []*Overlay
 	for _, a := range run[sp.lo:sp.hi] {
 		a.executeRound(ctx, now)
 		if fast {
-			re.Sink.Consume(sp.task, a.batch)
+			re.Sink.Consume(a.batch)
 		}
 	}
 	re.Obs.ObserveDuration("stage-probe-ms", time.Since(t0))

@@ -45,10 +45,10 @@ func (s *testShardSink) Prepare(tasks []cluster.TaskID) {
 	s.prepared = append(s.prepared, append([]cluster.TaskID(nil), tasks...))
 }
 
-func (s *testShardSink) Consume(task cluster.TaskID, b Batch) {
+func (s *testShardSink) Consume(b Batch) {
 	if len(b) > 0 {
-		s.shards[task].batches++
-		s.shards[task].records += len(b)
+		s.shards[b[0].Task].batches++
+		s.shards[b[0].Task].records += len(b)
 	}
 }
 

@@ -1,12 +1,12 @@
-// Package probe implements SkeletonHunter's agents (§6): the overlay
-// agent, deployed as a sidecar sharing the training container's network
+// Package probe implements SkeletonHunter's overlay agent (§6),
+// deployed as a sidecar sharing the training container's network
 // namespace, which fetches its ping list from the controller and
-// executes RDMA probes every round; and the underlay host agent, which
-// resolves traceroute-style physical paths for tomography (§5.3).
+// executes RDMA probes every round.
 //
 // Probe results stream to a sink (the analyzer) as Records carrying
 // end-to-end latency, loss, and the underlay path the probe's flow
-// traversed.
+// traversed — the traceroute-style physical path tomography needs
+// (§5.3).
 package probe
 
 import (
@@ -248,26 +248,6 @@ func (a *OverlayAgent) deliver() {
 	if a.BatchSink != nil && len(a.batch) > 0 {
 		a.BatchSink(a.batch)
 	}
-}
-
-// HostAgent is the per-host underlay agent: it resolves the physical
-// path a flow takes (traceroute with a chosen five-tuple), which the
-// localizer uses for physical path intersection.
-type HostAgent struct {
-	Net  *netsim.Net
-	Host int
-}
-
-// Traceroute resolves the ECMP path from a local NIC to a remote NIC
-// for the given flow entropy.
-func (h *HostAgent) Traceroute(localRail int, dst topology.NIC, entropy uint64) (topology.Path, error) {
-	return h.Net.Traceroute(topology.NIC{Host: h.Host, Rail: localRail}, dst, entropy)
-}
-
-// DumpOffload dumps the local RNIC's offloaded flow table and compares
-// it against the vswitch (the intrusive validation step of §5.3).
-func (h *HostAgent) DumpOffload(rail int) overlay.OffloadDump {
-	return h.Net.Overlay.DumpOffload(h.Host, rail)
 }
 
 // ResourceModel reproduces the agent overhead curve of Fig. 17: CPU and

@@ -155,27 +155,6 @@ func TestProbesPerTargetSpreadsEntropy(t *testing.T) {
 	}
 }
 
-func TestHostAgentTracerouteAndDump(t *testing.T) {
-	r := newRig(t)
-	c0 := r.task.Containers[0]
-	c1 := r.task.Containers[1]
-	ha := &HostAgent{Net: r.net, Host: c0.Host}
-	path, err := ha.Traceroute(0, topology.NIC{Host: c1.Host, Rail: 0}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path.Links) != 2 {
-		t.Fatalf("same-rail path links = %d, want 2", len(path.Links))
-	}
-	d := ha.DumpOffload(0)
-	if d.Total == 0 {
-		t.Fatal("dump saw no entries despite running task")
-	}
-	if len(d.Inconsistent) != 0 {
-		t.Fatal("healthy dump reported inconsistencies")
-	}
-}
-
 func TestResourceModelConvergence(t *testing.T) {
 	// Fig. 17: converges to ≈1 % CPU and ≈35 MB over the container's
 	// lifetime, regardless of startup transients.

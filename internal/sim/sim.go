@@ -33,12 +33,6 @@ type Event struct {
 	canceled bool
 }
 
-// At returns the virtual time at which the event is scheduled.
-func (e *Event) At() time.Duration { return e.at }
-
-// Name returns the diagnostic label given at scheduling time.
-func (e *Event) Name() string { return e.name }
-
 // Cancel prevents a pending event from firing. Cancelling an event that
 // already fired (or was already cancelled) is a no-op.
 func (e *Event) Cancel() {

@@ -51,9 +51,9 @@ func TestLOFScoreDuplicateHistory(t *testing.T) {
 }
 
 func TestLOFLatencyWindowScenario(t *testing.T) {
-	// End-to-end sanity at the detector's actual feature shape: seven
-	// summary features of healthy 16µs windows, then a 120µs window
-	// (the Fig. 18 anomaly) must stand out.
+	// End-to-end sanity at the detector's feature shape: order
+	// statistics of healthy 16µs windows, then a 120µs window (the
+	// Fig. 18 anomaly) must stand out.
 	r := rand.New(rand.NewSource(17))
 	healthy := LogNormal{Mu: math.Log(16), Sigma: 0.1}
 	var history [][]float64
@@ -62,14 +62,14 @@ func TestLOFLatencyWindowScenario(t *testing.T) {
 		for i := range xs {
 			xs[i] = healthy.Sample(r)
 		}
-		history = append(history, Summarize(xs).Vector())
+		history = append(history, windowVector(xs))
 	}
 	// Healthy new window.
 	xs := make([]float64, 60)
 	for i := range xs {
 		xs[i] = healthy.Sample(r)
 	}
-	if s := LOFScore(new(LOFScratch), Summarize(xs).Vector(), history, 5); s > 2.0 {
+	if s := LOFScore(new(LOFScratch), windowVector(xs), history, 5); s > 2.0 {
 		t.Fatalf("healthy window scored %v", s)
 	}
 	// Anomalous window.
@@ -77,9 +77,17 @@ func TestLOFLatencyWindowScenario(t *testing.T) {
 	for i := range xs {
 		xs[i] = bad.Sample(r)
 	}
-	if s := LOFScore(new(LOFScratch), Summarize(xs).Vector(), history, 5); s < 5 {
+	if s := LOFScore(new(LOFScratch), windowVector(xs), history, 5); s < 5 {
 		t.Fatalf("anomalous window scored only %v", s)
 	}
+}
+
+// windowVector summarizes a latency window the way the detector does:
+// its quartiles and its mean.
+func windowVector(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return []float64{Percentile(s, 0.25), Percentile(s, 0.5), Percentile(s, 0.75), Mean(s)}
 }
 
 // lofScoreOracle is the allocate-per-call LOFScore the scratch version

@@ -46,17 +46,6 @@ func FitLogNormal(xs []float64) (LogNormal, error) {
 	return LogNormal{Mu: mu, Sigma: sigma}, nil
 }
 
-// Mean returns E[X] = exp(μ + σ²/2).
-func (d LogNormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
-
-// Median returns exp(μ).
-func (d LogNormal) Median() float64 { return math.Exp(d.Mu) }
-
-// Quantile returns the p-quantile of the distribution.
-func (d LogNormal) Quantile(p float64) float64 {
-	return math.Exp(d.Mu + d.Sigma*math.Sqrt2*erfinv(2*p-1))
-}
-
 // Sample draws one value using the provided random source.
 func (d LogNormal) Sample(r *rand.Rand) float64 {
 	return math.Exp(d.Mu + d.Sigma*r.NormFloat64())
@@ -88,33 +77,4 @@ func (d LogNormal) ZTest(xs []float64) (z, p float64, err error) {
 // normalSurvival returns P(Z > z) for a standard normal.
 func normalSurvival(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// NormalCDF returns P(Z ≤ z) for a standard normal variable.
-func NormalCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
-
-// erfinv approximates the inverse error function (Winitzki's method,
-// refined with one Newton step), accurate to ~1e-9 over (-1, 1); ample
-// for quantile draws in a simulator.
-func erfinv(x float64) float64 {
-	if x <= -1 {
-		return math.Inf(-1)
-	}
-	if x >= 1 {
-		return math.Inf(1)
-	}
-	const a = 0.147
-	ln := math.Log(1 - x*x)
-	t1 := 2/(math.Pi*a) + ln/2
-	y := math.Sqrt(math.Sqrt(t1*t1-ln/a) - t1)
-	if x < 0 {
-		y = -y
-	}
-	// Newton refinement: f(y) = erf(y) - x.
-	for i := 0; i < 2; i++ {
-		f := math.Erf(y) - x
-		df := 2 / math.Sqrt(math.Pi) * math.Exp(-y*y)
-		y -= f / df
-	}
-	return y
 }

@@ -1,72 +1,18 @@
 // Package stats implements the statistical primitives SkeletonHunter's
-// analyzer relies on: summary features over latency windows (§5.2),
-// lognormal parameter estimation and Z-testing for long-term anomaly
-// detection (Fig. 14), and the local outlier factor (LOF) used for
-// short-term anomaly detection.
+// analyzer relies on: percentiles and means over latency windows
+// (§5.2), lognormal parameter estimation and Z-testing for long-term
+// anomaly detection (Fig. 14), and the local outlier factor (LOF) used
+// for short-term anomaly detection.
 //
 // Everything operates on plain float64 slices so the analyzer can stream
 // window aggregates through without allocation-heavy abstractions.
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
-// Summary is the seven-number description of a latency window used by
-// the short-term detector: 25th/50th/75th percentiles, minimum, mean,
-// standard deviation and maximum (§5.2).
-type Summary struct {
-	P25, P50, P75 float64
-	Min           float64
-	Mean          float64
-	Std           float64
-	Max           float64
-	N             int
-}
-
-// Summarize computes a Summary over xs. It copies and sorts internally;
-// xs is not modified. An empty input yields a zero Summary with N == 0.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var sum, sumsq float64
-	for _, v := range s {
-		sum += v
-	}
-	mean := sum / float64(len(s))
-	for _, v := range s {
-		d := v - mean
-		sumsq += d * d
-	}
-	std := 0.0
-	if len(s) > 1 {
-		std = math.Sqrt(sumsq / float64(len(s)-1))
-	}
-	return Summary{
-		P25:  Percentile(s, 0.25),
-		P50:  Percentile(s, 0.50),
-		P75:  Percentile(s, 0.75),
-		Min:  s[0],
-		Mean: mean,
-		Std:  std,
-		Max:  s[len(s)-1],
-		N:    len(s),
-	}
-}
-
-// Vector flattens the summary into a feature vector in a fixed order,
-// the form consumed by the LOF-based short-term detector.
-func (s Summary) Vector() []float64 {
-	return []float64{s.P25, s.P50, s.P75, s.Min, s.Mean, s.Std, s.Max}
-}
+import "math"
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted (ascending)
 // data using linear interpolation between closest ranks. The input must
-// already be sorted; Summarize handles sorting for callers with raw data.
+// already be sorted.
 func Percentile(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -100,23 +46,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance (NaN for n < 2).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var sumsq float64
-	for _, v := range xs {
-		d := v - m
-		sumsq += d * d
-	}
-	return sumsq / float64(len(xs)-1)
-}
-
-// Std returns the unbiased sample standard deviation.
-func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // EuclideanDistance returns the L2 distance between equal-length vectors.
 // It panics on length mismatch: feature vectors in this codebase have a
 // fixed, known dimensionality and a mismatch is a programming error.
@@ -130,22 +59,4 @@ func EuclideanDistance(a, b []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// CosineSimilarity returns the cosine of the angle between vectors a and
-// b, in [-1, 1]. Zero vectors yield similarity 0.
-func CosineSimilarity(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: dimension mismatch")
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }

@@ -3,51 +3,12 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.Min != 1 || s.Max != 5 {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if s.P50 != 3 {
-		t.Fatalf("median = %v, want 3", s.P50)
-	}
-	if s.P25 != 2 || s.P75 != 4 {
-		t.Fatalf("quartiles = %v/%v, want 2/4", s.P25, s.P75)
-	}
-	if !almost(s.Mean, 3, 1e-12) {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	if !almost(s.Std, math.Sqrt(2.5), 1e-12) {
-		t.Fatalf("std = %v, want sqrt(2.5)", s.Std)
-	}
-	if s.N != 5 {
-		t.Fatalf("n = %d", s.N)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Fatal("empty summary should have N==0")
-	}
-	s := Summarize([]float64{7})
-	if s.Min != 7 || s.Max != 7 || s.P50 != 7 || s.Std != 0 {
-		t.Fatalf("single-element summary wrong: %+v", s)
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Summarize(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Summarize mutated its input")
-	}
-}
 
 func TestPercentileInterpolation(t *testing.T) {
 	sorted := []float64{10, 20, 30, 40}
@@ -77,8 +38,6 @@ func TestPercentileOrderProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		s := Summarize(xs) // sorts internally
-		_ = s
 		sorted := append([]float64(nil), xs...)
 		for i := 1; i < len(sorted); i++ {
 			for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
@@ -98,17 +57,13 @@ func TestPercentileOrderProperty(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceStd(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if !almost(Mean(xs), 5, 1e-12) {
 		t.Fatalf("mean = %v", Mean(xs))
 	}
-	// Sample variance of this classic set is 32/7.
-	if !almost(Variance(xs), 32.0/7.0, 1e-12) {
-		t.Fatalf("variance = %v", Variance(xs))
-	}
-	if !almost(Std(xs), math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("std = %v", Std(xs))
+	if !math.IsNaN(Mean(nil)) {
+		t.Fatal("mean of an empty sample is not NaN")
 	}
 }
 
@@ -141,19 +96,20 @@ func TestFitLogNormalRejectsBadInput(t *testing.T) {
 }
 
 func TestLogNormalMoments(t *testing.T) {
+	// Samples have the distribution's median exp(μ) and mean
+	// exp(μ + σ²/2).
 	d := LogNormal{Mu: 1, Sigma: 0.5}
-	if !almost(d.Median(), math.E, 1e-12) {
-		t.Fatalf("median = %v", d.Median())
+	r := rand.New(rand.NewSource(8))
+	xs := make([]float64, 50000)
+	for i := range xs {
+		xs[i] = d.Sample(r)
 	}
-	if !almost(d.Mean(), math.Exp(1.125), 1e-12) {
-		t.Fatalf("mean = %v", d.Mean())
+	if got := Mean(xs); !almost(got, math.Exp(1.125), 0.02) {
+		t.Fatalf("sample mean = %v, want ≈ %v", got, math.Exp(1.125))
 	}
-	// Quantile at 0.5 equals the median.
-	if !almost(d.Quantile(0.5), d.Median(), 1e-9) {
-		t.Fatalf("q50 = %v, median = %v", d.Quantile(0.5), d.Median())
-	}
-	if d.Quantile(0.9) <= d.Quantile(0.1) {
-		t.Fatal("quantiles not monotone")
+	sort.Float64s(xs)
+	if got := Percentile(xs, 0.5); !almost(got, math.E, 0.02) {
+		t.Fatalf("sample median = %v, want ≈ e", got)
 	}
 }
 
@@ -223,36 +179,15 @@ func TestZTestErrors(t *testing.T) {
 }
 
 func TestNormalCDF(t *testing.T) {
-	if !almost(NormalCDF(0), 0.5, 1e-12) {
+	// The Z-test's p-value is built on the standard normal tail:
+	// Φ(z) = 1 - P(Z > z).
+	if !almost(1-normalSurvival(0), 0.5, 1e-12) {
 		t.Fatal("Φ(0) != 0.5")
 	}
-	if !almost(NormalCDF(1.96), 0.975, 1e-3) {
-		t.Fatalf("Φ(1.96) = %v", NormalCDF(1.96))
+	if got := 1 - normalSurvival(1.96); !almost(got, 0.975, 1e-3) {
+		t.Fatalf("Φ(1.96) = %v", got)
 	}
-}
-
-func TestErfinvRoundTrip(t *testing.T) {
-	for _, x := range []float64{-0.999, -0.5, -0.1, 0, 0.1, 0.5, 0.9, 0.999} {
-		y := erfinv(x)
-		if !almost(math.Erf(y), x, 1e-9) {
-			t.Fatalf("erf(erfinv(%v)) = %v", x, math.Erf(y))
-		}
-	}
-}
-
-func TestCosineSimilarity(t *testing.T) {
-	a := []float64{1, 0, 0}
-	b := []float64{0, 1, 0}
-	if got := CosineSimilarity(a, a); !almost(got, 1, 1e-12) {
-		t.Fatalf("self similarity = %v", got)
-	}
-	if got := CosineSimilarity(a, b); !almost(got, 0, 1e-12) {
-		t.Fatalf("orthogonal similarity = %v", got)
-	}
-	if got := CosineSimilarity(a, []float64{-1, 0, 0}); !almost(got, -1, 1e-12) {
-		t.Fatalf("opposite similarity = %v", got)
-	}
-	if got := CosineSimilarity(a, []float64{0, 0, 0}); got != 0 {
-		t.Fatalf("zero-vector similarity = %v", got)
+	if got := 1 - normalSurvival(-1.96); !almost(got, 0.025, 1e-3) {
+		t.Fatalf("Φ(-1.96) = %v", got)
 	}
 }

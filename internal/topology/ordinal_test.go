@@ -6,7 +6,7 @@ import "testing"
 // view carries (the hot-path index the probe engine uses in place of
 // string-keyed map lookups) against the fabric's own node index, for
 // all three path shapes (same-ToR, intra-pod, cross-pod) and for both
-// producers (exhaustive iteration and ECMP hash selection).
+// producers (exhaustive enumeration and ECMP hash selection).
 func TestPathViewNodeOrdinals(t *testing.T) {
 	fab, err := New(Spec{Pods: 2, HostsPerPod: 4, Rails: 4, AggPerPod: 2, Spines: 2})
 	if err != nil {
@@ -20,27 +20,25 @@ func TestPathViewNodeOrdinals(t *testing.T) {
 	}
 	check := func(v *PathView, where string) {
 		t.Helper()
-		for i := 0; i < v.Len(); i++ {
-			want, ok := fab.NodeIndex(v.Node(i))
+		for i, n := range v.Nodes(nil) {
+			want, ok := fab.NodeIndex(n)
 			if !ok {
-				t.Fatalf("%s: node %d (%s) has no fabric ordinal", where, i, v.Node(i))
+				t.Fatalf("%s: node %d (%s) has no fabric ordinal", where, i, n)
 			}
 			if got := v.NodeOrdinal(i); got != want {
-				t.Fatalf("%s: node %d (%s) ordinal = %d, want %d", where, i, v.Node(i), got, want)
-			}
-			if back := fab.NodeByIndex(v.NodeOrdinal(i)); back != v.Node(i) {
-				t.Fatalf("%s: ordinal %d resolves to %s, want %s", where, v.NodeOrdinal(i), back, v.Node(i))
+				t.Fatalf("%s: node %d (%s) ordinal = %d, want %d", where, i, n, got, want)
 			}
 		}
 	}
-	var it PathIter
 	var v PathView
 	for _, pr := range pairs {
-		if err := it.Reset(fab, pr.src, pr.dst); err != nil {
+		n, err := fab.NumPaths(pr.src, pr.dst)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for it.Next() {
-			check(it.Path(), "iter")
+		for i := 0; i < n; i++ {
+			fab.pathViewByIndex(pr.src, pr.dst, i, &v)
+			check(&v, "enumeration")
 		}
 		for h := uint64(0); h < 64; h++ {
 			if err := fab.PathViewByHash(pr.src, pr.dst, h*0x9e3779b97f4a7c15, &v); err != nil {

@@ -19,10 +19,10 @@
 // AggPerPod² × Spines paths. Node and link IDs are therefore interned
 // once at construction (every ToR/Agg/Spine/NIC/Link accessor returns
 // the same string header, no formatting), each link carries a dense
-// integer ordinal for slice-backed vote tables, and the PathIter /
-// VisitPaths traversal walks an ECMP set through a fixed-size PathView
-// without materializing a single Path slice. Paths remains as the
-// materializing enumeration for callers that want to keep the set.
+// integer ordinal for slice-backed vote tables, and PathViewByHash
+// picks a flow's ECMP path into a fixed-size PathView without
+// materializing a Path slice. Paths remains as the materializing
+// enumeration of the whole set.
 package topology
 
 import (
@@ -121,9 +121,6 @@ type Fabric struct {
 	Spec  Spec
 	hosts int
 
-	// links holds every physical link, keyed by canonical ID.
-	links map[LinkID][2]NodeID
-
 	// Interned node IDs: every accessor returns the same string header.
 	nicIDs   []NodeID // host*Rails + rail
 	torIDs   []NodeID // pod*Rails + rail
@@ -144,7 +141,6 @@ type Fabric struct {
 	// vote tables iterate identically across runs.
 	ordOf    map[LinkID]int32
 	ordLinks []LinkID
-	ordEnds  [][2]NodeID // ordinal → endpoints, parallel to ordLinks
 
 	// Dense node ordinals, in construction order: NICs (host*Rails+rail),
 	// then ToRs, aggs, spines. The layout is arithmetic — path assembly
@@ -153,7 +149,6 @@ type Fabric struct {
 	// (conditions, queue estimates) by plain slice index instead of
 	// hashing interned strings.
 	nodeOrdOf map[NodeID]int32
-	ordNodes  []NodeID
 	torOrd0   int32 // first ToR ordinal (== hosts*Rails)
 	aggOrd0   int32 // first agg ordinal
 	spineOrd0 int32 // first spine ordinal
@@ -168,7 +163,6 @@ func New(spec Spec) (*Fabric, error) {
 	f := &Fabric{
 		Spec:  spec,
 		hosts: hosts,
-		links: make(map[LinkID][2]NodeID),
 		ordOf: make(map[LinkID]int32),
 	}
 
@@ -196,31 +190,26 @@ func New(spec Spec) (*Fabric, error) {
 		f.spineIDs[s] = NodeID(fmt.Sprintf("spine/s%d", s))
 	}
 
-	// Node ordinal tables: concatenate the node ID tables in
-	// construction order and remember the section offsets, so ordinals
-	// are computable arithmetically from coordinates.
+	// Node ordinals: number the node ID tables in construction order
+	// and remember the section offsets, so ordinals are computable
+	// arithmetically from coordinates.
 	f.torOrd0 = int32(len(f.nicIDs))
 	f.aggOrd0 = f.torOrd0 + int32(len(f.torIDs))
 	f.spineOrd0 = f.aggOrd0 + int32(len(f.aggIDs))
-	f.ordNodes = make([]NodeID, 0, int(f.spineOrd0)+len(f.spineIDs))
-	f.ordNodes = append(f.ordNodes, f.nicIDs...)
-	f.ordNodes = append(f.ordNodes, f.torIDs...)
-	f.ordNodes = append(f.ordNodes, f.aggIDs...)
-	f.ordNodes = append(f.ordNodes, f.spineIDs...)
-	f.nodeOrdOf = make(map[NodeID]int32, len(f.ordNodes))
-	for i, n := range f.ordNodes {
-		f.nodeOrdOf[n] = int32(i)
+	f.nodeOrdOf = make(map[NodeID]int32, int(f.spineOrd0)+len(f.spineIDs))
+	for _, table := range [][]NodeID{f.nicIDs, f.torIDs, f.aggIDs, f.spineIDs} {
+		for _, n := range table {
+			f.nodeOrdOf[n] = int32(len(f.nodeOrdOf))
+		}
 	}
 
-	// Link tables, registering each link's canonical ID, endpoints, and
-	// dense ordinal in one deterministic construction order.
+	// Link tables, registering each link's canonical ID and dense
+	// ordinal in one deterministic construction order.
 	addLink := func(a, b NodeID) (LinkID, int32) {
 		id := MakeLinkID(a, b)
 		ord := int32(len(f.ordLinks))
-		f.links[id] = [2]NodeID{a, b}
 		f.ordOf[id] = ord
 		f.ordLinks = append(f.ordLinks, id)
-		f.ordEnds = append(f.ordEnds, [2]NodeID{a, b})
 		return id, ord
 	}
 	f.nicTorLinks = make([]LinkID, hosts*spec.Rails)
@@ -295,13 +284,6 @@ func (f *Fabric) Spine(s int) NodeID {
 	return NodeID(fmt.Sprintf("spine/s%d", s))
 }
 
-// LinkEndpoints returns the two nodes a link connects, and whether the
-// link exists in this fabric.
-func (f *Fabric) LinkEndpoints(l LinkID) ([2]NodeID, bool) {
-	ep, ok := f.links[l]
-	return ep, ok
-}
-
 // NumLinks returns the number of physical links.
 func (f *Fabric) NumLinks() int { return len(f.ordLinks) }
 
@@ -317,12 +299,8 @@ func (f *Fabric) LinkIndex(l LinkID) (int32, bool) {
 // LinkByIndex returns the link with the given ordinal.
 func (f *Fabric) LinkByIndex(ord int32) LinkID { return f.ordLinks[ord] }
 
-// LinkEndpointsByIndex returns the endpoints of the link with the given
-// ordinal without re-parsing its ID.
-func (f *Fabric) LinkEndpointsByIndex(ord int32) [2]NodeID { return f.ordEnds[ord] }
-
 // NumNodes returns the number of fabric nodes (NICs plus switches).
-func (f *Fabric) NumNodes() int { return len(f.ordNodes) }
+func (f *Fabric) NumNodes() int { return len(f.nodeOrdOf) }
 
 // NodeIndex returns the dense ordinal of a node (NICs first, then ToR,
 // agg and spine switches, in construction order), and whether the node
@@ -331,16 +309,6 @@ func (f *Fabric) NumNodes() int { return len(f.ordNodes) }
 func (f *Fabric) NodeIndex(n NodeID) (int32, bool) {
 	ord, ok := f.nodeOrdOf[n]
 	return ord, ok
-}
-
-// NodeByIndex returns the node with the given ordinal.
-func (f *Fabric) NodeByIndex(ord int32) NodeID { return f.ordNodes[ord] }
-
-// EachLink visits every link; iteration order is unspecified.
-func (f *Fabric) EachLink(fn func(LinkID, [2]NodeID)) {
-	for id, ep := range f.links {
-		fn(id, ep)
-	}
 }
 
 // Path is one loop-free physical route between two NICs: the ordered
@@ -355,10 +323,10 @@ type Path struct {
 const MaxPathNodes = 7
 
 // PathView is an allocation-free view of one ECMP path: fixed-size
-// arrays sized for the longest route, filled in place by PathIter /
-// VisitPaths / PathViewByHash. A view is only valid until the iterator
-// that produced it advances; callers that keep a path materialize it
-// with Materialize (or append from Nodes/Links into their own storage).
+// arrays sized for the longest route, filled in place by
+// PathViewByHash. A view is only valid until it is refilled; callers
+// that keep a path materialize it with Materialize (or append from
+// Nodes/Links into their own storage).
 type PathView struct {
 	nodes [MaxPathNodes]NodeID
 	nords [MaxPathNodes]int32
@@ -372,12 +340,6 @@ func (v *PathView) Len() int { return v.n }
 
 // NumLinks returns the number of links on the path.
 func (v *PathView) NumLinks() int { return v.n - 1 }
-
-// Node returns the i-th node.
-func (v *PathView) Node(i int) NodeID { return v.nodes[i] }
-
-// Link returns the i-th link (between Node(i) and Node(i+1)).
-func (v *PathView) Link(i int) LinkID { return v.links[i] }
 
 // LinkOrdinal returns the dense fabric ordinal of the i-th link.
 func (v *PathView) LinkOrdinal(i int) int32 { return v.ords[i] }
@@ -428,10 +390,9 @@ func (f *Fabric) NumPaths(src, dst NIC) (int, error) {
 }
 
 // Paths enumerates every equal-cost path between two NICs, in a
-// deterministic order (the same order pathByIndex and PathIter index).
-// Cross-pod pairs have AggPerPod² × Spines paths; hot paths should
-// prefer VisitPaths or PathIter, which walk the set without
-// materializing it.
+// deterministic order (the order pathViewByIndex indexes). Cross-pod pairs
+// have AggPerPod² × Spines paths; hot paths pick one with
+// PathViewByHash instead of materializing the set.
 func (f *Fabric) Paths(src, dst NIC) ([]Path, error) {
 	n, err := f.NumPaths(src, dst)
 	if err != nil {
@@ -446,150 +407,12 @@ func (f *Fabric) Paths(src, dst NIC) ([]Path, error) {
 	return paths, nil
 }
 
-// VisitPaths walks every equal-cost path between two NICs in
-// enumeration order, filling one reused PathView per step — no Path
-// slices are materialized. The callback returns false to stop early.
-// The view passed to fn is only valid for the duration of the call.
-func (f *Fabric) VisitPaths(src, dst NIC, fn func(i int, p *PathView) bool) error {
-	var it PathIter
-	if err := it.Reset(f, src, dst); err != nil {
-		return err
-	}
-	for it.Next() {
-		if !fn(it.i, &it.view) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// PathIter iterates an ECMP path set without allocating: declare one
-// (or reuse one across pairs), Reset it, and walk with Next/Path.
-//
-//	var it topology.PathIter
-//	if err := it.Reset(fab, src, dst); err != nil { ... }
-//	for it.Next() {
-//		p := it.Path() // valid until the next Next/Reset
-//	}
-//
-// Consecutive paths in the enumeration differ only in their ECMP
-// choices (inner agg, spine, outer agg), so Next patches just the
-// changed view slots instead of rebuilding the whole path.
-type PathIter struct {
-	f        *Fabric
-	src, dst NIC
-	n, i     int
-	view     PathView
-
-	// Decomposed ECMP counters and precomputed table bases for the
-	// incremental cross-pod / cross-rail advance.
-	a1, s, a2                    int
-	spAggBase, dpAggBase         int // pod*AggPerPod
-	spRailAggBase, dpRailAggBase int // (pod*Rails+rail)*AggPerPod
-}
-
-// Reset points the iterator at a pair's ECMP set. It returns the same
-// errors NumPaths does; after an error the iterator is empty.
-func (it *PathIter) Reset(f *Fabric, src, dst NIC) error {
-	it.f, it.src, it.dst, it.i = f, src, dst, -1
-	it.a1, it.s, it.a2 = 0, 0, 0
-	n, err := f.NumPaths(src, dst)
-	if err != nil {
-		it.n = 0
-		return err
-	}
-	it.n = n
-	sp, dp := f.PodOf(src.Host), f.PodOf(dst.Host)
-	it.spAggBase = sp * f.Spec.AggPerPod
-	it.dpAggBase = dp * f.Spec.AggPerPod
-	it.spRailAggBase = (sp*f.Spec.Rails + src.Rail) * f.Spec.AggPerPod
-	it.dpRailAggBase = (dp*f.Spec.Rails + dst.Rail) * f.Spec.AggPerPod
-	return nil
-}
-
-// Len returns the size of the ECMP set being iterated.
-func (it *PathIter) Len() int { return it.n }
-
-// Next advances to the next path, returning false when exhausted.
-func (it *PathIter) Next() bool {
-	it.i++
-	if it.i >= it.n {
-		return false
-	}
-	if it.i == 0 {
-		it.f.pathViewByIndex(it.src, it.dst, 0, &it.view)
-		return true
-	}
-	f, v := it.f, &it.view
-	spines := f.Spec.Spines
-	agg := f.Spec.AggPerPod
-	switch v.n {
-	case 5:
-		// Cross-rail, same pod: only the aggregation choice advances.
-		it.a2++
-		a := it.a2
-		up, down := it.spRailAggBase+a, it.dpRailAggBase+a
-		v.nodes[2], v.nords[2] = f.aggIDs[it.spAggBase+a], f.aggOrd0+int32(it.spAggBase+a)
-		v.links[1], v.ords[1] = f.torAggLinks[up], f.torAggOrds[up]
-		v.links[2], v.ords[2] = f.torAggLinks[down], f.torAggOrds[down]
-	case 7:
-		// Cross-pod: odometer advance over (a1, s, a2), inner digit
-		// first; patch only the slots a changed digit touches.
-		it.a2++
-		sChanged, a1Changed := false, false
-		if it.a2 == agg {
-			it.a2 = 0
-			it.s++
-			sChanged = true
-			if it.s == spines {
-				it.s = 0
-				it.a1++
-				a1Changed = true
-			}
-		}
-		mid2 := (it.dpAggBase+it.a2)*spines + it.s
-		down := it.dpRailAggBase + it.a2
-		v.nodes[4], v.nords[4] = f.aggIDs[it.dpAggBase+it.a2], f.aggOrd0+int32(it.dpAggBase+it.a2)
-		v.links[3], v.ords[3] = f.aggSpineLinks[mid2], f.aggSpineOrds[mid2]
-		v.links[4], v.ords[4] = f.torAggLinks[down], f.torAggOrds[down]
-		if sChanged {
-			v.nodes[3], v.nords[3] = f.spineIDs[it.s], f.spineOrd0+int32(it.s)
-			mid1 := (it.spAggBase+it.a1)*spines + it.s
-			v.links[2], v.ords[2] = f.aggSpineLinks[mid1], f.aggSpineOrds[mid1]
-		}
-		if a1Changed {
-			up := it.spRailAggBase + it.a1
-			v.nodes[2], v.nords[2] = f.aggIDs[it.spAggBase+it.a1], f.aggOrd0+int32(it.spAggBase+it.a1)
-			v.links[1], v.ords[1] = f.torAggLinks[up], f.torAggOrds[up]
-		}
-	}
-	return true
-}
-
-// Index returns the current path's enumeration index.
-func (it *PathIter) Index() int { return it.i }
-
-// Path returns the current path view, valid until the next Next or
-// Reset call.
-func (it *PathIter) Path() *PathView { return &it.view }
-
-// PathByHash picks the ECMP path a flow with the given hash entropy
-// takes. Real switches hash the five-tuple per hop; modelling the
-// selection as one hash over the enumerated equal-cost set preserves
-// the property the tomography cares about: a fixed flow sticks to one
-// path, different flows spread across paths. Every pair class routes
-// through pathByIndex, so only the returned Path's two slices allocate;
-// PathViewByHash avoids even those.
-func (f *Fabric) PathByHash(src, dst NIC, hash uint64) (Path, error) {
-	n, err := f.NumPaths(src, dst)
-	if err != nil {
-		return Path{}, err
-	}
-	return f.pathByIndex(src, dst, int(hash%uint64(n)))
-}
-
-// PathViewByHash is the allocation-free PathByHash: it fills the
-// caller's view with the hash-selected path.
+// PathViewByHash fills the caller's view with the ECMP path a flow
+// with the given hash entropy takes, allocating nothing. Real switches
+// hash the five-tuple per hop; modelling the selection as one hash over
+// the enumerated equal-cost set preserves the property the tomography
+// cares about: a fixed flow sticks to one path, different flows spread
+// across paths.
 func (f *Fabric) PathViewByHash(src, dst NIC, hash uint64, v *PathView) error {
 	n, err := f.NumPaths(src, dst)
 	if err != nil {
@@ -597,12 +420,6 @@ func (f *Fabric) PathViewByHash(src, dst NIC, hash uint64, v *PathView) error {
 	}
 	f.pathViewByIndex(src, dst, int(hash%uint64(n)), v)
 	return nil
-}
-
-func (f *Fabric) pathByIndex(src, dst NIC, idx int) (Path, error) {
-	var v PathView
-	f.pathViewByIndex(src, dst, idx, &v)
-	return v.Materialize(), nil
 }
 
 // pathViewByIndex fills v with the idx-th equal-cost path of the pair,
@@ -663,26 +480,6 @@ func (f *Fabric) pathViewByIndex(src, dst NIC, idx int, v *PathView) {
 	}
 }
 
-// SwitchNodes returns all switch node IDs (ToR, Agg, Spine) in the
-// fabric in a deterministic order.
-func (f *Fabric) SwitchNodes() []NodeID {
-	var out []NodeID
-	for p := 0; p < f.Spec.Pods; p++ {
-		for r := 0; r < f.Spec.Rails; r++ {
-			out = append(out, f.ToR(p, r))
-		}
-		for a := 0; a < f.Spec.AggPerPod; a++ {
-			out = append(out, f.Agg(p, a))
-		}
-	}
-	if f.Spec.Pods > 1 {
-		for s := 0; s < f.Spec.Spines; s++ {
-			out = append(out, f.Spine(s))
-		}
-	}
-	return out
-}
-
 // HostsUnder returns the hosts whose traffic traverses a switch, in
 // ascending order: the pod's hosts for a ToR or aggregation switch,
 // every host for a spine. Unknown nodes return nil. Remediation uses
@@ -711,35 +508,9 @@ func (f *Fabric) HostsUnder(n NodeID) []int {
 	if p < 0 || p >= f.Spec.Pods {
 		return nil
 	}
-	lo := p * f.Spec.HostsPerPod
-	hi := lo + f.Spec.HostsPerPod
-	if hi > f.hosts {
-		hi = f.hosts
-	}
-	out := make([]int, 0, hi-lo)
-	for h := lo; h < hi; h++ {
-		out = append(out, h)
-	}
-	return out
-}
-
-// LinksOfNode returns all links incident to a node.
-func (f *Fabric) LinksOfNode(n NodeID) []LinkID {
-	var out []LinkID
-	for _, ord := range f.ordLinksOfNode(n) {
-		out = append(out, f.ordLinks[ord])
-	}
-	return out
-}
-
-// ordLinksOfNode returns the ordinals of a node's incident links, in
-// ascending ordinal order.
-func (f *Fabric) ordLinksOfNode(n NodeID) []int32 {
-	var out []int32
-	for ord, ep := range f.ordEnds {
-		if ep[0] == n || ep[1] == n {
-			out = append(out, int32(ord))
-		}
+	out := make([]int, f.Spec.HostsPerPod)
+	for i := range out {
+		out[i] = p*f.Spec.HostsPerPod + i
 	}
 	return out
 }

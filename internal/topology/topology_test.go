@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -116,17 +117,20 @@ func TestPathByHashDeterministicAndValid(t *testing.T) {
 		valid[pathKey(p)] = true
 	}
 	hit := map[string]bool{}
+	var v PathView
 	for h := uint64(0); h < 200; h++ {
-		p1, err := f.PathByHash(src, dst, h)
-		if err != nil {
+		if err := f.PathViewByHash(src, dst, h, &v); err != nil {
 			t.Fatal(err)
 		}
-		p2, _ := f.PathByHash(src, dst, h)
-		if pathKey(p1) != pathKey(p2) {
-			t.Fatal("PathByHash not deterministic")
+		p1 := v.Materialize()
+		if err := f.PathViewByHash(src, dst, h, &v); err != nil {
+			t.Fatal(err)
+		}
+		if pathKey(p1) != pathKey(v.Materialize()) {
+			t.Fatal("PathViewByHash not deterministic")
 		}
 		if !valid[pathKey(p1)] {
-			t.Fatalf("PathByHash produced a path not in Paths(): %v", p1.Nodes)
+			t.Fatalf("PathViewByHash produced a path not in Paths(): %v", p1.Nodes)
 		}
 		hit[pathKey(p1)] = true
 	}
@@ -147,7 +151,7 @@ func pathKey(p Path) string {
 func TestPathLinksMatchNodes(t *testing.T) {
 	f, _ := New(testSpec())
 	// Property: every enumerated path has links that exist in the fabric
-	// and connect consecutive nodes.
+	// (they have an ordinal) and connect consecutive nodes.
 	check := func(src, dst NIC) bool {
 		paths, err := f.Paths(src, dst)
 		if err != nil {
@@ -158,12 +162,10 @@ func TestPathLinksMatchNodes(t *testing.T) {
 				return false
 			}
 			for i, l := range p.Links {
-				ep, ok := f.LinkEndpoints(l)
-				if !ok {
+				if _, ok := f.LinkIndex(l); !ok {
 					return false
 				}
-				a, b := p.Nodes[i], p.Nodes[i+1]
-				if !(ep[0] == a && ep[1] == b) && !(ep[0] == b && ep[1] == a) {
+				if l != MakeLinkID(p.Nodes[i], p.Nodes[i+1]) {
 					return false
 				}
 			}
@@ -200,24 +202,35 @@ func TestProductionSpec(t *testing.T) {
 	}
 }
 
-func TestSwitchNodesAndIncidence(t *testing.T) {
-	f, _ := New(testSpec())
-	switches := f.SwitchNodes()
-	// 2 pods × (4 ToR + 2 Agg) + 3 spines = 15.
-	if len(switches) != 15 {
-		t.Fatalf("switches = %d, want 15", len(switches))
-	}
-	tor := f.ToR(0, 0)
-	links := f.LinksOfNode(tor)
-	// 4 hosts in pod 0 on rail 0, plus 2 agg uplinks.
-	if len(links) != 6 {
-		t.Fatalf("ToR incident links = %d, want 6", len(links))
-	}
-}
-
 func TestMakeLinkIDCanonical(t *testing.T) {
 	a, b := NodeID("x"), NodeID("y")
 	if MakeLinkID(a, b) != MakeLinkID(b, a) {
 		t.Fatal("link ID not canonical under endpoint order")
+	}
+}
+
+func TestHostsUnder(t *testing.T) {
+	f, _ := New(testSpec())
+	pod0 := []int{0, 1, 2, 3}
+	pod1 := []int{4, 5, 6, 7}
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, tc := range []struct {
+		node NodeID
+		want []int
+	}{
+		{f.ToR(0, 2), pod0},
+		{f.Agg(0, 1), pod0},
+		{f.ToR(1, 0), pod1}, // the last pod
+		{f.Agg(1, 0), pod1},
+		{f.Spine(2), all},
+		{f.NICID(0, 0), nil},    // not a switch
+		{"tor/p2/r0", nil},      // pod out of range
+		{"agg/p-1/a0", nil},     // negative pod
+		{"tor/garbage", nil},    // unparsable
+		{"switch/unknown", nil}, // unknown kind
+	} {
+		if got := f.HostsUnder(tc.node); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("HostsUnder(%s) = %v, want %v", tc.node, got, tc.want)
+		}
 	}
 }

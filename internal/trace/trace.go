@@ -192,23 +192,3 @@ func CDF(samples []time.Duration, points []time.Duration) []float64 {
 	}
 	return out
 }
-
-// Histogram counts integer samples into the given bucket upper bounds
-// (inclusive); the final bucket catches everything larger.
-func Histogram(samples []int, bounds []int) []int {
-	counts := make([]int, len(bounds)+1)
-	for _, v := range samples {
-		placed := false
-		for i, b := range bounds {
-			if v <= b {
-				counts[i]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			counts[len(bounds)]++
-		}
-	}
-	return counts
-}

@@ -142,14 +142,10 @@ func TestJobGPUsFig12(t *testing.T) {
 	}
 }
 
-func TestCDFAndHistogram(t *testing.T) {
+func TestCDF(t *testing.T) {
 	s := []time.Duration{1 * time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second}
 	cdf := CDF(s, []time.Duration{2 * time.Second, 10 * time.Second, 0})
 	if cdf[0] != 0.5 || cdf[1] != 1 || cdf[2] != 0 {
 		t.Fatalf("cdf = %v", cdf)
-	}
-	h := Histogram([]int{1, 5, 10, 100}, []int{4, 9})
-	if h[0] != 1 || h[1] != 1 || h[2] != 2 {
-		t.Fatalf("histogram = %v", h)
 	}
 }

@@ -185,21 +185,6 @@ func inWindow(phase, center, width float64) bool {
 	return phase >= lo && phase < hi
 }
 
-// AllSeries generates the series for every endpoint of the task.
-func (g *Generator) AllSeries(duration time.Duration) map[parallelism.Endpoint][]float64 {
-	d := g.defaults()
-	n := d.Par.NumGPUs()
-	containers := n / d.GPUsPerContainer
-	out := make(map[parallelism.Endpoint][]float64, n)
-	for c := 0; c < containers; c++ {
-		for r := 0; r < d.GPUsPerContainer; r++ {
-			ep := parallelism.Endpoint{Container: c, Rail: r}
-			out[ep] = g.Series(ep, duration)
-		}
-	}
-	return out
-}
-
 // Endpoints enumerates the task's endpoints in deterministic order.
 func (g *Generator) Endpoints() []parallelism.Endpoint {
 	d := g.defaults()

@@ -121,14 +121,6 @@ func (j *Job) Stop() {
 	}
 }
 
-// MeanSlowdown returns the average per-iteration slowdown fraction.
-func (j *Job) MeanSlowdown() float64 {
-	if j.Iterations == 0 {
-		return 0
-	}
-	return j.SlowdownSum / float64(j.Iterations)
-}
-
 func (j *Job) schedule(after time.Duration) {
 	j.pending = j.Engine.After(after, "train-iteration", j.iterate)
 }

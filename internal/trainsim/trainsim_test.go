@@ -22,6 +22,14 @@ type rig struct {
 	inj  *faults.Injector
 }
 
+// meanSlowdown is the average per-iteration slowdown fraction.
+func meanSlowdown(j *Job) float64 {
+	if j.Iterations == 0 {
+		return 0
+	}
+	return j.SlowdownSum / float64(j.Iterations)
+}
+
 func fastLag() cluster.LagModel {
 	return cluster.LagModel{
 		CreateLag:    func(r *rand.Rand, i int) time.Duration { return time.Duration(i) * time.Second },
@@ -64,7 +72,7 @@ func TestHealthyJobIteratesOnSchedule(t *testing.T) {
 	if job.Failed {
 		t.Fatal("healthy job failed")
 	}
-	if s := job.MeanSlowdown(); s > 0.2 {
+	if s := meanSlowdown(job); s > 0.2 {
 		t.Fatalf("healthy mean slowdown = %v", s)
 	}
 	job.Stop()
@@ -97,7 +105,7 @@ func TestLatencyFaultSlowsTraining(t *testing.T) {
 	if faultIters > 10 {
 		t.Fatalf("fault window completed %d iterations, want visibly slowed (<10)", faultIters)
 	}
-	if s := job.MeanSlowdown(); s < 0.2 {
+	if s := meanSlowdown(job); s < 0.2 {
 		t.Fatalf("mean slowdown = %v, want substantial", s)
 	}
 	job.Stop()
@@ -190,7 +198,7 @@ func TestMigrationRescuesSlowedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.eng.RunUntil(r.eng.Now() + 3*time.Minute)
-	slowed := job.MeanSlowdown()
+	slowed := meanSlowdown(job)
 	if slowed < 0.1 {
 		t.Fatalf("fault did not slow the job: %v", slowed)
 	}
