@@ -27,8 +27,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Type-checks every non-test package and fails on any exported symbol
-# under internal/ that no non-test code references. Symbols kept for
+# Type-checks every non-test package and fails on any package-level
+# symbol under internal/, exported or not, that no non-test code
+# references. Symbols kept for
 # tests or paper artefacts are allowlisted, each with a reason, in
 # deadcode_test.go; a stale allowlist entry fails too.
 deadcode:

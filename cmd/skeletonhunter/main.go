@@ -265,7 +265,9 @@ func run(cfg runConfig) error {
 	reportRemedy(d)
 	reportCrash(d, crash)
 	if verbose {
-		fmt.Printf("pipeline: %s over %d task shard(s)\n", d.Analyzer.Stats(), d.Analyzer.Shards())
+		c := d.Stats().Counters
+		fmt.Printf("pipeline: ingest=%d detect=%d localize=%d alarm=%d over %d task shard(s)\n",
+			c["pipeline-ingest"], c["pipeline-detect"], c["pipeline-localize"], c["pipeline-alarm"], d.Analyzer.Shards())
 	}
 	if cfg.stats {
 		fmt.Printf("self-monitoring stats:\n%s", indent(d.Stats().String()))

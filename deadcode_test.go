@@ -16,11 +16,11 @@ import (
 	"testing"
 )
 
-// deadcodeAllow lists the exported symbols under internal/ that no
-// non-test code references but that are kept on purpose, keyed
+// deadcodeAllow lists the package-level symbols under internal/ that
+// no non-test code references but that are kept on purpose, keyed
 // "<package path below internal/>.<Name>" or "<pkg>.<Type>.<Method>".
 // Every entry must still exist and must still be unreferenced: a stale
-// entry fails the test just like a new unreferenced export does.
+// entry fails the test just like a new unreferenced symbol does.
 var deadcodeAllow = map[string]string{
 	// Observers: kept tests in other packages read runtime state through these.
 	"controller.Controller.Registered":         "probe tests observe agent registration",
@@ -67,9 +67,9 @@ var deadcodeAllow = map[string]string{
 }
 
 // TestNoUnreferencedExports type-checks every non-test package of the
-// module and fails on any exported package-level func, method, type,
-// var or const under internal/ that no non-test code references outside
-// its own declaration. A method that makes its type satisfy an interface
+// module and fails on any package-level func, method, type, var or
+// const under internal/, exported or not, that no non-test code
+// references outside its own declaration. A method that makes its type satisfy an interface
 // declared or used by the program counts as referenced.
 func TestNoUnreferencedExports(t *testing.T) {
 	prog, err := loadProgram(".")
@@ -79,7 +79,7 @@ func TestNoUnreferencedExports(t *testing.T) {
 	unused := prog.unreferencedExports()
 	for _, key := range sortedKeys(unused) {
 		if _, ok := deadcodeAllow[key]; !ok {
-			t.Errorf("%s: exported %s is referenced by no non-test code; delete it or allowlist it with a reason", prog.fset.Position(unused[key]), key)
+			t.Errorf("%s: %s is referenced by no non-test code; delete it or allowlist it with a reason", prog.fset.Position(unused[key]), key)
 		}
 	}
 	for _, key := range sortedKeys(deadcodeAllow) {
@@ -111,7 +111,8 @@ type program struct {
 	module string
 	pkgs   map[string]*loadedPkg // by import path
 	std    types.Importer
-	// exports holds the key of every exported symbol under internal/.
+	// exports holds the key of every package-level symbol under
+	// internal/.
 	exports map[string]bool
 }
 
@@ -215,10 +216,11 @@ func (p *program) check(path string) (*types.Package, error) {
 	return lp.types, lp.err
 }
 
-// key names an exported package-level object or method of a
-// package-level type under internal/, or returns "" for anything else.
+// key names a package-level object or method of a package-level type
+// under internal/, or returns "" for anything else (blank names and
+// package init functions included).
 func (p *program) key(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil || !obj.Exported() {
+	if obj == nil || obj.Pkg() == nil || obj.Name() == "_" {
 		return ""
 	}
 	prefix := p.module + "/internal/"
@@ -233,6 +235,9 @@ func (p *program) key(obj types.Object) string {
 				return "" // method of an unnamed interface
 			}
 			return pkg + "." + named.Obj().Name() + "." + fn.Name()
+		}
+		if fn.Name() == "init" {
+			return "" // run by the runtime, never referenced
 		}
 	}
 	if obj.Parent() != obj.Pkg().Scope() {
@@ -257,8 +262,9 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// unreferencedExports returns the declaring position of every exported
-// symbol under internal/ that no non-test code references.
+// unreferencedExports returns the declaring position of every
+// package-level symbol under internal/ that no non-test code
+// references.
 func (p *program) unreferencedExports() map[string]token.Pos {
 	decls := map[string]token.Pos{}
 	// extent is the source range of a symbol's own declaration, inside

@@ -7,13 +7,14 @@
 //
 // In production this role is played by a log service plus a keyed
 // streaming compute job (Flink) partitioned by training task; here the
-// same shape runs in-process: the analyzer is a set of per-task shards
-// (internal/pipeline), each owning its own detector state, pair map and
-// healthy-observation ring. Agent batches land in their task's shard
-// inbox (ingest stage); each analysis round fans the shards out across
-// a bounded worker pool — every shard drains its inbox through its
-// detector (window/detect stage) and disentangles its pending anomalies
-// (localize stage) — then fans back in with a deterministic merge:
+// same shape runs in-process: the analyzer is a set of per-task shards,
+// each owning its own detector state, pair map and healthy-observation
+// ring. Agent batches land in their task's shard inbox (ingest stage);
+// each analysis round fans the shards out over probe.FanOut — the same
+// task-pinned worker pool the probe round runs on — where every shard
+// drains its inbox through its detector (window/detect stage) and
+// disentangles its pending anomalies (localize stage); then it fans
+// back in with a deterministic merge:
 // shards are visited in ascending task-key order and their anomalies
 // and verdicts concatenated in that order (alarm stage). The merge rule
 // is what makes the same seed produce bit-identical alarms at any
@@ -21,6 +22,7 @@
 package analyzer
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -30,7 +32,6 @@ import (
 	"skeletonhunter/internal/localize"
 	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/overlay"
-	"skeletonhunter/internal/pipeline"
 	"skeletonhunter/internal/probe"
 	"skeletonhunter/internal/sim"
 	"skeletonhunter/internal/topology"
@@ -76,9 +77,10 @@ type Config struct {
 	// kept per shard (default 512).
 	PathMemory    int
 	HealthyMemory int
-	// Workers bounds the analysis-round fan-out across task shards
-	// (default: GOMAXPROCS). Results are identical at any value; this
-	// only trades wall-clock for cores.
+	// Workers bounds the analysis round's fan-out across task shards
+	// on the task-pinned pool (probe.FanOut); <= 0 means GOMAXPROCS.
+	// Results are identical at any value; this only trades wall-clock
+	// for cores.
 	Workers int
 	// InboxLimit bounds each shard's inbox — records waiting for the
 	// next analysis round. When rounds fall behind (an injected delay,
@@ -108,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HealthyMemory == 0 {
 		c.HealthyMemory = 512
-	}
-	if c.Workers == 0 {
-		c.Workers = pipeline.DefaultWorkers()
 	}
 	if c.InboxLimit == 0 {
 		c.InboxLimit = 65536
@@ -312,7 +311,9 @@ func (s *shard) localizeRound(loc *localize.Localizer) ([]detect.Anomaly, []loca
 	return anomalies, loc.LocalizeWith(&s.locScratch, evidence, s.healthy)
 }
 
-// Analyzer is the sharded streaming pipeline.
+// Analyzer is the sharded streaming pipeline. Its ingest, detect,
+// localize and alarm stages count into Config.Obs as records-ingested,
+// records-drained, anomalies-detected and alarms-raised.
 type Analyzer struct {
 	Engine *sim.Engine
 	// Localizer is the read-only disentanglement core shared by every
@@ -340,9 +341,11 @@ type Analyzer struct {
 	// memory.
 	Gate func(now time.Duration) bool
 
-	cfg    Config
-	shards *pipeline.Sharded[shard]
-	stats  pipeline.Counters
+	cfg     Config
+	shards  map[string]*shard
+	keys    []string      // shard task keys, ascending: fan-out and merge order
+	pool    probe.Pool    // per-slot fan-out scratch
+	results []shardResult // per-round scratch, indexed like keys
 
 	alarms    []Alarm
 	blacklist map[component.ID]time.Duration // component → first blacklisted
@@ -354,19 +357,34 @@ func New(eng *sim.Engine, loc *localize.Localizer, cfg Config) *Analyzer {
 		Engine:    eng,
 		Localizer: loc,
 		cfg:       cfg.withDefaults(),
+		shards:    make(map[string]*shard),
 		blacklist: make(map[component.ID]time.Duration),
 	}
-	an.shards = newShardMap(an)
 	return an
 }
 
-// newShardMap builds an empty shard map bound to the analyzer's
-// config; used at construction and again when crash recovery resets
-// the shards before a logstore replay.
-func newShardMap(an *Analyzer) *pipeline.Sharded[shard] {
-	return pipeline.NewSharded(func(task string) *shard {
-		return newShard(task, an.cfg)
-	})
+// shardOf returns the task's shard, creating it on first use and
+// keeping keys sorted.
+func (an *Analyzer) shardOf(task string) *shard {
+	if s, ok := an.shards[task]; ok {
+		return s
+	}
+	s := newShard(task, an.cfg)
+	an.shards[task] = s
+	i, _ := slices.BinarySearch(an.keys, task)
+	an.keys = slices.Insert(an.keys, i, task)
+	return s
+}
+
+// resetShards drops every shard, counting the records still waiting in
+// their inboxes as withdrawn; crash and restore start from here before
+// a logstore replay repopulates the detectors.
+func (an *Analyzer) resetShards() {
+	for _, s := range an.shards {
+		an.cfg.Obs.Add(obs.RecordsWithdrawn, uint64(len(s.inbox)))
+	}
+	an.shards = make(map[string]*shard)
+	an.keys = an.keys[:0]
 }
 
 // Start begins periodic analysis rounds.
@@ -394,9 +412,7 @@ func (an *Analyzer) IngestBatch(batch probe.Batch) {
 		return
 	}
 	an.warmCorrelate(string(batch[0].Task))
-	sh := an.shards.Get(string(batch[0].Task))
-	n := sh.enqueue(batch...)
-	an.stats.Add(pipeline.StageIngest, uint64(n))
+	an.shardOf(string(batch[0].Task)).enqueue(batch...)
 }
 
 // WarmShard pre-creates a task's shard. The parallel round engine calls
@@ -406,7 +422,7 @@ func (an *Analyzer) IngestBatch(batch probe.Batch) {
 // state plus atomic counters.
 func (an *Analyzer) WarmShard(task string) {
 	an.warmCorrelate(task)
-	an.shards.Get(task)
+	an.shardOf(task)
 }
 
 // shardResult is one shard's round output, merged in task-key order.
@@ -416,10 +432,10 @@ type shardResult struct {
 	changePoints []correlate.ChangePoint
 }
 
-// Round runs one analysis round: fan the shards out over the worker
-// pool (each drains its inbox and localizes its pending anomalies),
-// fan back in by ascending task key, raise one alarm, update the
-// blacklist.
+// Round runs one analysis round: fan the shards out over the
+// task-pinned pool (each drains its inbox and localizes its pending
+// anomalies), fan back in by ascending task key, raise one alarm,
+// update the blacklist.
 func (an *Analyzer) Round(now time.Duration) {
 	if an.Gate != nil && an.Gate(now) {
 		an.cfg.Obs.Inc(obs.RoundsDelayed)
@@ -433,46 +449,46 @@ func (an *Analyzer) Round(now time.Duration) {
 		defer an.OnRoundEnd(now)
 	}
 
-	// Wall-clock stage timings are observability only: they are
-	// recorded after the shard's work completes and never feed back
-	// into the simulation, so alarms stay bit-identical with or
-	// without an observer.
-	var observe func(string, time.Duration)
-	if o != nil {
-		observe = func(task string, d time.Duration) { o.ObserveDuration("shard-round-ms", d) }
-	}
 	cor := an.cfg.Correlate
 	var corRound int
 	if cor != nil {
 		corRound = cor.BeginRound()
 	}
-	results := pipeline.FanOutTimed(an.shards, an.cfg.Workers, func(task string, s *shard) shardResult {
+	keys := an.keys
+	if cap(an.results) < len(keys) {
+		an.results = make([]shardResult, len(keys))
+	}
+	results := an.results[:len(keys)]
+	// Wall-clock stage timings are observability only: they never feed
+	// back into the simulation, so alarms stay bit-identical with or
+	// without an observer.
+	probe.FanOut(&an.pool, an.cfg.Workers, keys, func(_, i int) {
+		start := time.Now()
+		task, s := keys[i], an.shards[keys[i]]
 		var cs *correlate.Shard
 		if cor != nil {
 			cs = cor.ShardOf(task)
 		}
 		evalBefore := s.detector.Evaluated
-		detectStart := time.Now()
 		n := s.drain(cs)
-		o.ObserveDuration("stage-detect-ms", time.Since(detectStart))
-		an.stats.Add(pipeline.StageDetect, uint64(n))
+		o.ObserveDuration("stage-detect-ms", time.Since(start))
+		o.Add(obs.RecordsDrained, uint64(n))
 		localizeStart := time.Now()
 		anomalies, verdicts := s.localizeRound(an.Localizer)
 		o.ObserveDuration("stage-localize-ms", time.Since(localizeStart))
-		an.stats.Add(pipeline.StageLocalize, uint64(len(anomalies)))
 		o.Add(obs.WindowsEvaluated, uint64(s.detector.Evaluated-evalBefore))
 		o.Add(obs.AnomaliesDetected, uint64(len(anomalies)))
-		res := shardResult{anomalies: anomalies, verdicts: verdicts}
+		results[i] = shardResult{anomalies: anomalies, verdicts: verdicts}
 		if cs != nil {
-			res.changePoints = cs.EndRound(corRound, now)
+			results[i].changePoints = cs.EndRound(corRound, now)
 		}
-		return res
-	}, observe)
+		o.ObserveDuration("shard-round-ms", time.Since(start))
+	})
 
-	// Deterministic merge: FanOutTimed returns results in ascending task-key
-	// order; concatenation preserves it. Cross-shard duplicates (two
-	// tasks blaming the same component) collapse via MergeVerdicts,
-	// exactly as a single-batch LocalizeWith would have collapsed them.
+	// Deterministic merge: results sit in ascending task-key order;
+	// concatenation preserves it. Cross-shard duplicates (two tasks
+	// blaming the same component) collapse via MergeVerdicts, exactly
+	// as a single-batch LocalizeWith would have collapsed them.
 	var anomalies []detect.Anomaly
 	var verdicts []localize.Verdict
 	var changePoints []correlate.ChangePoint
@@ -481,6 +497,7 @@ func (an *Analyzer) Round(now time.Duration) {
 		verdicts = append(verdicts, r.verdicts...)
 		changePoints = append(changePoints, r.changePoints...)
 	}
+	clear(results)
 
 	// The correlate fold runs every round — its warmup, dedup decay and
 	// lead-lag windows advance with round time, not with anomaly luck.
@@ -499,7 +516,6 @@ func (an *Analyzer) Round(now time.Duration) {
 
 	alarm := Alarm{At: now, Anomalies: anomalies, Verdicts: verdicts}
 	an.alarms = append(an.alarms, alarm)
-	an.stats.Add(pipeline.StageAlarm, 1)
 	o.Inc(obs.AlarmsRaised)
 	for _, c := range alarm.Components() {
 		if _, ok := an.blacklist[c]; !ok {
@@ -516,17 +532,18 @@ func (an *Analyzer) Flush(now time.Duration) {
 	// Drain inboxes first so every record reaches its window, then
 	// close the windows; Round would drain too, but by then the flush
 	// must already have evaluated the half-open windows.
-	an.shards.Each(func(task string, s *shard) {
+	for _, task := range an.keys {
+		s := an.shards[task]
 		var cs *correlate.Shard
 		if an.cfg.Correlate != nil {
 			cs = an.cfg.Correlate.ShardOf(task)
 		}
 		evalBefore := s.detector.Evaluated
 		n := s.drain(cs)
-		an.stats.Add(pipeline.StageDetect, uint64(n))
+		an.cfg.Obs.Add(obs.RecordsDrained, uint64(n))
 		s.detector.Flush(now)
 		an.cfg.Obs.Add(obs.WindowsEvaluated, uint64(s.detector.Evaluated-evalBefore))
-	})
+	}
 	an.Round(now)
 }
 
@@ -550,15 +567,17 @@ func (an *Analyzer) Blacklist() map[component.ID]time.Duration {
 }
 
 // Shards returns the number of live task shards.
-func (an *Analyzer) Shards() int { return an.shards.Len() }
-
-// Stats exposes the per-stage pipeline counters.
-func (an *Analyzer) Stats() *pipeline.Counters { return &an.stats }
+func (an *Analyzer) Shards() int { return len(an.shards) }
 
 // ForgetTask drops the finished task's entire shard, including its
-// correlate series.
+// correlate series; records still in its inbox count as withdrawn.
 func (an *Analyzer) ForgetTask(task string) {
-	an.shards.Delete(task)
+	if s, ok := an.shards[task]; ok {
+		an.cfg.Obs.Add(obs.RecordsWithdrawn, uint64(len(s.inbox)))
+		delete(an.shards, task)
+		i, _ := slices.BinarySearch(an.keys, task)
+		an.keys = slices.Delete(an.keys, i, i+1)
+	}
 	if an.cfg.Correlate != nil {
 		an.cfg.Correlate.Forget(task)
 	}
@@ -568,7 +587,7 @@ func (an *Analyzer) ForgetTask(task string) {
 // stopped container. Without this, the half-open windows of pairs that
 // probed the container in its final second would read as loss.
 func (an *Analyzer) ForgetContainer(task string, containerIdx int) {
-	s, ok := an.shards.Peek(task)
+	s, ok := an.shards[task]
 	if !ok {
 		return
 	}
@@ -584,13 +603,14 @@ func (an *Analyzer) ForgetContainer(task string, containerIdx int) {
 	// Inbox records touching the container are withdrawn before they
 	// ever reach a window, and pending anomalies from those pairs are
 	// withdrawn too: the control plane told us the container left on
-	// purpose.
+	// purpose. They count as withdrawn.
 	kept := s.inbox[:0]
 	for _, rec := range s.inbox {
 		if rec.SrcContainer != containerIdx && rec.DstContainer != containerIdx {
 			kept = append(kept, rec)
 		}
 	}
+	an.cfg.Obs.Add(obs.RecordsWithdrawn, uint64(len(s.inbox)-len(kept)))
 	s.inbox = kept
 	var keptPending []detect.Anomaly
 	for _, a := range s.pending {

@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/overlay"
 	"skeletonhunter/internal/parallelism"
-	"skeletonhunter/internal/pipeline"
 	"skeletonhunter/internal/probe"
 	"skeletonhunter/internal/sim"
 	"skeletonhunter/internal/topology"
@@ -169,6 +169,33 @@ func TestAnalyzerForgetTask(t *testing.T) {
 	}
 }
 
+// TestShardKeysStaySorted pins the shard map's fan-out and merge
+// order: keys are created once, kept ascending through inserts and
+// deletes, and always match the map.
+func TestShardKeysStaySorted(t *testing.T) {
+	r := newRig(t)
+	an := New(r.eng, r.an.Localizer, Config{})
+	for _, k := range []string{"task-3", "task-1", "task-10", "task-2", "task-2"} {
+		an.WarmShard(k)
+	}
+	if want := []string{"task-1", "task-10", "task-2", "task-3"}; !slices.Equal(an.keys, want) {
+		t.Fatalf("keys = %v, want %v", an.keys, want)
+	}
+	an.ForgetTask("task-10")
+	an.ForgetTask("task-10") // forgetting twice is a no-op
+	if want := []string{"task-1", "task-2", "task-3"}; !slices.Equal(an.keys, want) {
+		t.Fatalf("keys after forget = %v, want %v", an.keys, want)
+	}
+	if an.Shards() != len(an.keys) {
+		t.Fatalf("%d shards for %d keys", an.Shards(), len(an.keys))
+	}
+	for _, k := range an.keys {
+		if an.shards[k] == nil || an.shards[k].task != k {
+			t.Fatalf("key %s has no matching shard", k)
+		}
+	}
+}
+
 func TestAlarmComponentsDeduplicated(t *testing.T) {
 	al := Alarm{Verdicts: []localize.Verdict{
 		{Components: []component.ID{"rnic/h1/r0", "vswitch/h1"}},
@@ -311,7 +338,7 @@ func TestPathMemoryRingKeepsNewest(t *testing.T) {
 		an.IngestBatch(probe.Batch{rec})
 	}
 	an.Round(r.eng.Now())
-	s, ok := an.shards.Peek(string(r.task.ID))
+	s, ok := an.shards[string(r.task.ID)]
 	if !ok || len(s.pairs) != 1 {
 		t.Fatal("no shard state for the probed pair")
 	}
@@ -344,14 +371,14 @@ func TestAnalyzerInboxShedsOverflow(t *testing.T) {
 	}
 	an.IngestBatch(batch)
 	an.IngestBatch(nil)
-	if got := an.Stats().Get(pipeline.StageIngest); got != 5 {
+	if got := st.Get(obs.RecordsIngested); got != 5 {
 		t.Fatalf("ingest stage counted %d records, want 5", got)
 	}
 	if shed := st.Get(obs.RecordsShed); shed != 3 {
 		t.Fatalf("shed %d records, want 3", shed)
 	}
 	an.Round(r.eng.Now())
-	if got := an.Stats().Get(pipeline.StageDetect); got != 5 {
+	if got := st.Get(obs.RecordsDrained); got != 5 {
 		t.Fatalf("detect stage drained %d records, want 5", got)
 	}
 }

@@ -38,11 +38,12 @@ func (an *Analyzer) SnapshotState() Snapshot {
 }
 
 // Crash models the streaming job dying: every shard (detector windows,
-// pair maps, inboxes), alarm and blacklist entry is lost. Periodic
+// pair maps, inboxes — their records count as withdrawn), alarm and
+// blacklist entry is lost. Periodic
 // rounds keep ticking — an empty analyzer's rounds raise nothing — so
 // the engine schedule is undisturbed.
 func (an *Analyzer) Crash() {
-	an.shards = newShardMap(an)
+	an.resetShards()
 	an.alarms = nil
 	an.blacklist = make(map[component.ID]time.Duration)
 }
@@ -52,7 +53,7 @@ func (an *Analyzer) Crash() {
 // and the snapshotted alarms/blacklist become the live ones, copied so
 // later appends never touch the checkpoint.
 func (an *Analyzer) RestoreState(s Snapshot) {
-	an.shards = newShardMap(an)
+	an.resetShards()
 	an.alarms = append([]Alarm(nil), s.Alarms...)
 	an.blacklist = make(map[component.ID]time.Duration, len(s.Blacklist))
 	for k, v := range s.Blacklist {

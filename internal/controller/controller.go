@@ -95,7 +95,7 @@ type Controller struct {
 	// restored ones.
 	epoch uint64
 	// down models the crashed window between Crash and Restore: every
-	// mutation is dropped and PingList serves nothing, like a dead
+	// mutation is dropped and PingListInto serves nothing, like a dead
 	// process.
 	down bool
 
@@ -352,34 +352,17 @@ func (c *Controller) SetFrozen(frozen bool) {
 	}
 }
 
-// PingList returns the active probe targets for one source container:
-// the current-phase list filtered to leased destinations (and a leased
-// source — an unregistered agent probes nothing). While frozen
-// (SetFrozen) the caller gets the snapshot cached at its first frozen
-// query instead. A crashed (down) controller serves nothing.
-func (c *Controller) PingList(id cluster.TaskID, srcContainer int) []Target {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.down {
-		return nil
-	}
-	if c.frozen {
-		k := frozenKey{task: id, src: srcContainer}
-		if list, ok := c.cache[k]; ok {
-			return list
-		}
-		list := c.pingListLocked(id, srcContainer)
-		c.cache[k] = list
-		return list
-	}
-	return c.pingListLocked(id, srcContainer)
-}
-
-// PingListInto is the buffer-reusing form of PingList for high-rate
-// callers (the probe round engine queries once per agent per round):
-// targets are appended to buf's backing array from index 0 and the
-// filled slice is returned. The caller owns buf; frozen-cache snapshots
-// are copied out, never aliased.
+// PingListInto returns the active probe targets for one source
+// container: the current-phase list filtered to leased destinations
+// (and a leased source — an unregistered agent probes nothing). While
+// frozen (SetFrozen) the caller gets the snapshot cached at its first
+// frozen query instead. A crashed (down) controller serves nothing.
+//
+// Targets are appended to buf's backing array from index 0 and the
+// filled slice is returned, so high-rate callers (the probe round
+// engine queries once per agent per round) reuse one buffer; a nil buf
+// gets a fresh slice, nil when there are no targets. The caller owns
+// buf; frozen-cache snapshots are copied out, never aliased.
 func (c *Controller) PingListInto(id cluster.TaskID, srcContainer int, buf []Target) []Target {
 	buf = buf[:0]
 	c.mu.Lock()
@@ -391,16 +374,12 @@ func (c *Controller) PingListInto(id cluster.TaskID, srcContainer int, buf []Tar
 		k := frozenKey{task: id, src: srcContainer}
 		list, ok := c.cache[k]
 		if !ok {
-			list = c.pingListLocked(id, srcContainer)
+			list = c.pingListIntoLocked(id, srcContainer, nil)
 			c.cache[k] = list
 		}
 		return append(buf, list...)
 	}
 	return c.pingListIntoLocked(id, srcContainer, buf)
-}
-
-func (c *Controller) pingListLocked(id cluster.TaskID, srcContainer int) []Target {
-	return c.pingListIntoLocked(id, srcContainer, nil)
 }
 
 func (c *Controller) pingListIntoLocked(id cluster.TaskID, srcContainer int, out []Target) []Target {

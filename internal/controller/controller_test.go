@@ -68,7 +68,7 @@ func TestPreloadHappensAtSubmission(t *testing.T) {
 func TestIncrementalActivation(t *testing.T) {
 	eng, _, task, ctl := makeTask(t)
 	// No agent registered: nothing probes.
-	if got := ctl.PingList(task.ID, 0); got != nil {
+	if got := ctl.PingListInto(task.ID, 0, nil); got != nil {
 		t.Fatalf("unregistered source got %d targets", len(got))
 	}
 	// Run until all containers are Running (registered via events).
@@ -78,18 +78,18 @@ func TestIncrementalActivation(t *testing.T) {
 			t.Fatalf("container %d not registered", i)
 		}
 	}
-	list := ctl.PingList(task.ID, 0)
+	list := ctl.PingListInto(task.ID, 0, nil)
 	if len(list) != 24 { // 3 destinations × 8 rails
 		t.Fatalf("active targets for c0 = %d, want 24", len(list))
 	}
 	// Deregistration shrinks the list.
 	ctl.Deregister(task.ID, 1)
-	list = ctl.PingList(task.ID, 0)
+	list = ctl.PingListInto(task.ID, 0, nil)
 	if len(list) != 16 {
 		t.Fatalf("targets after deregister = %d, want 16", len(list))
 	}
 	// A deregistered source probes nothing.
-	if got := ctl.PingList(task.ID, 1); got != nil {
+	if got := ctl.PingListInto(task.ID, 1, nil); got != nil {
 		t.Fatalf("deregistered source got %d targets", len(got))
 	}
 }
@@ -99,7 +99,7 @@ func TestPartialRegistrationAvoidsStartupFalseProbes(t *testing.T) {
 	// Only containers 0 and 2 registered: 0 must target only 2.
 	ctl.Register(task.ID, 0)
 	ctl.Register(task.ID, 2)
-	list := ctl.PingList(task.ID, 0)
+	list := ctl.PingListInto(task.ID, 0, nil)
 	if len(list) != 8 {
 		t.Fatalf("targets = %d, want 8 (one registered peer)", len(list))
 	}
@@ -133,7 +133,7 @@ func TestApplySkeletonSwitchesPhase(t *testing.T) {
 	if st.CurrentTargets != 8 { // 4 pairs × 2 directions
 		t.Fatalf("skeleton targets = %d, want 8", st.CurrentTargets)
 	}
-	list := ctl.PingList(task.ID, 0)
+	list := ctl.PingListInto(task.ID, 0, nil)
 	if len(list) != 2 { // to containers 1 and 3, rail 0
 		t.Fatalf("c0 skeleton targets = %d, want 2", len(list))
 	}

@@ -27,7 +27,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStats, _ := ctl.StatsOf(task.ID)
-	wantList := ctl.PingList(task.ID, 0)
+	wantList := ctl.PingListInto(task.ID, 0, nil)
 	wantRegs := ctl.Registrations(task.ID)
 	if len(wantRegs) != task.NumContainers() {
 		t.Fatalf("registrations = %d, want %d", len(wantRegs), task.NumContainers())
@@ -41,7 +41,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !ctl.Down() {
 		t.Fatal("controller not down after Crash")
 	}
-	if got := ctl.PingList(task.ID, 0); got != nil {
+	if got := ctl.PingListInto(task.ID, 0, nil); got != nil {
 		t.Fatalf("down controller served %d targets", len(got))
 	}
 	// Mutations while down are dropped like writes to a dead process.
@@ -63,7 +63,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if got, _ := ctl.StatsOf(task.ID); got.Phase != wantStats.Phase {
 		t.Fatalf("phase after restore = %v, want %v", got.Phase, wantStats.Phase)
 	}
-	if got := ctl.PingList(task.ID, 0); !reflect.DeepEqual(got, wantList) {
+	if got := ctl.PingListInto(task.ID, 0, nil); !reflect.DeepEqual(got, wantList) {
 		t.Fatalf("ping list after restore = %+v, want %+v", got, wantList)
 	}
 	// Every restored lease is stale (granted by epoch 1) with an expiry.
@@ -95,13 +95,13 @@ func TestRestoredLeasesExpireWithoutRenewal(t *testing.T) {
 	if _, err := ctl.Restore(snap, resolve); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl.PingList(task.ID, 0); len(got) == 0 {
+	if got := ctl.PingListInto(task.ID, 0, nil); len(got) == 0 {
 		t.Fatal("restored lease not serving inside the grace window")
 	}
 	// Nobody renews; past the grace window the leases lapse and the
 	// ping lists empty out instead of pointing at ghosts forever.
 	eng.RunUntil(11 * time.Minute)
-	if got := ctl.PingList(task.ID, 0); got != nil {
+	if got := ctl.PingListInto(task.ID, 0, nil); got != nil {
 		t.Fatalf("expired lease still serving %d targets", len(got))
 	}
 	if got := ctl.Registrations(task.ID); len(got) != 0 {
@@ -165,7 +165,7 @@ func TestSnapshotDeterministicFingerprint(t *testing.T) {
 
 func TestPingListInto(t *testing.T) {
 	_, task, ctl, _ := steadyController(t)
-	want := ctl.PingList(task.ID, 0)
+	want := ctl.PingListInto(task.ID, 0, nil)
 	if len(want) == 0 {
 		t.Fatal("steady controller serves no targets")
 	}

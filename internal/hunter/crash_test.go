@@ -50,7 +50,7 @@ func TestCheckpointRecoveryRoundTrip(t *testing.T) {
 	if got := len(d.Analyzer.Alarms()); got != 0 {
 		t.Fatalf("crash left %d alarms behind", got)
 	}
-	if got := d.Controller.PingList(task.ID, 0); got != nil {
+	if got := d.Controller.PingListInto(task.ID, 0, nil); got != nil {
 		t.Fatalf("dead controller served %d targets", len(got))
 	}
 	// A dead process writes no checkpoints — and must not clobber the

@@ -26,7 +26,6 @@ import (
 	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/overlay"
 	"skeletonhunter/internal/parallelism"
-	"skeletonhunter/internal/pipeline"
 	"skeletonhunter/internal/probe"
 	"skeletonhunter/internal/remedy"
 	"skeletonhunter/internal/sim"
@@ -47,8 +46,9 @@ type Options struct {
 	Detect detect.Config
 	// AnalysisInterval is the analyzer round period (default 30 s).
 	AnalysisInterval time.Duration
-	// Workers bounds the analyzer's per-round fan-out across task
-	// shards (default GOMAXPROCS). Alarms are bit-identical at any
+	// Workers sizes the one task-pinned worker pool (probe.FanOut) that
+	// both the probe round and the analysis round fan their task shards
+	// out on; <= 0 means GOMAXPROCS. Alarms are bit-identical at any
 	// value; this only trades wall-clock for cores.
 	Workers int
 	// ProbeInterval is the agents' probing round period (default 1 s).
@@ -140,7 +140,8 @@ type Deployment struct {
 	API *apiserver.Server
 	// Obs is the deployment-wide self-monitoring surface: one Stats
 	// shared by the agents, the log store, and the analyzer. Read it
-	// via Stats(), which folds in the pipeline's per-stage counts.
+	// via Stats(), which repeats the analyzer's per-stage counts under
+	// "pipeline-<stage>" keys.
 	Obs *obs.Stats
 
 	// OnAlarm, when set, receives every alarm after the deployment's
@@ -693,14 +694,22 @@ func (d *Deployment) RevalidateSkeleton(task *cluster.Task, obsWindow time.Durat
 // Agents returns the number of live sidecar agents.
 func (d *Deployment) Agents() int { return len(d.agents) }
 
+// pipelineStages maps each analyzer stage to the obs counter it counts
+// into.
+var pipelineStages = map[string]obs.Counter{
+	"ingest":   obs.RecordsIngested,
+	"detect":   obs.RecordsDrained,
+	"localize": obs.AnomaliesDetected,
+	"alarm":    obs.AlarmsRaised,
+}
+
 // Stats snapshots the deployment's self-monitoring state: every obs
-// counter and histogram, with the analyzer's per-stage pipeline counts
-// folded in under "pipeline-<stage>" keys.
+// counter and histogram, with the analyzer's per-stage counts repeated
+// under "pipeline-<stage>" keys.
 func (d *Deployment) Stats() obs.Snapshot {
 	snap := d.Obs.Snapshot()
-	pc := d.Analyzer.Stats()
-	for _, s := range pipeline.Stages() {
-		snap.Counters["pipeline-"+s.String()] = pc.Get(s)
+	for stage, c := range pipelineStages {
+		snap.Counters["pipeline-"+stage] = snap.Counters[c.String()]
 	}
 	// Worker utilization of the parallel round engine: busy time over
 	// offered capacity (wall × workers), as a percentage.

@@ -79,7 +79,7 @@ func (b *transportBackend) Deregister(task string, container int) error {
 // PingList implements transport.Backend.
 func (b *transportBackend) PingList(task string, container int) ([]transport.Target, error) {
 	d := b.dep()
-	targets := d.Controller.PingList(cluster.TaskID(task), container)
+	targets := d.Controller.PingListInto(cluster.TaskID(task), container, nil)
 	out := make([]transport.Target, 0, len(targets))
 	for _, t := range targets {
 		out = append(out, transport.Target{

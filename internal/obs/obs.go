@@ -48,6 +48,14 @@ const (
 	// RecordsShed counts probe records refused by a full shard inbox —
 	// the analyzer's counted load-shedding under telemetry storms.
 	RecordsShed
+	// RecordsDrained counts inbox records drained into the detectors —
+	// the analysis pipeline's detect stage.
+	RecordsDrained
+	// RecordsWithdrawn counts inbox records dropped before reaching a
+	// detector: a gracefully stopped container's, a finished task's, or
+	// an analyzer crash's. Once the analyzer is flushed, every ingested
+	// record is drained or withdrawn.
+	RecordsWithdrawn
 	// RecordsLogged counts records retained by the log store.
 	RecordsLogged
 	// IndexKeysDropped is never incremented: the log store it counted
@@ -162,6 +170,8 @@ var counterNames = [numCounters]string{
 	BatchesReordered:        "batches-reordered",
 	RecordsIngested:         "records-ingested",
 	RecordsShed:             "records-shed",
+	RecordsDrained:          "records-drained",
+	RecordsWithdrawn:        "records-withdrawn",
 	RecordsLogged:           "records-logged",
 	IndexKeysDropped:        "index-keys-dropped",
 	WindowsEvaluated:        "windows-evaluated",

@@ -1,8 +1,9 @@
 // Parallel round engine: instead of one simulation event per agent per
 // round, all agents sharing a phase (due time) fire as ONE event, whose
 // handler shards the work by task and fans it out over worker
-// goroutines. The simulation clock stays frozen for the duration of the
-// event — concurrency lives entirely inside it, which is the engine's
+// goroutines (FanOut, the pool the analysis round runs on too). The
+// simulation clock stays frozen for the duration of the event —
+// concurrency lives entirely inside it, which is the engine's
 // concurrency contract (see internal/sim).
 //
 // Determinism: probe outcomes depend only on per-probe keyed RNG (see
@@ -28,8 +29,8 @@ import (
 // ShardSink lands grouped rounds shard-by-shard without a global lock
 // on the hot path. Prepare and Land run serially on the engine
 // goroutine (before and after the parallel section); Consume runs on
-// worker goroutines, but never concurrently for the same task — the
-// engine pins each task to one worker slot. A batch is valid until its
+// worker goroutines, but never concurrently for the same task — FanOut
+// pins each task to one worker slot. A batch is valid until its
 // agent's next round, so the one Consume saw is the one Land sees.
 type ShardSink interface {
 	// FastOK reports whether the sink can take this round through the
@@ -55,11 +56,13 @@ type ShardSink interface {
 // fires one simulation event per distinct due time, and re-buckets each
 // live agent at now+Interval — so round timestamps are identical to
 // ticker mode, only the event count and the execution strategy differ.
+// Each fire fans its task spans out through FanOut, the task-pinned
+// pool the analysis round also runs on.
 type RoundEngine struct {
 	Sim *sim.Engine
 	Net *netsim.Net
-	// Workers bounds the round's fan-out; <=1 (or a single task) runs
-	// inline on the engine goroutine. Defaults to GOMAXPROCS when 0.
+	// Workers bounds the round's fan-out (<= 0 means GOMAXPROCS); one
+	// worker or a single task runs inline on the engine goroutine.
 	Workers int
 	// Sink, when set and willing (FastOK), receives rounds through the
 	// sharded fast path; otherwise each agent delivers serially through
@@ -74,14 +77,12 @@ type RoundEngine struct {
 	run     []*OverlayAgent    // reused per-fire scratch
 	tasks   []cluster.TaskID   // reused per-fire scratch
 	spans   []taskSpan         // reused per-fire scratch
+	pool    Pool               // per-slot fan-out scratch
 }
 
 // taskSpan is one task's contiguous run of agents in the sorted round
 // slice — the unit of worker assignment.
-type taskSpan struct {
-	task   cluster.TaskID
-	lo, hi int
-}
+type taskSpan struct{ lo, hi int }
 
 // Add enrolls an agent; its first grouped round fires one interval from
 // now, exactly when its ticker-mode round would have.
@@ -98,13 +99,6 @@ func (re *RoundEngine) scheduleAt(a *OverlayAgent, due time.Duration) {
 	if !scheduled {
 		re.Sim.Schedule(due, "probe-round-group", re.fire)
 	}
-}
-
-func (re *RoundEngine) workers() int {
-	if re.Workers > 0 {
-		return re.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // fire runs one grouped round: serial prologue in sorted agent order,
@@ -166,7 +160,7 @@ func (re *RoundEngine) execute(run []*OverlayAgent, now time.Duration) {
 		for hi < len(run) && run[hi].Task.ID == run[lo].Task.ID {
 			hi++
 		}
-		spans = append(spans, taskSpan{task: run[lo].Task.ID, lo: lo, hi: hi})
+		spans = append(spans, taskSpan{lo: lo, hi: hi})
 		tasks = append(tasks, run[lo].Task.ID)
 		lo = hi
 	}
@@ -177,53 +171,18 @@ func (re *RoundEngine) execute(run []*OverlayAgent, now time.Duration) {
 		re.Sink.Prepare(tasks)
 	}
 
-	workers := re.workers()
-	if workers > len(spans) {
-		workers = len(spans)
+	slots := slotCount(re.Workers, len(spans))
+	for len(re.ctxs) < slots {
+		re.ctxs = append(re.ctxs, re.Net.NewProbeCtx())
 	}
-	re.ctxGrow(workers)
 	start := time.Now()
-	if workers <= 1 {
-		ctx := re.ctx(0)
-		busy := time.Now()
-		for _, sp := range spans {
-			re.runSpan(ctx, sp, run, now, fast)
-		}
-		re.Obs.Add(obs.WorkerBusyNanos, uint64(time.Since(busy)))
-		// Offered capacity = parallel-section wall × 1 worker, measured
-		// from the same start as the parallel branch — recording busy
-		// time here instead pinned utilization at 100% regardless of
-		// -workers, making the percentage incomparable across counts.
-		re.Obs.Add(obs.WorkerWallNanos, uint64(time.Since(start)))
-	} else {
-		// Stable task→slot affinity, no work stealing: a task's agents
-		// always execute on the same slot (trace-cache locality across
-		// rounds), and a task's batches are consumed by exactly one
-		// goroutine (the ShardSink contract).
-		perSlot := make([][]taskSpan, workers)
-		for _, sp := range spans {
-			w := int(taskSlotHash(sp.task) % uint64(workers))
-			perSlot[w] = append(perSlot[w], sp)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			if len(perSlot[w]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w int, sps []taskSpan) {
-				defer wg.Done()
-				busy := time.Now()
-				ctx := re.ctx(w)
-				for _, sp := range sps {
-					re.runSpan(ctx, sp, run, now, fast)
-				}
-				re.Obs.Add(obs.WorkerBusyNanos, uint64(time.Since(busy)))
-			}(w, perSlot[w])
-		}
-		wg.Wait()
-		re.Obs.Add(obs.WorkerWallNanos, uint64(time.Since(start))*uint64(workers))
-	}
+	FanOut(&re.pool, re.Workers, tasks, func(slot, i int) {
+		re.runSpan(re.ctxs[slot], spans[i], run, now, fast)
+	})
+	// Offered capacity: the fan-out's wall time × the slots it ran on,
+	// measured from one start whatever the slot count, so utilization
+	// (busy/wall) compares across -workers values.
+	re.Obs.Add(obs.WorkerWallNanos, uint64(time.Since(start))*uint64(slots))
 
 	// Round barrier: merge worker queue tallies as integers (one float
 	// update per touched node — partitioning-independent) and trace-cache
@@ -262,26 +221,75 @@ func (re *RoundEngine) runSpan(ctx *netsim.ProbeCtx, sp taskSpan, run []*Overlay
 			re.Sink.Consume(a.batch)
 		}
 	}
-	re.Obs.ObserveDuration("stage-probe-ms", time.Since(t0))
+	d := time.Since(t0)
+	re.Obs.Add(obs.WorkerBusyNanos, uint64(d))
+	re.Obs.ObserveDuration("stage-probe-ms", d)
 }
 
-// ctx returns worker slot w's probe context, creating it on first use.
-// Slots are created serially before the parallel section touches them
-// (execute calls ctx(0) inline or each goroutine its own fixed slot;
-// the slice is grown here only from the engine goroutine via ctxGrow).
-func (re *RoundEngine) ctx(w int) *netsim.ProbeCtx {
-	return re.ctxs[w]
+// Pool is the one worker pool task-sharded work runs on: the probe
+// round (RoundEngine) and the analysis round (analyzer.Analyzer) both
+// fan out through FanOut. Each task is pinned to worker slot
+// taskSlotHash(task) % slots, with no work stealing, so a task runs on
+// exactly one goroutine per fan-out (its shard state needs no lock) and
+// on the same slot fan-out after fan-out (trace-cache locality). A Pool
+// holds the per-slot scratch and is used by one caller at a time.
+type Pool struct {
+	slots [][]int // per-slot task indices, reused across fan-outs
+	wg    sync.WaitGroup
 }
 
-// ctxGrow makes sure worker slots [0, n) exist. Runs serially.
-func (re *RoundEngine) ctxGrow(n int) {
-	for len(re.ctxs) < n {
-		re.ctxs = append(re.ctxs, re.Net.NewProbeCtx())
+// slotCount is how many worker slots a fan-out of n tasks runs on:
+// workers (GOMAXPROCS when <= 0), capped at n.
+func slotCount(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	return min(workers, n)
+}
+
+// FanOut calls fn(slot, i) exactly once for every i in [0, len(tasks))
+// and returns when every call has. tasks[i] runs on slot
+// taskSlotHash(tasks[i]) % slots, and each slot runs its tasks in
+// ascending i; a single task or a single worker runs inline on the
+// caller's goroutine. fn must confine its writes to state task i owns
+// and write its result by index, so results read back in ascending i —
+// the deterministic merge — are the same at any worker count.
+func FanOut[K ~string](p *Pool, workers int, tasks []K, fn func(slot, i int)) {
+	n := slotCount(workers, len(tasks))
+	if n <= 1 {
+		for i := range tasks {
+			fn(0, i)
+		}
+		return
+	}
+	for len(p.slots) < n {
+		p.slots = append(p.slots, nil)
+	}
+	slots := p.slots[:n]
+	for w := range slots {
+		slots[w] = slots[w][:0]
+	}
+	for i, t := range tasks {
+		w := taskSlotHash(string(t)) % uint64(n)
+		slots[w] = append(slots[w], i)
+	}
+	for w, idx := range slots {
+		if len(idx) == 0 {
+			continue
+		}
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			for _, i := range idx {
+				fn(w, i)
+			}
+		}()
+	}
+	p.wg.Wait()
 }
 
 // taskSlotHash is the stable task→worker-slot hash (FNV-1a).
-func taskSlotHash(t cluster.TaskID) uint64 {
+func taskSlotHash(t string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(t))
 	return h.Sum64()
