@@ -444,6 +444,7 @@ func BenchmarkAblationLongTerm(b *testing.B) {
 			}
 		})
 		key := detect.PairKey{Task: "drift", DstContainer: 1}
+		var st detect.Pair
 		r := rand.New(rand.NewSource(9))
 		median := 16.0
 		at := time.Duration(0)
@@ -451,12 +452,12 @@ func BenchmarkAblationLongTerm(b *testing.B) {
 			dist := stats.LogNormal{Mu: math.Log(median), Sigma: 0.08}
 			for i := 0; i < 30; i++ {
 				rtt := time.Duration(dist.Sample(r) * float64(time.Microsecond))
-				d.ObserveMany(key, []detect.Sample{{At: at, RTT: rtt}})
+				d.ObserveMany(key, &st, []detect.Sample{{At: at, RTT: rtt}})
 				at += time.Second
 			}
 			median *= 1.003 // +0.3 % per 30 s window
 		}
-		d.Flush(at)
+		d.Flush(key, &st, at)
 		return short, long
 	}
 	var shortOnly, longSeen bool

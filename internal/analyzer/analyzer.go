@@ -8,13 +8,14 @@
 // In production this role is played by a log service plus a keyed
 // streaming compute job (Flink) partitioned by training task; here the
 // same shape runs in-process: the analyzer is a set of per-task shards,
-// each owning its own detector state, pair map and healthy-observation
-// ring. Agent batches land in their task's shard inbox (ingest stage);
-// each analysis round fans the shards out over probe.FanOut — the same
-// task-pinned worker pool the probe round runs on — where every shard
-// drains its inbox through its detector (window/detect stage) and
-// disentangles its pending anomalies (localize stage); then it fans
-// back in with a deterministic merge:
+// each owning one pair table (per pair: detector windows, recent paths
+// and overlay endpoints) and a healthy-observation ring. Agent batches
+// land in their task's shard inbox as 64-byte entries that point at
+// their pair's slot (ingest stage); each analysis round fans the shards
+// out over probe.FanOut — the same task-pinned worker pool the probe
+// round runs on — where every shard drains its inbox into its slots and
+// detector (window/detect stage) and disentangles its pending anomalies
+// (localize stage); then it fans back in with a deterministic merge:
 // shards are visited in ascending task-key order and their anomalies
 // and verdicts concatenated in that order (alarm stage). The merge rule
 // is what makes the same seed produce bit-identical alarms at any
@@ -22,6 +23,8 @@
 package analyzer
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -82,14 +85,6 @@ type Config struct {
 	// Results are identical at any value; this only trades wall-clock
 	// for cores.
 	Workers int
-	// InboxLimit bounds each shard's inbox — records waiting for the
-	// next analysis round. When rounds fall behind (an injected delay,
-	// a real stall) the inbox fills and further records are shed with
-	// a counter bump instead of growing memory without bound: a
-	// telemetry storm degrades recall gracefully rather than taking
-	// the analyzer down with it. Default 65536 records per shard;
-	// negative means unbounded.
-	InboxLimit int
 	// Obs receives the analyzer's self-monitoring counters and stage
 	// timings. Nil disables collection at negligible cost.
 	Obs *obs.Stats
@@ -111,18 +106,58 @@ func (c Config) withDefaults() Config {
 	if c.HealthyMemory == 0 {
 		c.HealthyMemory = 512
 	}
-	if c.InboxLimit == 0 {
-		c.InboxLimit = 65536
-	}
 	return c
 }
 
-type pairInfo struct {
+// pairKey is a pair's shard-local key: its task-local coordinates (src
+// container, src rail, dst container, dst rail), 16 bits each, packed so
+// that integer order is the canonical (lexicographic) pair order.
+type pairKey uint64
+
+func keyOf(sc, sr, dc, dr int) pairKey {
+	if uint(sc|sr|dc|dr) > 0xffff {
+		panic(fmt.Sprintf("analyzer: pair c%d/r%d→c%d/r%d outside 16-bit coordinates", sc, sr, dc, dr))
+	}
+	return pairKey(sc)<<48 | pairKey(sr)<<32 | pairKey(dc)<<16 | pairKey(dr)
+}
+
+// detectKey expands k into the detector's task-qualified pair key.
+func (k pairKey) detectKey(task string) detect.PairKey {
+	return detect.PairKey{
+		Task:         task,
+		SrcContainer: int(k >> 48), SrcRail: int(k >> 32 & 0xffff),
+		DstContainer: int(k >> 16 & 0xffff), DstRail: int(k & 0xffff),
+	}
+}
+
+// touches reports whether the pair has container c at either end.
+func (k pairKey) touches(c int) bool {
+	return int(k>>48) == c || int(k>>16&0xffff) == c
+}
+
+// slot is one pair's entry in its shard's pair table: everything the
+// analyzer keeps per pair, stored once.
+type slot struct {
+	det detect.Pair
+	// src and dst are the endpoints as the pair's newest drained run
+	// probed them, so evidence follows a migrated or restarted container.
 	src, dst overlay.Addr
 	// paths holds the pair's last PathMemory probe paths, oldest first:
 	// a copy-shift ring, so a full memory admits a path without
 	// reallocating.
 	paths [][]topology.LinkID
+}
+
+// entry is one probe record waiting in a shard inbox, cut down to what
+// drain reads — including the endpoint hosts, which a migration or
+// restart can change mid-round: 64 bytes against a probe.Record's 176.
+type entry struct {
+	At, RTT          time.Duration
+	Path             []topology.LinkID
+	key              pairKey
+	slot             int32
+	srcHost, dstHost int32
+	lost             bool
 }
 
 // shard is the per-task analysis partition: the keyed unit of the
@@ -132,13 +167,17 @@ type shard struct {
 	task     string
 	cfg      Config
 	detector *detect.Detector
-	inbox    []probe.Record // records awaiting the window/detect stage
-	pending  []detect.Anomaly
-	pairs    map[detect.PairKey]*pairInfo
-	healthy  []localize.Observation
-	hIdx     int
-	// samples is a reusable buffer for grouping a pair's contiguous
-	// records into one ObserveMany call.
+	// index and slots are the pair table; free lists slots a forgotten
+	// pair left for reuse. Slot positions never reach an output.
+	index   map[pairKey]int32
+	slots   []slot
+	free    []int32
+	inbox   []entry // records awaiting the window/detect stage
+	pending []detect.Anomaly
+	healthy []localize.Observation
+	hIdx    int
+	// samples is a reusable buffer for one pair run's samples: the
+	// detector and the correlate layer both read it.
 	samples []detect.Sample
 	// locScratch is the shard's reusable localization workspace (vote
 	// accumulator and link interner); per-shard votes merge at the round
@@ -147,112 +186,106 @@ type shard struct {
 }
 
 func newShard(task string, cfg Config) *shard {
-	s := &shard{task: task, cfg: cfg, pairs: make(map[detect.PairKey]*pairInfo)}
+	s := &shard{task: task, cfg: cfg, index: make(map[pairKey]int32)}
 	s.detector = detect.New(cfg.Detect, func(a detect.Anomaly) {
 		s.pending = append(s.pending, a)
 	})
 	return s
 }
 
-// enqueue admits records into the inbox up to the configured bound,
-// shedding (and counting) the overflow. Newest records are shed first:
-// the retained prefix preserves sample ordering, which the detector's
-// windowing assumes.
-func (s *shard) enqueue(recs ...probe.Record) (accepted int) {
-	if limit := s.cfg.InboxLimit; limit > 0 {
-		if room := limit - len(s.inbox); room < len(recs) {
-			if room < 0 {
-				room = 0
-			}
-			s.cfg.Obs.Add(obs.RecordsShed, uint64(len(recs)-room))
-			recs = recs[:room]
-		}
+// slotOf returns the pair's slot, taking a free one (or a new one) for
+// a pair seen for the first time, with rec's endpoints.
+func (s *shard) slotOf(k pairKey, rec *probe.Record) int32 {
+	if i, ok := s.index[k]; ok {
+		return i
 	}
-	s.inbox = append(s.inbox, recs...)
-	s.cfg.Obs.Add(obs.RecordsIngested, uint64(len(recs)))
-	return len(recs)
+	var i int32
+	if n := len(s.free); n > 0 {
+		i, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		i = int32(len(s.slots))
+		s.slots = append(s.slots, slot{})
+	}
+	s.slots[i].src, s.slots[i].dst = rec.Src, rec.Dst
+	s.index[k] = i
+	return i
 }
 
-// drain runs the window/detect stage: every inbox record flows through
-// the pair map and the detector. The inbox is first restored to
-// canonical order — observation time, then pair identity — so the
-// round is a pure function of the window's record set, not of how
-// delivery interleaved the agents' batches (arrival order between
-// agents is an accident of transport scheduling; each agent's own
-// records already carry ascending timestamps). The sort also groups a
-// pair's records contiguously, so grouping by consecutive runs gives
-// one detector lookup per pair per round.
+// enqueue admits one agent round's records into the inbox, resolving
+// each pair run's slot once. Nothing is refused: an entry is small
+// enough that a stalled round's backlog fits.
+func (s *shard) enqueue(recs probe.Batch) {
+	runKey, runIdx := pairKey(0), int32(-1)
+	for i := range recs {
+		rec := &recs[i]
+		k := keyOf(rec.SrcContainer, rec.SrcRail, rec.DstContainer, rec.DstRail)
+		if runIdx < 0 || k != runKey {
+			runKey, runIdx = k, s.slotOf(k, rec)
+		}
+		s.inbox = append(s.inbox, entry{
+			At: rec.At, RTT: rec.RTT, Path: rec.Path,
+			key: k, slot: runIdx,
+			srcHost: int32(rec.Src.Host), dstHost: int32(rec.Dst.Host),
+			lost: rec.Lost,
+		})
+	}
+	s.cfg.Obs.Add(obs.RecordsIngested, uint64(len(recs)))
+}
+
+// canonical orders inbox entries by observation time, then pair.
+func canonical(a, b entry) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.key, b.key)
+}
+
+// drain runs the window/detect stage: every inbox entry flows into its
+// pair's slot and the detector. The inbox is first restored to
+// canonical order — observation time, then pair — so the round is a
+// pure function of the window's record set, not of how delivery
+// interleaved the agents' batches (arrival order between agents is an
+// accident of transport scheduling; each agent's own records already
+// carry ascending timestamps). The order also groups a pair's records
+// contiguously, so each run of one pair is one detector call.
 func (s *shard) drain(cs *correlate.Shard) (records int) {
 	records = len(s.inbox)
-	sort.SliceStable(s.inbox, func(i, j int) bool {
-		a, b := &s.inbox[i], &s.inbox[j]
-		if a.At != b.At {
-			return a.At < b.At
+	slices.SortStableFunc(s.inbox, canonical)
+	for lo := 0; lo < len(s.inbox); {
+		hi := lo + 1
+		for hi < len(s.inbox) && s.inbox[hi].key == s.inbox[lo].key {
+			hi++
 		}
-		if a.SrcContainer != b.SrcContainer {
-			return a.SrcContainer < b.SrcContainer
-		}
-		if a.SrcRail != b.SrcRail {
-			return a.SrcRail < b.SrcRail
-		}
-		if a.DstContainer != b.DstContainer {
-			return a.DstContainer < b.DstContainer
-		}
-		return a.DstRail < b.DstRail
-	})
-	var (
-		runKey   detect.PairKey
-		runPI    *pairInfo
-		have     bool
-		runStart int
-	)
-	flush := func(end int) {
-		if !have {
-			return
-		}
-		if len(s.samples) > 0 {
-			s.detector.ObserveMany(runKey, s.samples)
-			s.samples = s.samples[:0]
-		}
-		// The correlate layer rides the same contiguous runs the
-		// detector ingest exploits: one series lookup per pair per run.
-		if cs != nil {
-			cs.ObserveRun(s.inbox[runStart:end])
-		}
+		s.observeRun(cs, s.inbox[lo:hi])
+		lo = hi
 	}
-	for i := range s.inbox {
-		rec := &s.inbox[i]
-		key := detect.PairKey{
-			Task:         string(rec.Task),
-			SrcContainer: rec.SrcContainer, SrcRail: rec.SrcRail,
-			DstContainer: rec.DstContainer, DstRail: rec.DstRail,
-		}
-		if !have || key != runKey {
-			flush(i)
-			runKey = key
-			have = true
-			runStart = i
-			pi, ok := s.pairs[key]
-			if !ok {
-				pi = &pairInfo{src: rec.Src, dst: rec.Dst}
-				s.pairs[key] = pi
-			}
-			runPI = pi
-		}
-		if len(rec.Path) > 0 {
-			switch paths := runPI.paths; {
+	s.inbox = s.inbox[:0]
+	return records
+}
+
+// observeRun feeds one pair's run of entries into its slot: the
+// endpoints the run probed, its paths, the healthy ring, then the
+// detector and the correlate layer.
+func (s *shard) observeRun(cs *correlate.Shard, run []entry) {
+	sl := &s.slots[run[0].slot]
+	sl.src.Host, sl.dst.Host = int(run[0].srcHost), int(run[0].dstHost)
+	s.samples = s.samples[:0]
+	for i := range run {
+		e := &run[i]
+		if len(e.Path) > 0 {
+			switch paths := sl.paths; {
 			case len(paths) < s.cfg.PathMemory:
 				if paths == nil {
 					paths = make([][]topology.LinkID, 0, s.cfg.PathMemory)
 				}
-				runPI.paths = append(paths, rec.Path)
+				sl.paths = append(paths, e.Path)
 			case len(paths) > 0:
 				copy(paths, paths[1:])
-				paths[len(paths)-1] = rec.Path
+				paths[len(paths)-1] = e.Path
 			}
 		}
-		if !rec.Lost && len(rec.Path) > 0 && rec.RTT < 50*time.Microsecond {
-			ob := localize.Observation{Path: rec.Path}
+		if !e.lost && len(e.Path) > 0 && e.RTT < 50*time.Microsecond {
+			ob := localize.Observation{Path: e.Path}
 			if len(s.healthy) < s.cfg.HealthyMemory {
 				s.healthy = append(s.healthy, ob)
 			} else {
@@ -260,11 +293,27 @@ func (s *shard) drain(cs *correlate.Shard) (records int) {
 				s.hIdx++
 			}
 		}
-		s.samples = append(s.samples, detect.Sample{At: rec.At, RTT: rec.RTT, Lost: rec.Lost})
+		s.samples = append(s.samples, detect.Sample{At: e.At, RTT: e.RTT, Lost: e.lost})
 	}
-	flush(len(s.inbox))
-	s.inbox = s.inbox[:0]
-	return records
+	key := run[0].key.detectKey(s.task)
+	s.detector.ObserveMany(key, &sl.det, s.samples)
+	if cs != nil {
+		cs.ObserveRun(key, sl.src, sl.dst, s.samples)
+	}
+}
+
+// flush closes every pair's open windows at now, walking the pair
+// table in key order so the flush-path anomaly sequence is a pure
+// function of the shard's state.
+func (s *shard) flush(now time.Duration) {
+	keys := make([]pairKey, 0, len(s.index))
+	for k := range s.index {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		s.detector.Flush(k.detectKey(s.task), &s.slots[s.index[k]].det, now)
+	}
 }
 
 // localizeRound runs the localize stage over the shard's pending
@@ -276,9 +325,14 @@ func (s *shard) localizeRound(loc *localize.Localizer) ([]detect.Anomaly, []loca
 	}
 	anomalies := s.pending
 	s.pending = nil
+	return anomalies, loc.LocalizeWith(&s.locScratch, s.evidence(anomalies), s.healthy)
+}
 
-	// Build localization evidence: one entry per anomalous pair with
-	// its recent paths; anomaly types map onto localization symptoms.
+// evidence builds the localization evidence for a round's anomalies:
+// one entry per anomalous pair, in pair-key order, with the endpoints
+// and recent paths its slot holds; anomaly types map onto localization
+// symptoms.
+func (s *shard) evidence(anomalies []detect.Anomaly) []localize.Evidence {
 	byPair := map[detect.PairKey]localize.Symptom{}
 	for _, a := range anomalies {
 		sym := localize.SymptomLatency
@@ -300,15 +354,16 @@ func (s *shard) localizeRound(loc *localize.Localizer) ([]detect.Anomaly, []loca
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	var evidence []localize.Evidence
 	for _, key := range keys {
-		pi, ok := s.pairs[key]
+		i, ok := s.index[keyOf(key.SrcContainer, key.SrcRail, key.DstContainer, key.DstRail)]
 		if !ok {
 			continue
 		}
+		sl := &s.slots[i]
 		evidence = append(evidence, localize.Evidence{
-			Src: pi.src, Dst: pi.dst, Symptom: byPair[key], Paths: pi.paths,
+			Src: sl.src, Dst: sl.dst, Symptom: byPair[key], Paths: sl.paths,
 		})
 	}
-	return anomalies, loc.LocalizeWith(&s.locScratch, evidence, s.healthy)
+	return evidence
 }
 
 // Analyzer is the sharded streaming pipeline. Its ingest, detect,
@@ -336,9 +391,8 @@ type Analyzer struct {
 	// Gate, when set, is consulted at the top of every analysis round;
 	// returning true withholds the round (telemetry-fault injection:
 	// the streaming job falling behind its schedule). A withheld
-	// round's records keep accumulating in the bounded shard inboxes,
-	// so a long gate degrades into counted shedding, not unbounded
-	// memory.
+	// round's records stay queued in the shard inboxes, 64 bytes each,
+	// and the next round that runs drains them all.
 	Gate func(now time.Duration) bool
 
 	cfg     Config
@@ -404,22 +458,22 @@ func (an *Analyzer) warmCorrelate(task string) {
 
 // IngestBatch consumes one agent round's records at once — the ingest
 // stage. A batch belongs to a single task (one sidecar, one task), so
-// this is one shard lookup per round; the records wait in the shard's
-// inbox until the next round's window/detect stage drains them on the
-// worker pool.
+// this is one shard lookup per round and one slot lookup per pair run;
+// the records wait in the shard's inbox as compact entries until the
+// next round's window/detect stage drains them on the worker pool.
 func (an *Analyzer) IngestBatch(batch probe.Batch) {
 	if len(batch) == 0 {
 		return
 	}
 	an.warmCorrelate(string(batch[0].Task))
-	an.shardOf(string(batch[0].Task)).enqueue(batch...)
+	an.shardOf(string(batch[0].Task)).enqueue(batch)
 }
 
 // WarmShard pre-creates a task's shard. The parallel round engine calls
 // this serially (ShardSink.Prepare) before probe workers ingest
 // concurrently: with every round task warmed, the workers' shard
 // lookups are pure map reads and enqueue touches only shard-owned
-// state plus atomic counters.
+// state (its inbox and pair table) plus atomic counters.
 func (an *Analyzer) WarmShard(task string) {
 	an.warmCorrelate(task)
 	an.shardOf(task)
@@ -541,7 +595,7 @@ func (an *Analyzer) Flush(now time.Duration) {
 		evalBefore := s.detector.Evaluated
 		n := s.drain(cs)
 		an.cfg.Obs.Add(obs.RecordsDrained, uint64(n))
-		s.detector.Flush(now)
+		s.flush(now)
 		an.cfg.Obs.Add(obs.WindowsEvaluated, uint64(s.detector.Evaluated-evalBefore))
 	}
 	an.Round(now)
@@ -591,13 +645,11 @@ func (an *Analyzer) ForgetContainer(task string, containerIdx int) {
 	if !ok {
 		return
 	}
-	match := func(k detect.PairKey) bool {
-		return k.Task == task && (k.SrcContainer == containerIdx || k.DstContainer == containerIdx)
-	}
-	s.detector.ForgetMatching(match)
-	for k := range s.pairs {
-		if match(k) {
-			delete(s.pairs, k)
+	for k, i := range s.index {
+		if k.touches(containerIdx) {
+			delete(s.index, k)
+			s.slots[i] = slot{}
+			s.free = append(s.free, i)
 		}
 	}
 	// Inbox records touching the container are withdrawn before they
@@ -605,16 +657,16 @@ func (an *Analyzer) ForgetContainer(task string, containerIdx int) {
 	// withdrawn too: the control plane told us the container left on
 	// purpose. They count as withdrawn.
 	kept := s.inbox[:0]
-	for _, rec := range s.inbox {
-		if rec.SrcContainer != containerIdx && rec.DstContainer != containerIdx {
-			kept = append(kept, rec)
+	for _, e := range s.inbox {
+		if !e.key.touches(containerIdx) {
+			kept = append(kept, e)
 		}
 	}
 	an.cfg.Obs.Add(obs.RecordsWithdrawn, uint64(len(s.inbox)-len(kept)))
 	s.inbox = kept
 	var keptPending []detect.Anomaly
 	for _, a := range s.pending {
-		if !match(a.Key) {
+		if a.Key.SrcContainer != containerIdx && a.Key.DstContainer != containerIdx {
 			keptPending = append(keptPending, a)
 		}
 	}

@@ -1,12 +1,15 @@
 package analyzer
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"skeletonhunter/internal/cluster"
 	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/detect"
 	"skeletonhunter/internal/localize"
 	"skeletonhunter/internal/netsim"
 	"skeletonhunter/internal/obs"
@@ -339,14 +342,15 @@ func TestPathMemoryRingKeepsNewest(t *testing.T) {
 	}
 	an.Round(r.eng.Now())
 	s, ok := an.shards[string(r.task.ID)]
-	if !ok || len(s.pairs) != 1 {
+	if !ok || len(s.index) != 1 {
 		t.Fatal("no shard state for the probed pair")
 	}
-	for _, pi := range s.pairs {
-		if len(pi.paths) != 3 || cap(pi.paths) != 3 {
-			t.Fatalf("paths len %d cap %d, want 3/3", len(pi.paths), cap(pi.paths))
+	for _, i := range s.index {
+		sl := &s.slots[i]
+		if len(sl.paths) != 3 || cap(sl.paths) != 3 {
+			t.Fatalf("paths len %d cap %d, want 3/3", len(sl.paths), cap(sl.paths))
 		}
-		for i, p := range pi.paths {
+		for i, p := range sl.paths {
 			if want := topology.LinkID(rune('e' + i)); p[0] != want {
 				t.Fatalf("paths[%d] = %v, want %v", i, p, want)
 			}
@@ -354,31 +358,155 @@ func TestPathMemoryRingKeepsNewest(t *testing.T) {
 	}
 }
 
-// TestAnalyzerInboxShedsOverflow pins the bounded inbox on the batch
-// path: a warmed shard admits records up to InboxLimit, sheds and
-// counts the rest, and the ingest stage counts only what it admitted.
-func TestAnalyzerInboxShedsOverflow(t *testing.T) {
+// TestAnalyzerIngestsWholeRound pins that an inbox refuses nothing: a
+// shard round larger than the old 65,536-record cap (a 32-container
+// tenant on its basic list probes ~79k records per 10 s round) is
+// ingested and drained whole, with nothing shed.
+func TestAnalyzerIngestsWholeRound(t *testing.T) {
+	const records = 70000
 	r := newRig(t)
 	st := obs.New()
-	an := New(r.eng, r.an.Localizer, Config{InboxLimit: 5, Obs: st})
+	an := New(r.eng, r.an.Localizer, Config{Obs: st})
 	an.WarmShard(string(r.task.ID))
 	if an.Shards() != 1 {
 		t.Fatalf("WarmShard made %d shards, want 1", an.Shards())
 	}
-	batch := make(probe.Batch, 8)
-	for i := range batch {
-		batch[i] = r.record(0, 1, 0, uint64(i))
+	batch := make(probe.Batch, 0, records)
+	for i := 0; i < records; i++ {
+		rec := r.record(i%4, (i/4)%4, (i/16)%8, uint64(i))
+		rec.At += time.Duration(i/128) * time.Millisecond
+		batch = append(batch, rec)
 	}
 	an.IngestBatch(batch)
 	an.IngestBatch(nil)
-	if got := st.Get(obs.RecordsIngested); got != 5 {
-		t.Fatalf("ingest stage counted %d records, want 5", got)
+	if got := st.Get(obs.RecordsIngested); got != records {
+		t.Fatalf("ingest stage counted %d records, want %d", got, records)
 	}
-	if shed := st.Get(obs.RecordsShed); shed != 3 {
-		t.Fatalf("shed %d records, want 3", shed)
+	an.Round(r.eng.Now() + time.Second)
+	if got := st.Get(obs.RecordsDrained); got != records {
+		t.Fatalf("detect stage drained %d records, want %d", got, records)
 	}
+	if shed := st.Get(obs.RecordsShed); shed != 0 {
+		t.Fatalf("shed %d records, want 0", shed)
+	}
+}
+
+// TestInboxEntrySize pins the inbox entry at one 64-byte cache line, a
+// third of the probe.Record it replaces.
+func TestInboxEntrySize(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size > 64 {
+		t.Fatalf("inbox entry is %d bytes, want ≤ 64", size)
+	}
+}
+
+// TestEvidenceFollowsMigratedEndpoint is the regression for evidence
+// naming a moved container's old host: a pair's slot takes the
+// endpoints of its newest run, so after a migration (Src.Host changes
+// between two runs) localization evidence names the new host.
+func TestEvidenceFollowsMigratedEndpoint(t *testing.T) {
+	r := newRig(t)
+	an := New(r.eng, r.an.Localizer, Config{})
+	old := r.record(0, 1, 0, 1)
+	moved := r.record(0, 1, 0, 2)
+	moved.Src.Host = old.Src.Host + 1
+	moved.At = old.At + time.Second
+	an.IngestBatch(probe.Batch{old})
+	an.Round(old.At)
+	an.IngestBatch(probe.Batch{moved})
+	an.Round(moved.At)
+
+	s := an.shards[string(r.task.ID)]
+	key := detect.PairKey{Task: string(r.task.ID), SrcContainer: 0, SrcRail: 0, DstContainer: 1, DstRail: 0}
+	ev := s.evidence([]detect.Anomaly{{Key: key, Type: detect.Unconnectivity}})
+	if len(ev) != 1 {
+		t.Fatalf("evidence for %d pairs, want 1", len(ev))
+	}
+	if ev[0].Src.Host != moved.Src.Host || ev[0].Dst != moved.Dst {
+		t.Fatalf("evidence endpoints %+v → %+v, want the newer run's %+v → %+v", ev[0].Src, ev[0].Dst, moved.Src, moved.Dst)
+	}
+}
+
+// TestForgetMatching pins ForgetContainer on the pair table: exactly
+// the pairs touching the container lose their slot (and their queued
+// records), the others keep theirs, and a forgotten pair probed again
+// starts from a fresh slot.
+func TestForgetMatching(t *testing.T) {
+	r := newRig(t)
+	st := obs.New()
+	an := New(r.eng, r.an.Localizer, Config{Obs: st})
+	an.IngestBatch(probe.Batch{r.record(0, 1, 0, 1), r.record(2, 3, 0, 2), r.record(1, 2, 0, 3)})
 	an.Round(r.eng.Now())
-	if got := st.Get(obs.RecordsDrained); got != 5 {
-		t.Fatalf("detect stage drained %d records, want 5", got)
+	an.IngestBatch(probe.Batch{r.record(0, 1, 0, 4), r.record(2, 3, 0, 5), r.record(1, 2, 0, 6)})
+	an.ForgetContainer(string(r.task.ID), 1)
+	s := an.shards[string(r.task.ID)]
+	if len(s.index) != 1 {
+		t.Fatalf("%d pairs left, want only 2→3", len(s.index))
+	}
+	if _, ok := s.index[keyOf(2, 0, 3, 0)]; !ok {
+		t.Fatal("non-matching pair dropped")
+	}
+	if got := st.Get(obs.RecordsWithdrawn); got != 2 {
+		t.Fatalf("withdrew %d queued records, want 2", got)
+	}
+	an.IngestBatch(probe.Batch{r.record(0, 1, 0, 7)})
+	if i := s.index[keyOf(0, 0, 1, 0)]; len(s.slots) != 3 || len(s.slots[i].paths) != 0 {
+		t.Fatalf("re-probed pair got slot %d of %d, not a fresh reused one", i, len(s.slots))
+	}
+}
+
+// TestFlushEmitsInSortedPairOrder is the regression for nondeterministic
+// flush: anomalies from a final Flush must arrive in canonical pair-key
+// order regardless of the order pairs entered the pair table.
+func TestFlushEmitsInSortedPairOrder(t *testing.T) {
+	r := newRig(t)
+	type pair struct{ src, dst, rail int }
+	var pairs []pair
+	for src := 0; src < 4; src++ {
+		for dst := 0; dst < 4; dst++ {
+			if src != dst {
+				pairs = append(pairs, pair{src, dst, src % 2}, pair{src, dst, 1 - src%2})
+			}
+		}
+	}
+	run := func(order []pair) []detect.PairKey {
+		an := New(r.eng, r.an.Localizer, Config{})
+		// Every pair loses all probes of one window → unconnectivity on
+		// flush, one anomaly per pair.
+		for _, p := range order {
+			batch := make(probe.Batch, 10)
+			for i := range batch {
+				batch[i] = r.record(p.src, p.dst, p.rail, uint64(i))
+				batch[i].At += time.Duration(i) * time.Second
+				batch[i].Lost = true
+			}
+			an.IngestBatch(batch)
+		}
+		an.Flush(r.eng.Now() + 20*time.Second)
+		if len(an.Alarms()) != 1 {
+			t.Fatalf("flush raised %d alarms, want 1", len(an.Alarms()))
+		}
+		var keys []detect.PairKey
+		for _, a := range an.Alarms()[0].Anomalies {
+			keys = append(keys, a.Key)
+		}
+		return keys
+	}
+	want := run(pairs)
+	if len(want) != len(pairs) {
+		t.Fatalf("flush emitted %d anomalies, want %d", len(want), len(pairs))
+	}
+	for i := 1; i < len(want); i++ {
+		if !want[i-1].Less(want[i]) {
+			t.Fatalf("flush emission not sorted: %v before %v", want[i-1], want[i])
+		}
+	}
+	for rep := 0; rep < 3; rep++ {
+		shuffled := slices.Clone(pairs)
+		rand.New(rand.NewSource(int64(rep))).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		if got := run(shuffled); !slices.Equal(got, want) {
+			t.Fatalf("rep %d: emission order depends on insertion: got %v want %v", rep, got, want)
+		}
 	}
 }

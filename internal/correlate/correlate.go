@@ -48,8 +48,9 @@ import (
 	"time"
 
 	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/detect"
 	"skeletonhunter/internal/obs"
-	"skeletonhunter/internal/probe"
+	"skeletonhunter/internal/overlay"
 	"skeletonhunter/internal/topology"
 )
 
@@ -415,11 +416,11 @@ func newShard(task string, cfg *Config) *Shard {
 	}
 }
 
-func (s *Shard) rttSeries(k pairKey, rec *probe.Record) *series {
+func (s *Shard) rttSeries(k pairKey, src, dst overlay.Addr) *series {
 	sr, ok := s.rtt[k]
 	if !ok {
-		comps := []component.ID{component.RNIC(rec.Src.Host, rec.Src.Rail)}
-		if d := component.RNIC(rec.Dst.Host, rec.Dst.Rail); d != comps[0] {
+		comps := []component.ID{component.RNIC(src.Host, src.Rail)}
+		if d := component.RNIC(dst.Host, dst.Rail); d != comps[0] {
 			comps = append(comps, d)
 		}
 		sr = &series{
@@ -448,37 +449,36 @@ func (s *Shard) nicSeries(k nicKey) *series {
 	return sn
 }
 
-// ObserveRun folds one run of records sharing a (src, dst) pair —
-// the contiguous layout the analyzer's sorted drain produces — into
-// the round accumulators. Records at or before the replay guard are
-// already represented in restored CUSUM state and are skipped.
-func (s *Shard) ObserveRun(recs []probe.Record) {
-	if len(recs) == 0 {
+// ObserveRun folds one pair's run of samples — the contiguous layout
+// the analyzer's sorted drain produces — into the round accumulators.
+// src and dst are the pair's endpoints as the run probed them: a
+// migrated or restarted container's newer host feeds its new RNIC's
+// delivery series. Samples at or before the replay guard are already
+// represented in restored CUSUM state and are skipped.
+func (s *Shard) ObserveRun(key detect.PairKey, src, dst overlay.Addr, samples []detect.Sample) {
+	if len(samples) == 0 {
 		return
 	}
-	first := &recs[0]
-	pk := pairKey{first.SrcContainer, first.SrcRail, first.DstContainer, first.DstRail}
-	rs := s.rttSeries(pk, first)
-	src := s.nicSeries(nicKey{first.Src.Host, first.Src.Rail})
-	dst := s.nicSeries(nicKey{first.Dst.Host, first.Dst.Rail})
-	for i := range recs {
-		rec := &recs[i]
-		if rec.At <= s.skipThrough {
+	rs := s.rttSeries(pairKey{key.SrcContainer, key.SrcRail, key.DstContainer, key.DstRail}, src, dst)
+	srcNIC := s.nicSeries(nicKey{src.Host, src.Rail})
+	dstNIC := s.nicSeries(nicKey{dst.Host, dst.Rail})
+	for _, smp := range samples {
+		if smp.At <= s.skipThrough {
 			continue
 		}
 		delivered := 0.0
-		if !rec.Lost {
+		if !smp.Lost {
 			delivered = 1.0
-			if rec.RTT > 0 {
-				rs.sum += math.Log(float64(rec.RTT) / float64(time.Microsecond))
+			if smp.RTT > 0 {
+				rs.sum += math.Log(float64(smp.RTT) / float64(time.Microsecond))
 				rs.n++
 			}
 		}
-		src.sum += delivered
-		src.n++
-		if dst != src {
-			dst.sum += delivered
-			dst.n++
+		srcNIC.sum += delivered
+		srcNIC.n++
+		if dstNIC != srcNIC {
+			dstNIC.sum += delivered
+			dstNIC.n++
 		}
 	}
 }

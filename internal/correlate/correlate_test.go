@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/detect"
 	"skeletonhunter/internal/overlay"
-	"skeletonhunter/internal/probe"
 	"skeletonhunter/internal/topology"
 )
 
@@ -173,23 +173,26 @@ func TestAppendCapped(t *testing.T) {
 
 const roundLen = 10 * time.Second
 
-func rec(sc, sr, dc, dr, sh, dh int, at, rtt time.Duration, lost bool) probe.Record {
-	return probe.Record{
-		SrcContainer: sc, SrcRail: sr, DstContainer: dc, DstRail: dr,
-		Src: overlay.Addr{Host: sh, Rail: sr},
-		Dst: overlay.Addr{Host: dh, Rail: dr},
-		At:  at, RTT: rtt, Lost: lost,
-	}
+// run is one pair's run of samples as the analyzer's drain hands it
+// over: the pair, the endpoints it probed, and its samples.
+type run struct {
+	key      detect.PairKey
+	src, dst overlay.Addr
+	samples  []detect.Sample
 }
 
-// pairRun builds n records for one (src,dst) pair at the given RTT,
-// with `lost` of them dropped.
-func pairRun(sc, dc, sh, dh int, at, rtt time.Duration, n, lost int) []probe.Record {
-	out := make([]probe.Record, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, rec(sc, 0, dc, 0, sh, dh, at, rtt, i < lost))
+// pairRun builds n rail-0 samples for one (src,dst) pair at the given
+// RTT, with `lost` of them dropped.
+func pairRun(sc, dc, sh, dh int, at, rtt time.Duration, n, lost int) run {
+	r := run{
+		key: detect.PairKey{SrcContainer: sc, DstContainer: dc},
+		src: overlay.Addr{Host: sh},
+		dst: overlay.Addr{Host: dh},
 	}
-	return out
+	for i := 0; i < n; i++ {
+		r.samples = append(r.samples, detect.Sample{At: at, RTT: rtt, Lost: i < lost})
+	}
+	return r
 }
 
 // driver steps an engine through analysis rounds the way the analyzer
@@ -199,14 +202,14 @@ type driver struct {
 	now time.Duration
 }
 
-func (d *driver) round(task string, runs ...[]probe.Record) []Alarm {
+func (d *driver) round(task string, runs ...run) []Alarm {
 	d.now += roundLen
 	r := d.e.BeginRound()
 	var cps []ChangePoint
 	if task != "" {
 		sh := d.e.ShardOf(task)
-		for _, run := range runs {
-			sh.ObserveRun(run)
+		for _, r := range runs {
+			sh.ObserveRun(r.key, r.src, r.dst, r.samples)
 		}
 		cps = sh.EndRound(r, d.now)
 	}
@@ -254,9 +257,9 @@ func TestEngineRTTNeedsClusterVotes(t *testing.T) {
 	e := New(Config{Warmup: 4})
 	e.Warm("job")
 	d := &driver{e: e}
-	base := func(rtt time.Duration) [][]probe.Record {
+	base := func(rtt time.Duration) []run {
 		at := d.now + roundLen
-		return [][]probe.Record{
+		return []run{
 			pairRun(0, 1, 0, 1, at, rtt, 4, 0),
 			pairRun(2, 1, 2, 1, at, rtt, 4, 0),
 		}
@@ -398,7 +401,8 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 	// mark were already folded pre-crash; feeding them again must not
 	// move the restored state.
 	sh2 := e2.ShardOf("job")
-	sh2.ObserveRun(pairRun(0, 1, 0, 1, 50*time.Second, 30*time.Microsecond, 4, 2))
+	replay := pairRun(0, 1, 0, 1, 50*time.Second, 30*time.Microsecond, 4, 2)
+	sh2.ObserveRun(replay.key, replay.src, replay.dst, replay.samples)
 	if e1.Fingerprint() != e2.Fingerprint() {
 		t.Fatal("replayed pre-snapshot records moved restored state")
 	}

@@ -39,8 +39,8 @@ func (k PairKey) String() string {
 
 // Less orders pair keys lexicographically by (task, src container, src
 // rail, dst container, dst rail) — the canonical order every
-// deterministic iteration over pairs uses (analyzer evidence assembly,
-// Flush).
+// deterministic iteration over pairs uses (analyzer evidence assembly
+// and flush).
 func (k PairKey) Less(o PairKey) bool {
 	if k.Task != o.Task {
 		return k.Task < o.Task
@@ -143,7 +143,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type pairState struct {
+// Pair is one endpoint pair's detection state: the open short and long
+// windows, the short-window look-back and the long-term reference. The
+// detector keeps no pairs of its own; the caller owns one Pair per
+// monitored pair (the analyzer keeps it in its pair-table slot) and
+// forgets a pair by dropping it. The zero value is a pair not yet
+// observed.
+type Pair struct {
+	open bool // a sample has arrived: the windows below are anchored
+
 	// Short-term accumulation.
 	winStart time.Duration
 	rtts     []float64 // µs
@@ -160,12 +168,11 @@ type pairState struct {
 	ref       *stats.LogNormal
 }
 
-// Detector is the streaming anomaly detector. Feed it samples with
-// ObserveMany; it emits anomalies through the callback as windows close.
-// Not safe for concurrent use (the analyzer owns one per shard).
+// Detector is the streaming anomaly detector. Feed it a pair's samples
+// with ObserveMany; it emits anomalies through the callback as windows
+// close. Not safe for concurrent use (the analyzer owns one per shard).
 type Detector struct {
 	cfg       Config
-	pairs     map[PairKey]*pairState
 	emit      func(Anomaly)
 	Evaluated int // closed short windows, for introspection
 
@@ -178,7 +185,7 @@ type Detector struct {
 
 // New returns a detector delivering anomalies to emit.
 func New(cfg Config, emit func(Anomaly)) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), pairs: make(map[PairKey]*pairState), emit: emit}
+	return &Detector{cfg: cfg.withDefaults(), emit: emit}
 }
 
 // Sample is one probe outcome, the unit of the batched ingest path.
@@ -188,34 +195,26 @@ type Sample struct {
 	Lost bool
 }
 
-// ObserveMany ingests a run of probe results for one pair with a
-// single state lookup: an agent's probing round delivers all of a
-// pair's probes contiguously, so the analyzer calls this once per pair
-// per round. Samples must be in non-decreasing time order; a lost
-// sample's RTT is ignored. Windows close lazily when a sample arrives
-// past the boundary; call Flush to force evaluation at the end of a
-// run.
-func (d *Detector) ObserveMany(key PairKey, samples []Sample) {
+// ObserveMany ingests a run of probe results for the pair key names,
+// whose state is st: an agent's probing round delivers all of a pair's
+// probes contiguously, so the analyzer calls this once per pair run.
+// Samples must be in non-decreasing time order; a lost sample's RTT is
+// ignored. Windows close lazily when a sample arrives past the
+// boundary; call Flush to force evaluation at the end of a run.
+func (d *Detector) ObserveMany(key PairKey, st *Pair, samples []Sample) {
 	if len(samples) == 0 {
 		return
 	}
-	st := d.state(key, samples[0].At)
+	if !st.open {
+		st.open = true
+		st.winStart, st.longStart = samples[0].At, samples[0].At
+	}
 	for _, s := range samples {
 		d.observe(key, st, s)
 	}
 }
 
-// state returns (creating if needed) the pair's window state.
-func (d *Detector) state(key PairKey, at time.Duration) *pairState {
-	st, ok := d.pairs[key]
-	if !ok {
-		st = &pairState{winStart: at, longStart: at}
-		d.pairs[key] = st
-	}
-	return st
-}
-
-func (d *Detector) observe(key PairKey, st *pairState, s Sample) {
+func (d *Detector) observe(key PairKey, st *Pair, s Sample) {
 	if s.At >= st.winStart+d.cfg.ShortWindow {
 		d.closeShort(key, st, s.At)
 	}
@@ -232,37 +231,21 @@ func (d *Detector) observe(key PairKey, st *pairState, s Sample) {
 	st.longRTTs = append(st.longRTTs, us)
 }
 
-// Flush closes all open windows at the given time. Pairs are visited
-// in sorted key order so the flush-path anomaly emission sequence is a
-// pure function of detector state, not of map iteration order — the
-// same determinism contract the analyzer's evidence assembly keeps.
-func (d *Detector) Flush(at time.Duration) {
-	keys := make([]PairKey, 0, len(d.pairs))
-	for key := range d.pairs {
-		keys = append(keys, key)
+// Flush closes the pair's open windows at the given time; a pair never
+// observed is left as it is. The caller visits its pairs in a
+// deterministic order (the analyzer walks its slots in key order), so
+// the flush-path anomaly sequence is a pure function of their state.
+func (d *Detector) Flush(key PairKey, st *Pair, at time.Duration) {
+	if !st.open {
+		return
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	for _, key := range keys {
-		st := d.pairs[key]
-		d.closeShort(key, st, at)
-		if at >= st.longStart+d.cfg.LongWindow {
-			d.closeLong(key, st, at)
-		}
+	d.closeShort(key, st, at)
+	if at >= st.longStart+d.cfg.LongWindow {
+		d.closeLong(key, st, at)
 	}
 }
 
-// ForgetMatching drops every pair the predicate selects (e.g. a
-// finished task's pairs, or pairs touching a gracefully stopped
-// container, whose half-open windows would otherwise read as loss).
-func (d *Detector) ForgetMatching(match func(PairKey) bool) {
-	for k := range d.pairs {
-		if match(k) {
-			delete(d.pairs, k)
-		}
-	}
-}
-
-func (d *Detector) closeShort(key PairKey, st *pairState, now time.Duration) {
+func (d *Detector) closeShort(key PairKey, st *Pair, now time.Duration) {
 	defer func() {
 		st.winStart = now
 		st.rtts = st.rtts[:0]
@@ -321,7 +304,7 @@ func (d *Detector) closeShort(key PairKey, st *pairState, now time.Duration) {
 	}
 }
 
-func (d *Detector) closeLong(key PairKey, st *pairState, now time.Duration) {
+func (d *Detector) closeLong(key PairKey, st *Pair, now time.Duration) {
 	defer func() {
 		st.longStart = now
 		st.longRTTs = st.longRTTs[:0]

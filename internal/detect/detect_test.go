@@ -11,14 +11,14 @@ import (
 
 var testKey = PairKey{Task: "t1", SrcContainer: 0, SrcRail: 0, DstContainer: 1, DstRail: 0}
 
-// feed pushes probes at 1/s with RTTs drawn from a lognormal around
-// median µs.
-func feed(d *Detector, r *rand.Rand, from, dur time.Duration, medianUS float64, lossRate float64) time.Duration {
+// feed pushes probes for testKey, whose state is st, at 1/s with RTTs
+// drawn from a lognormal around median µs.
+func feed(d *Detector, st *Pair, r *rand.Rand, from, dur time.Duration, medianUS float64, lossRate float64) time.Duration {
 	dist := stats.LogNormal{Mu: math.Log(medianUS), Sigma: 0.08}
 	for at := from; at < from+dur; at += time.Second {
 		lost := r.Float64() < lossRate
 		rtt := time.Duration(dist.Sample(r) * float64(time.Microsecond))
-		d.ObserveMany(testKey, []Sample{{At: at, RTT: rtt, Lost: lost}})
+		d.ObserveMany(testKey, st, []Sample{{At: at, RTT: rtt, Lost: lost}})
 	}
 	return from + dur
 }
@@ -31,9 +31,10 @@ func collect() (*[]Anomaly, func(Anomaly)) {
 func TestHealthyStreamNoAnomalies(t *testing.T) {
 	out, emit := collect()
 	d := New(Config{}, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(1))
-	feed(d, r, 0, time.Hour, 16, 0)
-	d.Flush(time.Hour)
+	feed(d, &st, r, 0, time.Hour, 16, 0)
+	d.Flush(testKey, &st, time.Hour)
 	if len(*out) != 0 {
 		t.Fatalf("healthy stream produced %d anomalies: %+v", len(*out), (*out)[0])
 	}
@@ -47,10 +48,11 @@ func TestAbruptLatencyShiftDetected(t *testing.T) {
 	// window or two.
 	out, emit := collect()
 	d := New(Config{}, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(2))
-	at := feed(d, r, 0, 10*time.Minute, 16, 0)
-	feed(d, r, at, 2*time.Minute, 120, 0)
-	d.Flush(at + 2*time.Minute)
+	at := feed(d, &st, r, 0, 10*time.Minute, 16, 0)
+	feed(d, &st, r, at, 2*time.Minute, 120, 0)
+	d.Flush(testKey, &st, at+2*time.Minute)
 	found := false
 	var detectedAt time.Duration
 	for _, a := range *out {
@@ -72,10 +74,11 @@ func TestAbruptLatencyShiftDetected(t *testing.T) {
 func TestPersistentFaultKeepsAlarming(t *testing.T) {
 	out, emit := collect()
 	d := New(Config{}, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(3))
-	at := feed(d, r, 0, 10*time.Minute, 16, 0)
-	feed(d, r, at, 5*time.Minute, 120, 0)
-	d.Flush(at + 5*time.Minute)
+	at := feed(d, &st, r, 0, 10*time.Minute, 16, 0)
+	feed(d, &st, r, at, 5*time.Minute, 120, 0)
+	d.Flush(testKey, &st, at+5*time.Minute)
 	n := 0
 	for _, a := range *out {
 		if a.Type == LatencyShortTerm {
@@ -94,10 +97,11 @@ func TestModerateShiftStillDetected(t *testing.T) {
 	// must be caught by the short-term detector.
 	out, emit := collect()
 	d := New(Config{}, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(4))
-	at := feed(d, r, 0, 10*time.Minute, 16, 0)
-	feed(d, r, at, 2*time.Minute, 32, 0)
-	d.Flush(at + 2*time.Minute)
+	at := feed(d, &st, r, 0, 10*time.Minute, 16, 0)
+	feed(d, &st, r, at, 2*time.Minute, 32, 0)
+	d.Flush(testKey, &st, at+2*time.Minute)
 	for _, a := range *out {
 		if a.Type == LatencyShortTerm {
 			return
@@ -111,8 +115,9 @@ func TestTransientSpikeFiltered(t *testing.T) {
 	// window summary absorbs it and LOF sees a near-inlier.
 	out, emit := collect()
 	d := New(Config{}, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(5))
-	at := feed(d, r, 0, 10*time.Minute, 16, 0)
+	at := feed(d, &st, r, 0, 10*time.Minute, 16, 0)
 	// One window with a couple of spikes among normal samples.
 	dist := stats.LogNormal{Mu: math.Log(16), Sigma: 0.08}
 	for i := 0; i < 30; i++ {
@@ -120,11 +125,11 @@ func TestTransientSpikeFiltered(t *testing.T) {
 		if i == 7 || i == 19 {
 			rtt += 40 * time.Microsecond
 		}
-		d.ObserveMany(testKey, []Sample{{At: at, RTT: rtt}})
+		d.ObserveMany(testKey, &st, []Sample{{At: at, RTT: rtt}})
 		at += time.Second
 	}
-	at = feed(d, r, at, 5*time.Minute, 16, 0)
-	d.Flush(at)
+	at = feed(d, &st, r, at, 5*time.Minute, 16, 0)
+	d.Flush(testKey, &st, at)
 	for _, a := range *out {
 		if a.Type == LatencyShortTerm {
 			t.Fatalf("transient spikes raised an alarm: %+v", a)
@@ -135,10 +140,11 @@ func TestTransientSpikeFiltered(t *testing.T) {
 func TestUnconnectivityDetected(t *testing.T) {
 	out, emit := collect()
 	d := New(Config{}, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(6))
-	at := feed(d, r, 0, 5*time.Minute, 16, 0)
-	feed(d, r, at, time.Minute, 16, 1.0) // all lost
-	d.Flush(at + time.Minute)
+	at := feed(d, &st, r, 0, 5*time.Minute, 16, 0)
+	feed(d, &st, r, at, time.Minute, 16, 1.0) // all lost
+	d.Flush(testKey, &st, at+time.Minute)
 	for _, a := range *out {
 		if a.Type == Unconnectivity {
 			return
@@ -150,10 +156,11 @@ func TestUnconnectivityDetected(t *testing.T) {
 func TestPacketLossDetected(t *testing.T) {
 	out, emit := collect()
 	d := New(Config{}, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(7))
-	at := feed(d, r, 0, 5*time.Minute, 16, 0)
-	feed(d, r, at, 2*time.Minute, 16, 0.15)
-	d.Flush(at + 2*time.Minute)
+	at := feed(d, &st, r, 0, 5*time.Minute, 16, 0)
+	feed(d, &st, r, at, 2*time.Minute, 16, 0.15)
+	d.Flush(testKey, &st, at+2*time.Minute)
 	for _, a := range *out {
 		if a.Type == PacketLoss {
 			if a.Score < 0.02 {
@@ -171,16 +178,17 @@ func TestGradualDegradationCaughtLongTerm(t *testing.T) {
 	out, emit := collect()
 	cfg := Config{LOFThreshold: 1e9} // disable short-term for isolation
 	d := New(cfg, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(8))
 	// First long window: healthy reference.
-	at := feed(d, r, 0, 30*time.Minute, 16, 0)
+	at := feed(d, &st, r, 0, 30*time.Minute, 16, 0)
 	// Creep over the next 90 minutes: 16 → 28 µs.
 	median := 16.0
 	for i := 0; i < 180; i++ { // 180 half-minute steps
-		at = feed(d, r, at, 30*time.Second, median, 0)
+		at = feed(d, &st, r, at, 30*time.Second, median, 0)
 		median *= 1.0031
 	}
-	d.Flush(at)
+	d.Flush(testKey, &st, at)
 	for _, a := range *out {
 		if a.Type == LatencyLongTerm {
 			return
@@ -192,10 +200,11 @@ func TestGradualDegradationCaughtLongTerm(t *testing.T) {
 func TestLongTermNoFalsePositiveWhenStable(t *testing.T) {
 	out, emit := collect()
 	d := New(Config{LOFThreshold: 1e9}, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(9))
-	at := feed(d, r, 0, 30*time.Minute, 16, 0)
-	at = feed(d, r, at, 90*time.Minute, 16, 0)
-	d.Flush(at)
+	at := feed(d, &st, r, 0, 30*time.Minute, 16, 0)
+	at = feed(d, &st, r, at, 90*time.Minute, 16, 0)
+	d.Flush(testKey, &st, at)
 	for _, a := range *out {
 		if a.Type == LatencyLongTerm {
 			t.Fatalf("stable stream failed the Z-test: %+v", a)
@@ -206,27 +215,33 @@ func TestLongTermNoFalsePositiveWhenStable(t *testing.T) {
 func TestMinSamplesGuard(t *testing.T) {
 	out, emit := collect()
 	d := New(Config{}, emit)
+	var st Pair
 	// Two lonely probes in a window: not enough evidence to evaluate.
-	d.ObserveMany(testKey, []Sample{{At: 0, RTT: 16 * time.Microsecond}})
-	d.ObserveMany(testKey, []Sample{{At: time.Second, RTT: 16 * time.Microsecond, Lost: true}})
-	d.Flush(time.Minute)
+	d.ObserveMany(testKey, &st, []Sample{{At: 0, RTT: 16 * time.Microsecond}})
+	d.ObserveMany(testKey, &st, []Sample{{At: time.Second, RTT: 16 * time.Microsecond, Lost: true}})
+	d.Flush(testKey, &st, time.Minute)
 	if len(*out) != 0 {
 		t.Fatalf("underpopulated window produced anomalies: %+v", *out)
 	}
 }
 
+// TestForget pins what forgetting a pair means now that the caller owns
+// its state: a dropped (zeroed) Pair is a pair never observed, so a
+// flush evaluates nothing and leaves it unanchored.
 func TestForget(t *testing.T) {
 	out, emit := collect()
 	d := New(Config{}, emit)
+	var st Pair
 	r := rand.New(rand.NewSource(10))
-	feed(d, r, 0, 5*time.Minute, 16, 0)
-	d.ForgetMatching(func(k PairKey) bool { return k.Task == "t1" })
-	d.Flush(10 * time.Minute)
-	if len(*out) != 0 {
+	feed(d, &st, r, 0, 5*time.Minute, 16, 0)
+	evaluated := d.Evaluated
+	st = Pair{}
+	d.Flush(testKey, &st, 10*time.Minute)
+	if len(*out) != 0 || d.Evaluated != evaluated {
 		t.Fatal("forgotten pair still evaluated")
 	}
-	if len(d.pairs) != 0 {
-		t.Fatal("state not dropped")
+	if st.open {
+		t.Fatal("flush anchored a forgotten pair's windows")
 	}
 }
 
@@ -251,22 +266,24 @@ func TestObserveManyMatchesObserve(t *testing.T) {
 
 	serialOut, serialEmit := collect()
 	serial := New(Config{}, serialEmit)
+	var serialSt Pair
 	for _, s := range samples {
-		serial.ObserveMany(testKey, []Sample{s})
+		serial.ObserveMany(testKey, &serialSt, []Sample{s})
 	}
-	serial.Flush(at)
+	serial.Flush(testKey, &serialSt, at)
 
 	batchedOut, batchedEmit := collect()
 	batched := New(Config{}, batchedEmit)
+	var batchedSt Pair
 	// Deliver in round-sized chunks, as the analyzer's batch path does.
 	for i := 0; i < len(samples); i += 7 {
 		end := i + 7
 		if end > len(samples) {
 			end = len(samples)
 		}
-		batched.ObserveMany(testKey, samples[i:end])
+		batched.ObserveMany(testKey, &batchedSt, samples[i:end])
 	}
-	batched.Flush(at)
+	batched.Flush(testKey, &batchedSt, at)
 
 	if len(*serialOut) == 0 {
 		t.Fatal("scenario produced no anomalies; test has no teeth")
@@ -285,53 +302,143 @@ func TestObserveManyMatchesObserve(t *testing.T) {
 	}
 }
 
-func TestObserveManyEmpty(t *testing.T) {
-	_, emit := collect()
-	d := New(Config{}, emit)
-	d.ObserveMany(testKey, nil)
-	if len(d.pairs) != 0 {
-		t.Fatal("empty batch created pair state")
+// shiftSamples is ten healthy minutes at 16 µs followed by two minutes
+// at 120 µs, at 1/s, split at the shift.
+func shiftSamples(seed int64) (healthy, shifted []Sample) {
+	r := rand.New(rand.NewSource(seed))
+	draw := func(median float64, from, dur time.Duration) []Sample {
+		dist := stats.LogNormal{Mu: math.Log(median), Sigma: 0.08}
+		var out []Sample
+		for at := from; at < from+dur; at += time.Second {
+			out = append(out, Sample{At: at, RTT: time.Duration(dist.Sample(r) * float64(time.Microsecond))})
+		}
+		return out
+	}
+	healthy = draw(16, 0, 10*time.Minute)
+	shifted = draw(120, 10*time.Minute, 2*time.Minute)
+	return healthy, shifted
+}
+
+func sameAnomalies(t *testing.T, what string, got, want []Anomaly) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d anomalies, want %d (%+v vs %+v)", what, len(got), len(want), got, want)
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Key != w.Key || g.Type != w.Type || g.At != w.At || g.Score != w.Score {
+			t.Fatalf("%s: anomaly %d is %+v, want %+v", what, i, g, w)
+		}
 	}
 }
 
-// TestFlushEmitsInSortedPairOrder is the regression for nondeterministic
-// flush: anomalies from a final Flush must arrive in canonical pair-key
-// order regardless of the (random) map insertion order.
-func TestFlushEmitsInSortedPairOrder(t *testing.T) {
-	run := func(insertion []int) []PairKey {
-		out, emit := collect()
-		d := New(Config{}, emit)
-		// Every pair loses all probes of one window → unconnectivity on
-		// flush, one anomaly per pair.
-		for _, c := range insertion {
-			key := PairKey{Task: "t1", SrcContainer: c, DstContainer: c + 1}
-			for i := 0; i < 10; i++ {
-				d.ObserveMany(key, []Sample{{At: time.Duration(i) * time.Second, Lost: true}})
-			}
-		}
-		d.Flush(time.Minute)
-		keys := make([]PairKey, 0, len(*out))
-		for _, a := range *out {
-			keys = append(keys, a.Key)
-		}
-		return keys
+// TestForgetPair pins that forgetting one pair (dropping its Pair)
+// forgets all of it: the same Pair value, zeroed and observed again,
+// reports exactly what a never-observed pair reports for the same
+// samples, while a pair that kept its look-back flags the shift.
+func TestForgetPair(t *testing.T) {
+	healthy, shifted := shiftSamples(12)
+	end := shifted[len(shifted)-1].At + time.Second
+
+	keptOut, keptEmit := collect()
+	kept := New(Config{}, keptEmit)
+	var keptSt Pair
+	kept.ObserveMany(testKey, &keptSt, healthy)
+	kept.ObserveMany(testKey, &keptSt, shifted)
+	kept.Flush(testKey, &keptSt, end)
+	if len(*keptOut) == 0 {
+		t.Fatal("precondition: the shift is not flagged against a healthy look-back")
 	}
-	want := run([]int{0, 2, 4, 6, 8, 10, 12, 14})
-	if len(want) != 8 {
-		t.Fatalf("flush emitted %d anomalies, want 8", len(want))
+
+	forgotOut, forgotEmit := collect()
+	forgot := New(Config{}, forgotEmit)
+	var st Pair
+	forgot.ObserveMany(testKey, &st, healthy)
+	st = Pair{}
+	forgot.ObserveMany(testKey, &st, shifted)
+	forgot.Flush(testKey, &st, end)
+
+	freshOut, freshEmit := collect()
+	fresh := New(Config{}, freshEmit)
+	var freshSt Pair
+	fresh.ObserveMany(testKey, &freshSt, shifted)
+	fresh.Flush(testKey, &freshSt, end)
+
+	sameAnomalies(t, "forgotten pair", *forgotOut, *freshOut)
+	if len(st.history) != len(freshSt.history) || st.winStart != freshSt.winStart || st.longStart != freshSt.longStart {
+		t.Fatalf("forgotten pair's windows differ from a fresh pair's: %d/%v/%v vs %d/%v/%v",
+			len(st.history), st.winStart, st.longStart, len(freshSt.history), freshSt.winStart, freshSt.longStart)
 	}
-	for i := 1; i < len(want); i++ {
-		if !want[i-1].Less(want[i]) {
-			t.Fatalf("flush emission not sorted: %v before %v", want[i-1], want[i])
+}
+
+// TestForgetMatching pins that the detector keeps nothing per pair:
+// with the caller dropping the pairs a predicate matches, the pairs it
+// keeps report exactly what a detector that only ever saw them reports,
+// and the dropped pairs report nothing.
+func TestForgetMatching(t *testing.T) {
+	keys := []PairKey{
+		testKey,
+		{Task: "t1", SrcContainer: 2, DstContainer: 3},
+		{Task: "t1", SrcContainer: 3, DstContainer: 0},
+		{Task: "t1", SrcContainer: 4, DstContainer: 5},
+	}
+	touchesZero := func(k PairKey) bool { return k.SrcContainer == 0 || k.DstContainer == 0 }
+	healthy := make(map[PairKey][]Sample)
+	shifted := make(map[PairKey][]Sample)
+	for i, k := range keys {
+		healthy[k], shifted[k] = shiftSamples(int64(20 + i))
+	}
+	end := 12 * time.Minute
+
+	allOut, allEmit := collect()
+	all := New(Config{}, allEmit)
+	pairs := make(map[PairKey]*Pair)
+	for _, k := range keys {
+		pairs[k] = &Pair{}
+		all.ObserveMany(k, pairs[k], healthy[k])
+	}
+	for k := range pairs {
+		if touchesZero(k) {
+			delete(pairs, k)
 		}
 	}
-	for rep := 0; rep < 5; rep++ {
-		got := run([]int{14, 6, 0, 10, 2, 12, 4, 8}) // different insertion order
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("rep %d: emission order depends on insertion: got %v want %v", rep, got, want)
-			}
+	for _, k := range keys {
+		if st, ok := pairs[k]; ok {
+			all.ObserveMany(k, st, shifted[k])
+			all.Flush(k, st, end)
 		}
+	}
+
+	keptOut, keptEmit := collect()
+	kept := New(Config{}, keptEmit)
+	for _, k := range keys {
+		if touchesZero(k) {
+			continue
+		}
+		var st Pair
+		kept.ObserveMany(k, &st, healthy[k])
+		kept.ObserveMany(k, &st, shifted[k])
+		kept.Flush(k, &st, end)
+	}
+
+	if len(pairs) != 2 || len(*keptOut) == 0 {
+		t.Fatalf("precondition: %d pairs kept, %d anomalies on them", len(pairs), len(*keptOut))
+	}
+	for _, a := range *allOut {
+		if touchesZero(a.Key) && a.At >= 10*time.Minute {
+			t.Fatalf("dropped pair still evaluated: %+v", a)
+		}
+	}
+	sameAnomalies(t, "kept pairs", *allOut, *keptOut)
+}
+
+func TestObserveManyEmpty(t *testing.T) {
+	_, emit := collect()
+	d := New(Config{}, emit)
+	var st Pair
+	d.ObserveMany(testKey, &st, nil)
+	if st.open {
+		t.Fatal("empty batch anchored the pair's windows")
 	}
 }
 
@@ -376,48 +483,25 @@ func TestAnomalyTypeString(t *testing.T) {
 	}
 }
 
-func TestForgetPair(t *testing.T) {
-	d := New(Config{}, func(Anomaly) {})
-	d.ObserveMany(testKey, []Sample{{At: 0, RTT: 16 * time.Microsecond}})
-	d.ForgetMatching(func(k PairKey) bool { return k == testKey })
-	if len(d.pairs) != 0 {
-		t.Fatal("ForgetMatching kept the pair's state")
-	}
-}
-
-func TestForgetMatching(t *testing.T) {
-	d := New(Config{}, func(Anomaly) {})
-	other := PairKey{Task: "t1", SrcContainer: 2, DstContainer: 3}
-	d.ObserveMany(testKey, []Sample{{At: 0, RTT: 16 * time.Microsecond}})
-	d.ObserveMany(other, []Sample{{At: 0, RTT: 16 * time.Microsecond}})
-	d.ForgetMatching(func(k PairKey) bool { return k.SrcContainer == 0 || k.DstContainer == 0 })
-	if _, ok := d.pairs[testKey]; ok {
-		t.Fatal("matching pair kept")
-	}
-	if _, ok := d.pairs[other]; !ok {
-		t.Fatal("non-matching pair dropped")
-	}
-}
-
 // TestHistoryRingKeepsNewestOldestFirst pins the copy-shift ring: the
 // look-back holds the newest LookBack healthy vectors, oldest first,
 // never outgrows its capacity, and overwrites the evicted vector in
 // place instead of allocating a new one.
 func TestHistoryRingKeepsNewestOldestFirst(t *testing.T) {
 	d := New(Config{ShortWindow: 10 * time.Second, LookBack: 3}, func(Anomaly) {})
+	var st Pair
 	window := func(w int) {
 		for i := 0; i < 10; i++ {
 			at := time.Duration(w*10+i) * time.Second
-			d.ObserveMany(testKey, []Sample{{At: at, RTT: time.Duration(10+w) * time.Microsecond}})
+			d.ObserveMany(testKey, &st, []Sample{{At: at, RTT: time.Duration(10+w) * time.Microsecond}})
 		}
 	}
 	for w := 0; w < 7; w++ {
 		window(w)
 	}
 	// Window 6 is still open; flushing it evicts the oldest vector.
-	evicted := &d.pairs[testKey].history[0][0]
-	d.Flush(70 * time.Second)
-	st := d.pairs[testKey]
+	evicted := &st.history[0][0]
+	d.Flush(testKey, &st, 70*time.Second)
 	if len(st.history) != 3 || cap(st.history) != 3 {
 		t.Fatalf("history len %d cap %d, want 3/3", len(st.history), cap(st.history))
 	}
@@ -433,12 +517,12 @@ func TestHistoryRingKeepsNewestOldestFirst(t *testing.T) {
 
 // warmDetector returns a detector whose test pair has a full look-back
 // of healthy 16 µs windows, and one more healthy window's RTTs (µs).
-func warmDetector(tb testing.TB) (*Detector, *pairState, []float64) {
+func warmDetector(tb testing.TB) (*Detector, *Pair, []float64) {
 	d := New(Config{}, func(a Anomaly) { tb.Fatalf("healthy window raised %+v", a) })
+	st := new(Pair)
 	r := rand.New(rand.NewSource(37))
-	at := feed(d, r, 0, 6*time.Minute, 16, 0)
-	d.Flush(at)
-	st := d.pairs[testKey]
+	at := feed(d, st, r, 0, 6*time.Minute, 16, 0)
+	d.Flush(testKey, st, at)
 	if len(st.history) != d.cfg.LookBack {
 		tb.Fatalf("history %d windows, want a full look-back of %d", len(st.history), d.cfg.LookBack)
 	}
@@ -451,7 +535,7 @@ func warmDetector(tb testing.TB) (*Detector, *pairState, []float64) {
 }
 
 // closeWindow refills the pair's short window and closes it.
-func closeWindow(d *Detector, st *pairState, window []float64) {
+func closeWindow(d *Detector, st *Pair, window []float64) {
 	st.rtts = append(st.rtts[:0], window...)
 	st.total, st.lost = len(window), 0
 	d.closeShort(testKey, st, st.winStart+d.cfg.ShortWindow)

@@ -27,7 +27,8 @@ type TelemetryOptions struct {
 	ReorderBatchProb float64
 	// DelayRoundProb is the probability one analysis round is withheld
 	// (the streaming job behind schedule). Withheld rounds leave their
-	// records queued in the analyzer's bounded shard inboxes.
+	// records queued in the analyzer's shard inboxes for the next round
+	// that runs.
 	DelayRoundProb float64
 	// StalePingLists freezes the controller's ping-list serving for the
 	// campaign (agents keep probing yesterday's list). Applied by the

@@ -68,10 +68,6 @@ type Options struct {
 	// on them. Used by impact comparisons ("what would the month have
 	// looked like without SkeletonHunter acting").
 	DisableFeedback bool
-	// InboxLimit bounds each analyzer shard's inbox; overflow records
-	// are shed and counted (see analyzer.Config.InboxLimit). 0 takes
-	// the analyzer default, negative means unbounded.
-	InboxLimit int
 	// CheckpointInterval enables periodic control-plane checkpoints on
 	// the sim engine (0 disables; checkpoints can still be taken
 	// explicitly with Deployment.Checkpoint). An injected controller
@@ -239,7 +235,6 @@ func New(opts Options) (*Deployment, error) {
 		Detect:           opts.Detect,
 		AnalysisInterval: opts.AnalysisInterval,
 		Workers:          opts.Workers,
-		InboxLimit:       opts.InboxLimit,
 		Obs:              st,
 		Correlate:        cor,
 	})
@@ -264,10 +259,10 @@ func New(opts Options) (*Deployment, error) {
 		inferences:    make(map[cluster.TaskID]skeleton.Inference),
 		secrets:       make(map[cluster.TaskID]string),
 	}
-	// Parallel round engine: every sidecar agent enrolls here instead of
-	// running a per-agent ticker. Same-phase agents fire as one event,
-	// sharded by task across Workers goroutines; the deployment itself
-	// is the shard sink (see roundSink).
+	// Parallel round engine: every sidecar agent enrolls here. Same-phase
+	// agents fire as one event, sharded by task across Workers
+	// goroutines; the deployment itself is the shard sink (see
+	// roundSink).
 	d.rounds = &probe.RoundEngine{
 		Sim:     eng,
 		Net:     net,
@@ -545,7 +540,6 @@ func (d *Deployment) Migrations() int { return d.migrations }
 // after an agent-only crash.
 func (d *Deployment) startAgent(task *cluster.Task, ct *cluster.Container) {
 	a := &probe.OverlayAgent{
-		Engine:     d.Engine,
 		Net:        d.Net,
 		Controller: d.Controller,
 		Task:       task,

@@ -3,7 +3,7 @@
 // health the same way it reports on the network's. The paper's deployed
 // value rests on the telemetry plane staying correct while ~2K
 // containers/min churn under it (§6, §7.3); that property is only
-// checkable if the plane counts what it ingests, what it sheds, and how
+// checkable if the plane counts what it ingests, what it drops, and how
 // long each analysis stage takes.
 //
 // One Stats value is shared by every layer of a deployment's ingest
@@ -43,10 +43,11 @@ const (
 	// BatchesReordered counts batches delivered out of order by
 	// injected telemetry faults.
 	BatchesReordered
-	// RecordsIngested counts probe records accepted into shard inboxes.
+	// RecordsIngested counts probe records queued in shard inboxes.
 	RecordsIngested
-	// RecordsShed counts probe records refused by a full shard inbox —
-	// the analyzer's counted load-shedding under telemetry storms.
+	// RecordsShed counted probe records refused by a full shard inbox.
+	// Inboxes no longer refuse records, so it stays 0; it remains only
+	// because the repository benchmark still reports it.
 	RecordsShed
 	// RecordsDrained counts inbox records drained into the detectors —
 	// the analysis pipeline's detect stage.

@@ -54,9 +54,8 @@ type ShardSink interface {
 // RoundEngine drives grouped, parallel probing rounds. Agents enroll by
 // setting Driver before Start; the engine buckets them by due time,
 // fires one simulation event per distinct due time, and re-buckets each
-// live agent at now+Interval — so round timestamps are identical to
-// ticker mode, only the event count and the execution strategy differ.
-// Each fire fans its task spans out through FanOut, the task-pinned
+// live agent at now+Interval, so an agent probes every Interval from
+// one Interval after its Start. Each fire fans its task spans out through FanOut, the task-pinned
 // pool the analysis round also runs on.
 type RoundEngine struct {
 	Sim *sim.Engine
@@ -66,7 +65,7 @@ type RoundEngine struct {
 	Workers int
 	// Sink, when set and willing (FastOK), receives rounds through the
 	// sharded fast path; otherwise each agent delivers serially through
-	// its own Sink/BatchSink in sorted agent order.
+	// its own BatchSink in sorted agent order.
 	Sink ShardSink
 	// Obs, when set, records grouped-round counts, worker utilization,
 	// and per-stage timing histograms. Nil-safe.
@@ -85,7 +84,7 @@ type RoundEngine struct {
 type taskSpan struct{ lo, hi int }
 
 // Add enrolls an agent; its first grouped round fires one interval from
-// now, exactly when its ticker-mode round would have.
+// now.
 func (re *RoundEngine) Add(a *OverlayAgent) {
 	re.scheduleAt(a, re.Sim.Now()+a.Interval)
 }
@@ -204,7 +203,9 @@ func (re *RoundEngine) execute(run []*OverlayAgent, now time.Duration) {
 		// and useless for comparing fast-path rounds.
 		deliver := time.Now()
 		for _, a := range run {
-			a.deliver()
+			if a.BatchSink != nil && len(a.batch) > 0 {
+				a.BatchSink(a.batch)
+			}
 		}
 		re.Obs.ObserveDuration("stage-deliver-ms", time.Since(deliver))
 	}

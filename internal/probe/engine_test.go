@@ -72,55 +72,17 @@ func (s *testShardSink) Land(b Batch) {
 	s.landed = append(s.landed, cur)
 }
 
-func startEngineAgents(r *rig, re *RoundEngine, task *cluster.Task, sink Sink) []*OverlayAgent {
+func startEngineAgents(r *rig, re *RoundEngine, task *cluster.Task, sink BatchSink) []*OverlayAgent {
 	var agents []*OverlayAgent
 	for _, c := range task.Containers {
 		a := &OverlayAgent{
-			Engine: r.eng, Net: r.net, Controller: r.ctl,
-			Task: task, Container: c, Sink: sink, Driver: re,
+			Net: r.net, Controller: r.ctl,
+			Task: task, Container: c, BatchSink: sink, Driver: re,
 		}
 		a.Start()
 		agents = append(agents, a)
 	}
 	return agents
-}
-
-// TestRoundEngineMatchesTickerMode: grouped rounds are an execution
-// strategy, not a behavior change — the same cluster probed under a
-// RoundEngine produces exactly the record stream ticker mode does.
-func TestRoundEngineMatchesTickerMode(t *testing.T) {
-	type tally struct {
-		records int
-		lost    int
-		rttSum  time.Duration
-	}
-	observe := func(engineMode bool) tally {
-		r := newRig(t)
-		var got tally
-		sink := func(rec Record) {
-			got.records++
-			got.rttSum += rec.RTT
-			if rec.Lost {
-				got.lost++
-			}
-		}
-		if engineMode {
-			re := &RoundEngine{Sim: r.eng, Net: r.net, Workers: 1}
-			startEngineAgents(r, re, r.task, sink)
-		} else {
-			startAgents(r, sink)
-		}
-		r.eng.RunUntil(r.eng.Now() + 10*time.Second)
-		return got
-	}
-	ticker := observe(false)
-	grouped := observe(true)
-	if ticker.records == 0 {
-		t.Fatal("ticker mode produced no records")
-	}
-	if grouped != ticker {
-		t.Fatalf("grouped rounds diverge from ticker mode:\n  ticker:  %+v\n  grouped: %+v", ticker, grouped)
-	}
 }
 
 // TestRoundEngineShardSinkParallel drives the sharded fast path with
@@ -182,7 +144,7 @@ func TestRoundEngineSinkFallback(t *testing.T) {
 	shard := &testShardSink{ok: false}
 	re := &RoundEngine{Sim: r.eng, Net: r.net, Workers: 2, Sink: shard}
 	records := 0
-	startEngineAgents(r, re, r.task, func(Record) { records++ })
+	startEngineAgents(r, re, r.task, each(func(Record) { records++ }))
 	r.eng.RunUntil(r.eng.Now() + 5*time.Second)
 
 	if records == 0 {
@@ -200,7 +162,7 @@ func TestRoundEngineAgentLifecycle(t *testing.T) {
 	r := newRig(t)
 	perContainer := map[int]int{}
 	re := &RoundEngine{Sim: r.eng, Net: r.net}
-	agents := startEngineAgents(r, re, r.task, func(rec Record) { perContainer[rec.SrcContainer]++ })
+	agents := startEngineAgents(r, re, r.task, each(func(rec Record) { perContainer[rec.SrcContainer]++ }))
 	r.eng.RunUntil(r.eng.Now() + 3*time.Second)
 
 	if len(perContainer) != len(agents) {

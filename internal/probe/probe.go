@@ -3,10 +3,13 @@
 // namespace, which fetches its ping list from the controller and
 // executes RDMA probes every round.
 //
-// Probe results stream to a sink (the analyzer) as Records carrying
-// end-to-end latency, loss, and the underlay path the probe's flow
-// traversed — the traceroute-style physical path tomography needs
-// (§5.3).
+// Agents run under a RoundEngine, which fires every same-phase agent's
+// round in one simulation event. Each round's results reach the
+// analyzer as one Batch of Records carrying end-to-end latency, loss,
+// and the underlay path the probe's flow traversed — the
+// traceroute-style physical path tomography needs (§5.3) — through the
+// engine's ShardSink, or the agent's own BatchSink when the sharded
+// path is off.
 package probe
 
 import (
@@ -18,7 +21,6 @@ import (
 	"skeletonhunter/internal/netsim"
 	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/overlay"
-	"skeletonhunter/internal/sim"
 	"skeletonhunter/internal/topology"
 )
 
@@ -38,9 +40,6 @@ type Record struct {
 	Path []topology.LinkID
 }
 
-// Sink consumes probe records one at a time.
-type Sink func(Record)
-
 // Batch is the records of one probing round from one agent. All
 // records of a batch share the agent's task, and each target pair's
 // probes are contiguous — the layout the analyzer's batched ingest
@@ -59,27 +58,21 @@ type BatchSink func(Batch)
 //
 // Ownership: everything below the exported configuration — the reused
 // batch, the netsim scratch result, the targets buffer, the entropy
-// counter — is single-owner state. In ticker mode the owner is the
-// engine goroutine; under a RoundEngine driver, exactly one worker
+// counter — is single-owner state: exactly one RoundEngine worker
 // executes the agent's round each tick (agents of one task always ride
 // the same worker slot). Nothing here is safe to share.
 type OverlayAgent struct {
-	Engine     *sim.Engine
 	Net        *netsim.Net
 	Controller *controller.Controller
 	Task       *cluster.Task
 	Container  *cluster.Container
-	// Sink, when set, receives every record as it is produced. The
-	// batch path below is the hot one; Sink remains for tools that
-	// want a per-record tap.
-	Sink Sink
-	// BatchSink, when set, receives each round's records in one call —
-	// the per-round path the analyzer and log store ingest through.
+	// BatchSink, when set, receives each round's records in one call
+	// whenever the Driver delivers serially (its ShardSink is unset or
+	// declines the sharded path).
 	BatchSink BatchSink
-	// Driver, when set before Start, enrolls the agent in a grouped
-	// parallel round engine instead of giving it a per-agent ticker:
-	// the engine fires all same-phase agents in one simulation event
-	// and fans their rounds out over worker-owned probe contexts.
+	// Driver is the round engine the agent enrolls in at Start: it fires
+	// all same-phase agents in one simulation event and fans their
+	// rounds out over worker-owned probe contexts. Required.
 	Driver *RoundEngine
 	// Interval is the probing round period (default 1 s).
 	Interval time.Duration
@@ -89,14 +82,12 @@ type OverlayAgent struct {
 	// Obs, when set, counts probing rounds and probes sent. Nil-safe.
 	Obs *obs.Stats
 
-	ticker  *sim.Ticker
 	killed  bool
 	rounds  int
 	entropy uint64
 	epoch   uint64              // controller epoch the agent last registered under
 	batch   Batch               // reused across rounds
 	targets []controller.Target // reused ping-list buffer (serial prologue only)
-	soloCtx *netsim.ProbeCtx    // ticker-mode probe context
 
 	// scratch is the reused netsim result (its path buffers are recycled
 	// every probe). arena is the round's link storage: downstream sinks
@@ -108,9 +99,8 @@ type OverlayAgent struct {
 	arenaSize int
 }
 
-// Start registers the agent with the controller and begins periodic
-// probing rounds — on a per-agent ticker, or under the Driver's grouped
-// rounds when one is set.
+// Start registers the agent with the controller and enrolls it in the
+// Driver's grouped rounds.
 func (a *OverlayAgent) Start() {
 	if a.Interval == 0 {
 		a.Interval = time.Second
@@ -120,11 +110,7 @@ func (a *OverlayAgent) Start() {
 	}
 	a.Controller.Register(a.Task.ID, a.Container.Index)
 	a.epoch = a.Controller.Epoch()
-	if a.Driver != nil {
-		a.Driver.Add(a)
-		return
-	}
-	a.ticker = a.Engine.Every(a.Engine.Now()+a.Interval, a.Interval, "probe-round", a.round)
+	a.Driver.Add(a)
 }
 
 // Stop deregisters and halts probing — the graceful teardown path.
@@ -136,30 +122,12 @@ func (a *OverlayAgent) Stop() {
 // Kill halts probing without deregistering — what actually happens
 // when the sidecar dies with a crashing container: the controller's
 // registry still lists the endpoint, so peers keep probing it and the
-// unconnectivity gets detected.
-func (a *OverlayAgent) Kill() {
-	a.killed = true
-	if a.ticker != nil {
-		a.ticker.Stop()
-	}
-}
+// unconnectivity gets detected. The Driver drops a killed agent from
+// its rotation at the agent's next round.
+func (a *OverlayAgent) Kill() { a.killed = true }
 
 // Rounds returns the number of completed probing rounds.
 func (a *OverlayAgent) Rounds() int { return a.rounds }
-
-// round is one ticker-mode probing round: the same prepare → execute →
-// commit → deliver sequence the RoundEngine drives, run inline.
-func (a *OverlayAgent) round(now time.Duration) {
-	if !a.prepareRound(now) {
-		return
-	}
-	if a.soloCtx == nil {
-		a.soloCtx = a.Net.NewProbeCtx()
-	}
-	a.executeRound(a.soloCtx, now)
-	a.Net.CommitQueues(a.soloCtx)
-	a.deliver()
-}
 
 // prepareRound is the serial prologue of one round: lifecycle and
 // lease checks plus the controller ping-list fetch. It runs on the
@@ -189,7 +157,7 @@ func (a *OverlayAgent) prepareRound(now time.Duration) bool {
 // touches no locks and no shared mutable state (obs counters are
 // atomic), so rounds of different agents may execute concurrently —
 // each agent on exactly one worker, each worker with its own ctx.
-// Delivery is separate (deliver, or a RoundEngine sink).
+// Delivery is the RoundEngine's (ShardSink, or the agent's BatchSink).
 func (a *OverlayAgent) executeRound(ctx *netsim.ProbeCtx, now time.Duration) {
 	a.batch = a.batch[:0]
 	// Fresh per-round path arena, sized by the previous round: sinks
@@ -234,20 +202,6 @@ func (a *OverlayAgent) executeRound(ctx *netsim.ProbeCtx, now time.Duration) {
 	a.rounds++
 	a.Obs.Inc(obs.ProbeRounds)
 	a.Obs.Add(obs.ProbesSent, uint64(sent))
-}
-
-// deliver hands the round's records to the agent's own sinks — the
-// serial delivery path (ticker mode, and the RoundEngine's fallback
-// when a round cannot use the sharded fast path).
-func (a *OverlayAgent) deliver() {
-	if a.Sink != nil {
-		for _, rec := range a.batch {
-			a.Sink(rec)
-		}
-	}
-	if a.BatchSink != nil && len(a.batch) > 0 {
-		a.BatchSink(a.batch)
-	}
 }
 
 // ResourceModel reproduces the agent overhead curve of Fig. 17: CPU and

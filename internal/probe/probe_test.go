@@ -7,6 +7,7 @@ import (
 	"skeletonhunter/internal/cluster"
 	"skeletonhunter/internal/controller"
 	"skeletonhunter/internal/netsim"
+	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/overlay"
 	"skeletonhunter/internal/parallelism"
 	"skeletonhunter/internal/sim"
@@ -40,23 +41,25 @@ func newRig(t *testing.T) *rig {
 	return &rig{eng: eng, net: netsim.New(eng, fab, ovl), cp: cp, ctl: ctl, task: task}
 }
 
-func startAgents(r *rig, sink Sink) []*OverlayAgent {
-	var agents []*OverlayAgent
-	for _, c := range r.task.Containers {
-		a := &OverlayAgent{
-			Engine: r.eng, Net: r.net, Controller: r.ctl,
-			Task: r.task, Container: c, Sink: sink,
+// startAgents enrolls an agent for every container of the rig's task in
+// a fresh single-worker RoundEngine, each delivering its rounds to sink.
+func startAgents(r *rig, sink BatchSink) []*OverlayAgent {
+	return startEngineAgents(r, &RoundEngine{Sim: r.eng, Net: r.net, Workers: 1}, r.task, sink)
+}
+
+// each adapts a per-record callback to a BatchSink.
+func each(fn func(Record)) BatchSink {
+	return func(b Batch) {
+		for _, rec := range b {
+			fn(rec)
 		}
-		a.Start()
-		agents = append(agents, a)
 	}
-	return agents
 }
 
 func TestAgentsProbeActiveTargets(t *testing.T) {
 	r := newRig(t)
 	var records []Record
-	agents := startAgents(r, func(rec Record) { records = append(records, rec) })
+	agents := startAgents(r, each(func(rec Record) { records = append(records, rec) }))
 	start := r.eng.Now()
 	r.eng.RunUntil(start + 10*time.Second)
 
@@ -91,7 +94,7 @@ func TestAgentsProbeActiveTargets(t *testing.T) {
 func TestAgentStopCeasesProbing(t *testing.T) {
 	r := newRig(t)
 	count := 0
-	agents := startAgents(r, func(Record) { count++ })
+	agents := startAgents(r, each(func(Record) { count++ }))
 	start := r.eng.Now()
 	r.eng.RunUntil(start + 5*time.Second)
 	for _, a := range agents {
@@ -113,7 +116,7 @@ func TestAgentStopCeasesProbing(t *testing.T) {
 func TestAgentSkipsTerminatedContainer(t *testing.T) {
 	r := newRig(t)
 	count := 0
-	agents := startAgents(r, func(Record) { count++ })
+	agents := startAgents(r, each(func(Record) { count++ }))
 	start := r.eng.Now()
 	r.eng.RunUntil(start + 2*time.Second)
 	// Crash the container behind agent 0; its agent must stop emitting.
@@ -136,16 +139,17 @@ func TestProbesPerTargetSpreadsEntropy(t *testing.T) {
 	r := newRig(t)
 	var paths = map[string]bool{}
 	agent := &OverlayAgent{
-		Engine: r.eng, Net: r.net, Controller: r.ctl,
+		Net: r.net, Controller: r.ctl,
 		Task: r.task, Container: r.task.Containers[0],
+		Driver:          &RoundEngine{Sim: r.eng, Net: r.net},
 		ProbesPerTarget: 4,
-		Sink: func(rec Record) {
+		BatchSink: each(func(rec Record) {
 			key := ""
 			for _, l := range rec.Path {
 				key += string(l)
 			}
 			paths[key] = true
-		},
+		}),
 	}
 	agent.Start()
 	start := r.eng.Now()
@@ -183,14 +187,14 @@ func TestResourceModelConvergence(t *testing.T) {
 
 func TestBatchSinkDeliversWholeRounds(t *testing.T) {
 	r := newRig(t)
-	var perRecord []Record
+	stats := obs.New()
+	re := &RoundEngine{Sim: r.eng, Net: r.net, Workers: 2}
 	var batches []int
 	var firstTask cluster.TaskID
 	for _, c := range r.task.Containers {
 		a := &OverlayAgent{
-			Engine: r.eng, Net: r.net, Controller: r.ctl,
-			Task: r.task, Container: c,
-			Sink: func(rec Record) { perRecord = append(perRecord, rec) },
+			Net: r.net, Controller: r.ctl,
+			Task: r.task, Container: c, Driver: re, Obs: stats,
 			BatchSink: func(b Batch) {
 				if len(b) == 0 {
 					t.Fatal("empty batch delivered")
@@ -218,8 +222,8 @@ func TestBatchSinkDeliversWholeRounds(t *testing.T) {
 	for _, n := range batches {
 		total += n
 	}
-	// The per-record tap and the batch path must see the same stream.
-	if total != len(perRecord) {
-		t.Fatalf("batch path delivered %d records, per-record sink %d", total, len(perRecord))
+	// Every probe sent reaches the batch path, once.
+	if sent := stats.Get(obs.ProbesSent); uint64(total) != sent {
+		t.Fatalf("batch path delivered %d records, agents sent %d probes", total, sent)
 	}
 }

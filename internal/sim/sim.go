@@ -148,42 +148,17 @@ func (e *Engine) After(d time.Duration, name string, fn func(now time.Duration))
 }
 
 // Every schedules fn to run periodically, first at start and then every
-// period, until the returned Ticker is stopped or the engine drains.
-func (e *Engine) Every(start, period time.Duration, name string, fn func(now time.Duration)) *Ticker {
+// period, for as long as the engine runs.
+func (e *Engine) Every(start, period time.Duration, name string, fn func(now time.Duration)) {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	t := &Ticker{engine: e, period: period, name: name, fn: fn}
-	t.next = e.Schedule(start, name, t.fire)
-	return t
-}
-
-// Ticker is a recurring event created by Engine.Every.
-type Ticker struct {
-	engine  *Engine
-	period  time.Duration
-	name    string
-	fn      func(now time.Duration)
-	next    *Event
-	stopped bool
-}
-
-func (t *Ticker) fire(now time.Duration) {
-	if t.stopped {
-		return
+	var fire func(now time.Duration)
+	fire = func(now time.Duration) {
+		fn(now)
+		e.Schedule(now+period, name, fire)
 	}
-	t.fn(now)
-	if !t.stopped { // fn may have stopped us
-		t.next = t.engine.Schedule(now+t.period, t.name, t.fire)
-	}
-}
-
-// Stop cancels future firings.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	if t.next != nil {
-		t.next.Cancel()
-	}
+	e.Schedule(start, name, fire)
 }
 
 // Step fires the earliest pending event. It reports false when the

@@ -100,39 +100,18 @@ func TestRunUntil(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine(1)
 	var fires []time.Duration
-	tk := e.Every(time.Second, 2*time.Second, "tick", func(now time.Duration) {
+	e.Every(time.Second, 2*time.Second, "tick", func(now time.Duration) {
 		fires = append(fires, now)
-		if len(fires) == 3 {
-			// Stop from within the callback.
-		}
 	})
-	e.RunUntil(5 * time.Second)
-	tk.Stop()
-	e.RunUntil(20 * time.Second)
-	if len(fires) != 3 {
-		t.Fatalf("ticker fired %d times, want 3 (1s,3s,5s)", len(fires))
-	}
+	e.RunUntil(6 * time.Second)
 	want := []time.Duration{time.Second, 3 * time.Second, 5 * time.Second}
+	if len(fires) != len(want) {
+		t.Fatalf("ticker fired %d times by 6s, want 3 (1s,3s,5s)", len(fires))
+	}
 	for i := range want {
 		if fires[i] != want[i] {
 			t.Fatalf("fires = %v, want %v", fires, want)
 		}
-	}
-}
-
-func TestTickerStopInsideCallback(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	var tk *Ticker
-	tk = e.Every(0, time.Second, "tick", func(now time.Duration) {
-		count++
-		if count == 2 {
-			tk.Stop()
-		}
-	})
-	e.RunUntil(time.Minute)
-	if count != 2 {
-		t.Fatalf("ticker fired %d times after in-callback Stop, want 2", count)
 	}
 }
 
@@ -203,13 +182,11 @@ func TestPendingExcludesCancelled(t *testing.T) {
 
 func TestPendingWithTicker(t *testing.T) {
 	e := NewEngine(1)
-	tk := e.Every(time.Second, time.Second, "tick", func(time.Duration) {})
-	e.RunUntil(3 * time.Second)
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (next ticker firing)", e.Pending())
-	}
-	tk.Stop()
-	if e.Pending() != 0 {
-		t.Fatalf("pending after ticker stop = %d, want 0", e.Pending())
+	e.Every(time.Second, time.Second, "tick", func(time.Duration) {})
+	for _, until := range []time.Duration{0, 3 * time.Second, time.Minute} {
+		e.RunUntil(until)
+		if e.Pending() != 1 {
+			t.Fatalf("pending at %v = %d, want 1 (next ticker firing)", until, e.Pending())
+		}
 	}
 }
