@@ -82,13 +82,15 @@ bench-ci:
 	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -o BENCH_scale.json
 	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -campaign gray -o BENCH_scale_gray.json
 
-# Second-layer gray-failure detection benchmark: the same seeded
-# campaign run with and without internal/correlate armed, scored
-# localization-strict against a mixed gray + hard fault schedule.
-# Fails unless the correlate arm strictly improves gray-fault recall
-# without degrading hard-fault recall or alarm precision.
+# Second-layer gray-failure detection campaign (cmd/bench): the
+# scenario.GrayMix schedule played with and without internal/correlate
+# armed, scored localization-strict against its mixed gray + hard
+# faults. Fails unless the correlate arm strictly improves gray-fault
+# recall without degrading hard-fault recall or alarm precision. The
+# report is a pure function of (campaign, seed, hosts) and committed;
+# CI fails if it drifts.
 bench-correlate:
-	$(GO) run ./cmd/correlatebench -o BENCH_correlate.json
+	$(GO) run ./cmd/bench -campaign correlate -o BENCH_correlate.json
 
 # Read-plane serving campaign: 100K simulated clients replaying a
 # zipfian conditional-GET + watch mix against the incident API
@@ -109,15 +111,16 @@ bench-api:
 bench-remedy:
 	$(GO) run ./cmd/remedybench -o BENCH_remedy.json
 
-# Adversarial scenario packs (internal/scenario) scored against their
-# ground-truth fault ledgers: flap+ghost, rdma-mask, and churn-replay
-# each report precision / episode recall / strict recall / mean TTD
-# into BENCH_scenarios.json. Fails if flap+ghost localization does not
+# Adversarial scenario packs (internal/scenario) played by cmd/bench
+# and scored against their ground-truth fault ledgers: flap+ghost (and
+# its clean arm), rdma-mask, and churn-replay each report precision /
+# episode recall / strict recall / mean TTD into the committed
+# BENCH_scenarios.json. Fails if flap+ghost localization does not
 # recover to within 10% of its clean arm after the topology view
 # refreshes, or if rdma-mask raises no detection before the collective
 # collapse.
 bench-scenarios:
-	$(GO) run ./cmd/scenariobench -o BENCH_scenarios.json
+	$(GO) run ./cmd/bench -campaign scenarios -o BENCH_scenarios.json
 
 # Full benchmark sweep (every figure/table generator), human-readable.
 bench-all:

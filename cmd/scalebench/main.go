@@ -535,10 +535,7 @@ func run(hosts, rounds, warmup int, seed int64, workers int, campaign string, ve
 	after := d.Stats().Counters
 
 	probes := after[obs.ProbesSent.String()] - before[obs.ProbesSent.String()]
-	incidents := 0
-	if d.Incidents != nil {
-		incidents = len(d.Incidents.Incidents())
-	}
+	incidents := len(d.Incidents.Incidents())
 	fleet := &FleetInfo{
 		Pods:   spec.Pods,
 		RNICs:  hosts * spec.Rails,
@@ -637,10 +634,7 @@ func runScenario(pack string, hosts int, seed int64, workers int, verbose bool) 
 	after := d.Stats().Counters
 
 	probes := after[obs.ProbesSent.String()] - before[obs.ProbesSent.String()]
-	incidents := 0
-	if d.Incidents != nil {
-		incidents = len(d.Incidents.Incidents())
-	}
+	incidents := len(d.Incidents.Incidents())
 	fleet := &FleetInfo{
 		Pods:   spec.Pods,
 		RNICs:  hosts * spec.Rails,

@@ -76,10 +76,8 @@ type Config struct {
 	// (default 30 s, aligned with the short-term window).
 	AnalysisInterval time.Duration
 	// PathMemory bounds how many recent probe paths are kept per pair
-	// (default 8) and HealthyMemory how many healthy observations are
-	// kept per shard (default 512).
-	PathMemory    int
-	HealthyMemory int
+	// (default 8).
+	PathMemory int
 	// Workers bounds the analysis round's fan-out across task shards
 	// on the task-pinned pool (probe.FanOut); <= 0 means GOMAXPROCS.
 	// Results are identical at any value; this only trades wall-clock
@@ -103,11 +101,11 @@ func (c Config) withDefaults() Config {
 	if c.PathMemory == 0 {
 		c.PathMemory = 8
 	}
-	if c.HealthyMemory == 0 {
-		c.HealthyMemory = 512
-	}
 	return c
 }
+
+// healthyMemory bounds how many healthy observations a shard keeps.
+const healthyMemory = 512
 
 // pairKey is a pair's shard-local key: its task-local coordinates (src
 // container, src rail, dst container, dst rail), 16 bits each, packed so
@@ -286,10 +284,10 @@ func (s *shard) observeRun(cs *correlate.Shard, run []entry) {
 		}
 		if !e.lost && len(e.Path) > 0 && e.RTT < 50*time.Microsecond {
 			ob := localize.Observation{Path: e.Path}
-			if len(s.healthy) < s.cfg.HealthyMemory {
+			if len(s.healthy) < healthyMemory {
 				s.healthy = append(s.healthy, ob)
 			} else {
-				s.healthy[s.hIdx%s.cfg.HealthyMemory] = ob
+				s.healthy[s.hIdx%healthyMemory] = ob
 				s.hIdx++
 			}
 		}

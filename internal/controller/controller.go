@@ -135,14 +135,6 @@ func (c *Controller) UseClock(now func() time.Duration) {
 	c.now = now
 }
 
-// SetRecoveryGrace overrides how long restored stale-epoch leases keep
-// serving before they expire.
-func (c *Controller) SetRecoveryGrace(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recoveryGrace = d
-}
-
 // Epoch returns the controller incarnation counter. Agents compare it
 // against the epoch they last registered under and re-register when it
 // moves.

@@ -89,7 +89,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestRestoredLeasesExpireWithoutRenewal(t *testing.T) {
 	eng, task, ctl, resolve := steadyController(t)
-	ctl.SetRecoveryGrace(30 * time.Second)
+	ctl.recoveryGrace = 30 * time.Second
 	snap := ctl.Snapshot()
 	ctl.Crash()
 	if _, err := ctl.Restore(snap, resolve); err != nil {
@@ -119,7 +119,7 @@ func TestLiveLeasesNeverExpire(t *testing.T) {
 	// container's endpoint has to stay probed so unconnectivity is
 	// detected (§5.1's registry semantics).
 	eng, task, ctl, _ := steadyController(t)
-	ctl.SetRecoveryGrace(time.Second)
+	ctl.recoveryGrace = time.Second
 	eng.RunUntil(60 * time.Minute)
 	if got := ctl.Registrations(task.ID); len(got) != task.NumContainers() {
 		t.Fatalf("live leases decayed to %d", len(got))

@@ -99,30 +99,28 @@ type Anomaly struct {
 	WindowRTTs []float64
 }
 
+// The paper's fixed detection parameters.
+const (
+	longWindow    = 30 * time.Minute
+	lofNeighbors  = 5
+	lossThreshold = 0.02
+	minSamples    = 5 // minimum probes per window to evaluate
+)
+
 // Config tunes detection. Zero values select the paper's parameters.
 type Config struct {
-	ShortWindow   time.Duration // default 30 s
-	LongWindow    time.Duration // default 30 min
-	LookBack      int           // short windows of history for LOF (default 10 ≡ 5 min)
-	LOFNeighbors  int           // default 5
-	LOFThreshold  float64       // default 2.5
-	ZThreshold    float64       // |Z| beyond which the long window fails (default 6)
-	LossThreshold float64       // default 0.02
-	MinSamples    int           // minimum probes per window to evaluate (default 5)
+	ShortWindow  time.Duration // default 30 s
+	LookBack     int           // short windows of history for LOF (default 10 ≡ 5 min)
+	LOFThreshold float64       // default 4
+	ZThreshold   float64       // |Z| beyond which the long window fails (default 6)
 }
 
 func (c Config) withDefaults() Config {
 	if c.ShortWindow == 0 {
 		c.ShortWindow = 30 * time.Second
 	}
-	if c.LongWindow == 0 {
-		c.LongWindow = 30 * time.Minute
-	}
 	if c.LookBack == 0 {
 		c.LookBack = 10
-	}
-	if c.LOFNeighbors == 0 {
-		c.LOFNeighbors = 5
 	}
 	if c.LOFThreshold == 0 {
 		// Healthy windows occasionally reach LOF ≈ 3 against a 10-window
@@ -133,12 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ZThreshold == 0 {
 		c.ZThreshold = 6
-	}
-	if c.LossThreshold == 0 {
-		c.LossThreshold = 0.02
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 5
 	}
 	return c
 }
@@ -218,7 +210,7 @@ func (d *Detector) observe(key PairKey, st *Pair, s Sample) {
 	if s.At >= st.winStart+d.cfg.ShortWindow {
 		d.closeShort(key, st, s.At)
 	}
-	if s.At >= st.longStart+d.cfg.LongWindow {
+	if s.At >= st.longStart+longWindow {
 		d.closeLong(key, st, s.At)
 	}
 	st.total++
@@ -240,7 +232,7 @@ func (d *Detector) Flush(key PairKey, st *Pair, at time.Duration) {
 		return
 	}
 	d.closeShort(key, st, at)
-	if at >= st.longStart+d.cfg.LongWindow {
+	if at >= st.longStart+longWindow {
 		d.closeLong(key, st, at)
 	}
 }
@@ -252,7 +244,7 @@ func (d *Detector) closeShort(key PairKey, st *Pair, now time.Duration) {
 		st.lost = 0
 		st.total = 0
 	}()
-	if st.total < d.cfg.MinSamples {
+	if st.total < minSamples {
 		return
 	}
 	d.Evaluated++
@@ -265,7 +257,7 @@ func (d *Detector) closeShort(key PairKey, st *Pair, now time.Duration) {
 		d.emit(Anomaly{Key: key, Type: Unconnectivity, At: at, Score: 1})
 		return
 	}
-	if lossRate > d.cfg.LossThreshold {
+	if lossRate > lossThreshold {
 		d.emit(Anomaly{Key: key, Type: PacketLoss, At: at, Score: lossRate,
 			WindowRTTs: append([]float64(nil), st.rtts...)})
 		// Loss windows still get latency evaluation below: flapping
@@ -282,7 +274,7 @@ func (d *Detector) closeShort(key PairKey, st *Pair, now time.Duration) {
 	// entire distribution and therefore the order statistics.
 	vec := d.robustVector(st.rtts)
 	if len(st.history) >= 6 {
-		score := stats.LOFScore(&d.lof, vec, st.history, d.cfg.LOFNeighbors)
+		score := stats.LOFScore(&d.lof, vec, st.history, lofNeighbors)
 		if score > d.cfg.LOFThreshold {
 			d.emit(Anomaly{Key: key, Type: LatencyShortTerm, At: at, Score: score,
 				WindowRTTs: append([]float64(nil), st.rtts...)})
@@ -309,10 +301,10 @@ func (d *Detector) closeLong(key PairKey, st *Pair, now time.Duration) {
 		st.longStart = now
 		st.longRTTs = st.longRTTs[:0]
 	}()
-	if len(st.longRTTs) < d.cfg.MinSamples*10 {
+	if len(st.longRTTs) < minSamples*10 {
 		return
 	}
-	at := st.longStart + d.cfg.LongWindow
+	at := st.longStart + longWindow
 	if st.ref == nil {
 		// First long window: fit the reference distribution (time T of
 		// Fig. 14). The fit assumes the pair starts healthy; a pair that

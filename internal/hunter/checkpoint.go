@@ -88,16 +88,13 @@ func (d *Deployment) Checkpoint() *Checkpoint {
 		At:           d.Engine.Now(),
 		Controller:   d.Controller.Snapshot(),
 		Analyzer:     d.Analyzer.SnapshotState(),
-		Incidents:    incident.Snapshot{Version: incident.SnapshotVersion},
+		Incidents:    d.Incidents.Snapshot(),
 		Remedy:       remedy.Snapshot{Version: remedy.SnapshotVersion},
 		Correlate:    correlate.Snapshot{Version: correlate.SnapshotVersion},
 		BlockedHosts: d.BlockedHosts(),
 		Migrations:   d.migrations,
 		Secrets:      copyTaskMap(d.secrets),
 		Inferences:   copyTaskMap(d.inferences),
-	}
-	if d.Incidents != nil {
-		ck.Incidents = d.Incidents.Snapshot()
 	}
 	if d.Remedy != nil {
 		ck.Remedy = d.Remedy.Snapshot()
@@ -123,9 +120,7 @@ func (d *Deployment) LastCheckpoint() *Checkpoint { return d.lastCkpt }
 func (d *Deployment) CrashController() {
 	d.Controller.Crash()
 	d.Analyzer.Crash()
-	if d.Incidents != nil {
-		d.Incidents.Crash()
-	}
+	d.Incidents.Crash()
 	if d.Remedy != nil {
 		d.Remedy.Crash()
 	}
@@ -160,10 +155,8 @@ func (d *Deployment) RecoverFrom(ck *Checkpoint) error {
 		return err
 	}
 	d.Analyzer.RestoreState(ck.Analyzer)
-	if d.Incidents != nil {
-		if err := d.Incidents.Restore(ck.Incidents); err != nil {
-			return err
-		}
+	if err := d.Incidents.Restore(ck.Incidents); err != nil {
+		return err
 	}
 	if d.Remedy != nil {
 		if err := d.Remedy.Restore(ck.Remedy); err != nil {
@@ -295,9 +288,7 @@ func (d *Deployment) Fingerprint() string {
 	for _, id := range ids {
 		fmt.Fprintf(h, "bl %s %d\n", id, bl[id])
 	}
-	if d.Incidents != nil {
-		fmt.Fprintf(h, "inc %s\n", d.Incidents.Fingerprint())
-	}
+	fmt.Fprintf(h, "inc %s\n", d.Incidents.Fingerprint())
 	if d.Remedy != nil {
 		fmt.Fprintf(h, "rem %s\n", d.Remedy.Fingerprint())
 	}

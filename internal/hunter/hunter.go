@@ -51,10 +51,6 @@ type Options struct {
 	// out on; <= 0 means GOMAXPROCS. Alarms are bit-identical at any
 	// value; this only trades wall-clock for cores.
 	Workers int
-	// ProbeInterval is the agents' probing round period (default 1 s).
-	ProbeInterval time.Duration
-	// TransientCongestionProb adds benign latency spikes (noise).
-	TransientCongestionProb float64
 	// Lag overrides the container lifecycle delays (default: the
 	// production-shaped model).
 	Lag cluster.LagModel
@@ -73,15 +69,9 @@ type Options struct {
 	// explicitly with Deployment.Checkpoint). An injected controller
 	// crash recovers from the most recent one.
 	CheckpointInterval time.Duration
-	// RecoveryGrace overrides how long restored (stale-epoch) agent
-	// leases keep serving after a recovery before they expire (default
-	// controller.DefaultRecoveryGrace).
-	RecoveryGrace time.Duration
 	// Incidents tunes the alarm→incident correlator (zero values take
-	// the incident package defaults). The correlator is on by default;
-	// DisableIncidents turns the incident plane off entirely.
-	Incidents        incident.Config
-	DisableIncidents bool
+	// the incident package defaults).
+	Incidents incident.Config
 	// Correlate, when non-nil, enables the second-layer gray-failure
 	// detector: CUSUM change-points over per-pair RTT, per-RNIC
 	// delivery-ratio and per-ToR queue-depth series, with stable-bloom
@@ -94,8 +84,7 @@ type Options struct {
 	// Remedy, when non-nil, enables the self-healing remediation plane:
 	// the policy engine consumes the incident stream each sweep and
 	// repairs localized faults behind the configured safety rails
-	// (Config.Hosts is filled in from the fabric if zero). Requires the
-	// incident plane.
+	// (Config.Hosts is filled in from the fabric if zero).
 	Remedy *remedy.Config
 	// HTTPAddr, when non-empty, serves the operator query API on that
 	// address ("127.0.0.1:0" picks a free port; read it back from
@@ -103,6 +92,9 @@ type Options struct {
 	HTTPAddr string
 	API      apiserver.Config
 }
+
+// probeInterval is the agents' probing round period.
+const probeInterval = time.Second
 
 // Deployment is a wired SkeletonHunter instance over a simulated cloud.
 type Deployment struct {
@@ -123,7 +115,7 @@ type Deployment struct {
 	// RNIC/switch (§6's log service).
 	Log *logstore.Store
 	// Incidents folds alarms into long-lived operator incidents with
-	// evidence bundles (nil when Options.DisableIncidents).
+	// evidence bundles.
 	Incidents *incident.Correlator
 	// Remedy is the self-healing policy engine (nil unless
 	// Options.Remedy was set).
@@ -147,7 +139,6 @@ type Deployment struct {
 	// the deployment folds it into the incident plane.
 	OnGray func(correlate.Alarm)
 
-	probeInterval time.Duration
 	sweepInterval time.Duration
 	autoMigrate   bool
 	feedbackOff   bool
@@ -189,9 +180,6 @@ func New(opts Options) (*Deployment, error) {
 	if spec == (topology.Spec{}) {
 		spec = topology.Production(opts.Hosts)
 	}
-	if opts.ProbeInterval == 0 {
-		opts.ProbeInterval = time.Second
-	}
 	eng := sim.NewEngine(opts.Seed)
 	fab, err := topology.New(spec)
 	if err != nil {
@@ -200,13 +188,9 @@ func New(opts Options) (*Deployment, error) {
 	ovl := overlay.NewNetwork()
 	cp := cluster.NewControlPlane(eng, fab, ovl, opts.Lag)
 	net := netsim.New(eng, fab, ovl)
-	net.TransientCongestionProb = opts.TransientCongestionProb
 	ctl := controller.New()
 	ctl.Attach(cp)
 	ctl.UseClock(eng.Now)
-	if opts.RecoveryGrace > 0 {
-		ctl.SetRecoveryGrace(opts.RecoveryGrace)
-	}
 	loc := localize.NewWithControlPlane(net, cp)
 	st := obs.New()
 	var cor *correlate.Engine
@@ -245,19 +229,18 @@ func New(opts Options) (*Deployment, error) {
 	d := &Deployment{
 		Engine: eng, Fabric: fab, Overlay: ovl, Net: net,
 		CP: cp, Controller: ctl, Analyzer: an,
-		Localizer:     loc,
-		Injector:      faults.NewInjector(net, cp),
-		Log:           log,
-		Obs:           st,
-		probeInterval: opts.ProbeInterval,
-		autoMigrate:   opts.AutoMigrate,
-		feedbackOff:   opts.DisableFeedback,
-		agents:        make(map[cluster.ContainerID]*probe.OverlayAgent),
-		stopped:       make(map[cluster.TaskID]int),
-		blockedHosts:  make(map[int]bool),
-		overrides:     make(map[cluster.TaskID]parallelism.Config),
-		inferences:    make(map[cluster.TaskID]skeleton.Inference),
-		secrets:       make(map[cluster.TaskID]string),
+		Localizer:    loc,
+		Injector:     faults.NewInjector(net, cp),
+		Log:          log,
+		Obs:          st,
+		autoMigrate:  opts.AutoMigrate,
+		feedbackOff:  opts.DisableFeedback,
+		agents:       make(map[cluster.ContainerID]*probe.OverlayAgent),
+		stopped:      make(map[cluster.TaskID]int),
+		blockedHosts: make(map[int]bool),
+		overrides:    make(map[cluster.TaskID]parallelism.Config),
+		inferences:   make(map[cluster.TaskID]skeleton.Inference),
+		secrets:      make(map[cluster.TaskID]string),
 	}
 	// Parallel round engine: every sidecar agent enrolls here. Same-phase
 	// agents fire as one event, sharded by task across Workers
@@ -286,37 +269,35 @@ func New(opts Options) (*Deployment, error) {
 		eng.Every(opts.CheckpointInterval, opts.CheckpointInterval, "checkpoint",
 			func(time.Duration) { d.Checkpoint() })
 	}
-	if !opts.DisableIncidents {
-		d.Incidents = incident.New(opts.Incidents, incident.Sources{
-			Records:     d.evidenceRecords,
-			QueueLength: net.QueueLength,
-			Offload:     ovl.DumpOffload,
-		})
-		d.Incidents.Obs = st
-		// Resolution sweeps ride the analysis-round cadence. Incidents
-		// change only in analysis rounds, sweeps, crashes and
-		// recoveries, and each of those publishes once at its end.
-		sweep := opts.AnalysisInterval
-		if sweep == 0 {
-			sweep = 30 * time.Second
-		}
-		d.sweepInterval = sweep
-		if opts.Remedy != nil {
-			rc := *opts.Remedy
-			if rc.Hosts == 0 {
-				rc.Hosts = fab.Hosts()
-			}
-			d.Remedy = remedy.NewEngine(rc, d.remedyOps())
-			d.Remedy.Obs = st
-		}
-		eng.Every(sweep, sweep, "incident-sweep", func(now time.Duration) {
-			d.Incidents.Sweep(now)
-			if d.Remedy != nil {
-				d.Remedy.Tick(now, d.incidentSnapshot())
-			}
-			d.refreshAPI()
-		})
+	d.Incidents = incident.New(opts.Incidents, incident.Sources{
+		Records:     d.evidenceRecords,
+		QueueLength: net.QueueLength,
+		Offload:     ovl.DumpOffload,
+	})
+	d.Incidents.Obs = st
+	// Resolution sweeps ride the analysis-round cadence. Incidents
+	// change only in analysis rounds, sweeps, crashes and
+	// recoveries, and each of those publishes once at its end.
+	sweep := opts.AnalysisInterval
+	if sweep == 0 {
+		sweep = 30 * time.Second
 	}
+	d.sweepInterval = sweep
+	if opts.Remedy != nil {
+		rc := *opts.Remedy
+		if rc.Hosts == 0 {
+			rc.Hosts = fab.Hosts()
+		}
+		d.Remedy = remedy.NewEngine(rc, d.remedyOps())
+		d.Remedy.Obs = st
+	}
+	eng.Every(sweep, sweep, "incident-sweep", func(now time.Duration) {
+		d.Incidents.Sweep(now)
+		if d.Remedy != nil {
+			d.Remedy.Tick(now, d.incidentSnapshot())
+		}
+		d.refreshAPI()
+	})
 	if opts.HTTPAddr != "" {
 		d.API = apiserver.New(opts.API)
 		d.refreshAPI()
@@ -454,9 +435,7 @@ func (d *Deployment) AgentRestartStorm(frac float64, downFor time.Duration) int 
 // or trigger migrations — they page with evidence (chains included)
 // and wait for an operator or for the hard detector to confirm.
 func (d *Deployment) handleGrayAlarm(al correlate.Alarm) {
-	if d.Incidents != nil {
-		d.Incidents.ObserveGray(al)
-	}
+	d.Incidents.ObserveGray(al)
 	if d.OnGray != nil {
 		d.OnGray(al)
 	}
@@ -466,9 +445,7 @@ func (d *Deployment) handleGrayAlarm(al correlate.Alarm) {
 // verdicts into the scheduling blacklist and, when enabled, migrates
 // running containers off implicated hosts.
 func (d *Deployment) handleAlarm(al analyzer.Alarm) {
-	if d.Incidents != nil {
-		d.Incidents.ObserveAlarm(al)
-	}
+	d.Incidents.ObserveAlarm(al)
 	if d.feedbackOff {
 		// Alarms are recorded (and incidents opened) but operations do
 		// not act, so nothing is ever marked mitigated.
@@ -502,20 +479,18 @@ func (d *Deployment) handleAlarm(al analyzer.Alarm) {
 				}
 			}
 		}
-		if stranded > 0 && d.Incidents != nil {
+		if stranded > 0 {
 			d.Incidents.NoteRemediation(c, fmt.Sprintf(
 				"auto-migration exhausted: %d container(s) stranded (no schedulable spare)", stranded))
 		}
 		// The analyzer put the component on the §8 blacklist the moment
 		// the alarm raised; that (plus any migration) is the mitigation
 		// the incident's SLO clock stops on.
-		if d.Incidents != nil {
-			how := "blacklist"
-			if migrated > 0 {
-				how = fmt.Sprintf("blacklist+migration(%d)", migrated)
-			}
-			d.Incidents.NoteMitigated(c, al.At, how)
+		how := "blacklist"
+		if migrated > 0 {
+			how = fmt.Sprintf("blacklist+migration(%d)", migrated)
 		}
+		d.Incidents.NoteMitigated(c, al.At, how)
 	}
 	if d.OnAlarm != nil {
 		d.OnAlarm(al)
@@ -546,7 +521,7 @@ func (d *Deployment) startAgent(task *cluster.Task, ct *cluster.Container) {
 		Container:  ct,
 		BatchSink:  d.emitBatch,
 		Driver:     d.rounds,
-		Interval:   d.probeInterval,
+		Interval:   probeInterval,
 		Obs:        d.Obs,
 	}
 	a.Start()
@@ -711,12 +686,10 @@ func (d *Deployment) Stats() obs.Snapshot {
 		busy := snap.Counters[obs.WorkerBusyNanos.String()]
 		snap.Counters["worker-utilization-pct"] = busy * 100 / wall
 	}
-	if d.Incidents != nil {
-		open, mitigating, resolved := d.Incidents.Counts()
-		snap.Counters["incidents-open"] = uint64(open)
-		snap.Counters["incidents-mitigating"] = uint64(mitigating)
-		snap.Counters["incidents-resolved-now"] = uint64(resolved)
-	}
+	open, mitigating, resolved := d.Incidents.Counts()
+	snap.Counters["incidents-open"] = uint64(open)
+	snap.Counters["incidents-mitigating"] = uint64(mitigating)
+	snap.Counters["incidents-resolved-now"] = uint64(resolved)
 	if d.Remedy != nil {
 		deferred, verifying := d.Remedy.Pending()
 		snap.Counters["remedy-deferred-now"] = uint64(deferred)

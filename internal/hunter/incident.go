@@ -188,10 +188,7 @@ func (d *Deployment) refreshAPI() {
 		}
 		d.apiBlacklist = entries
 	}
-	var incs []incident.Incident
-	if d.Incidents != nil {
-		incs = d.incidentSnapshot()
-	}
+	incs := d.incidentSnapshot()
 	if alarms := d.Analyzer.Alarms(); len(alarms) != len(d.apiAlarms) {
 		d.apiAlarms = append([]analyzer.Alarm(nil), alarms...)
 	}

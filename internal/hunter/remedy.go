@@ -23,14 +23,10 @@ func (d *Deployment) remedyOps() remedy.Ops {
 		Rollback:      d.remedyRollback,
 		Healthy:       d.remedyHealthy,
 		NoteAudit: func(comp component.ID, note string) {
-			if d.Incidents != nil {
-				d.Incidents.NoteRemediation(comp, note)
-			}
+			d.Incidents.NoteRemediation(comp, note)
 		},
 		NoteRepaired: func(comp component.ID, at time.Duration, how string) {
-			if d.Incidents != nil {
-				d.Incidents.NoteRepaired(comp, at, how)
-			}
+			d.Incidents.NoteRepaired(comp, at, how)
 		},
 	}
 }
@@ -173,9 +169,6 @@ func (d *Deployment) remedyHealthy(comp component.ID, executedAt time.Duration) 
 		if dump := d.Overlay.DumpOffload(host, rail); len(dump.Inconsistent) > 0 {
 			return false
 		}
-	}
-	if d.Incidents == nil {
-		return true
 	}
 	inc, ok := d.Incidents.Latest(comp)
 	if !ok {

@@ -8,12 +8,9 @@
 package hunter_test
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
-	"skeletonhunter/internal/cluster"
-	"skeletonhunter/internal/detect"
 	"skeletonhunter/internal/hunter"
 	"skeletonhunter/internal/scenario"
 	"skeletonhunter/internal/topology"
@@ -23,37 +20,20 @@ import (
 // per seed, so the assertions below are exact, not statistical.
 const packSeed = 7
 
-func packLag() cluster.LagModel {
-	return cluster.LagModel{
-		CreateLag:    func(r *rand.Rand, i int) time.Duration { return time.Duration(i) * time.Second },
-		StartupDelay: func(r *rand.Rand) time.Duration { return 5 * time.Second },
-		StopLag:      func(r *rand.Rand) time.Duration { return time.Second },
-	}
-}
-
 type packOptions struct {
 	workers            int
 	checkpointInterval time.Duration
-	hosts              int
 }
 
+// packDeployment builds the deployment `cmd/bench -campaign scenarios`
+// plays the packs on (scenario.PackOptions), so these acceptance tests
+// and the CI gate cannot drift apart.
 func packDeployment(t *testing.T, o packOptions) *hunter.Deployment {
 	t.Helper()
-	hostsPerPod := 8
-	if o.hosts > 0 {
-		hostsPerPod = o.hosts
-	}
-	d, err := hunter.New(hunter.Options{
-		Seed: packSeed,
-		Spec: topology.Spec{Pods: 1, HostsPerPod: hostsPerPod, Rails: 8, AggPerPod: 2},
-		Lag:  packLag(),
-		// Compressed timescale: flap down-windows average 30 s, so the
-		// detector folds 10 s windows at a 10 s analysis cadence.
-		Detect:             detect.Config{ShortWindow: 10 * time.Second},
-		AnalysisInterval:   10 * time.Second,
-		Workers:            o.workers,
-		CheckpointInterval: o.checkpointInterval,
-	})
+	opts := scenario.PackOptions(packSeed, 8)
+	opts.Workers = o.workers
+	opts.CheckpointInterval = o.checkpointInterval
+	d, err := hunter.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +54,7 @@ func runPack(t *testing.T, s *scenario.Schedule, o packOptions) (*hunter.Deploym
 
 func packSchedule(t *testing.T, name string) *scenario.Schedule {
 	t.Helper()
-	fab, err := topology.New(topology.Spec{Pods: 1, HostsPerPod: 8, Rails: 8, AggPerPod: 2})
+	fab, err := topology.New(scenario.PackSpec(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +70,8 @@ func packSchedule(t *testing.T, name string) *scenario.Schedule {
 // strict (localization) recall collapses relative to a clean arm with
 // the identical fault schedule; once the view refreshes, it recovers
 // to within 10 points of the clean arm's same-phase recall — the
-// scenariobench CI gate, asserted here at the unit level.
+// `cmd/bench -campaign scenarios` CI gate, asserted here at the unit
+// level.
 func TestFlapGhostAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("14-minute simulated campaign")
@@ -130,7 +111,7 @@ func TestFlapGhostAcceptance(t *testing.T) {
 // TestRDMAMaskAcceptance is the rdma-mask pack's deterministic
 // acceptance run: the loss staircase under transport retry collapses
 // the collective job, and at least one ground-truth episode is
-// detected strictly before the collapse — the scenariobench CI gate.
+// detected strictly before the collapse — the `cmd/bench -campaign scenarios` CI gate.
 func TestRDMAMaskAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12-minute simulated campaign")

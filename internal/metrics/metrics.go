@@ -87,6 +87,15 @@ func (r Report) LocalizationAccuracy() float64 {
 	return float64(r.LocalizedInjections) / float64(r.DetectedInjections)
 }
 
+// Active implements Score's matching window: exact at onset,
+// grace-extended at the cleared end.
+func Active(in *faults.Injection, at, grace time.Duration) bool {
+	if at < in.At {
+		return false
+	}
+	return !in.Cleared || at <= in.ClearedAt+grace
+}
+
 // Score matches alarms against injections. grace extends each
 // injection's window past its *cleared* end only — detection lags
 // fault onset (a 30 s aggregation window plus an analysis round), so
@@ -99,23 +108,11 @@ func (r Report) LocalizationAccuracy() float64 {
 func Score(injections []*faults.Injection, alarms []analyzer.Alarm, grace time.Duration) Report {
 	r := Report{Injections: len(injections), Alarms: len(alarms)}
 
-	// active implements the matching window above: exact at onset,
-	// grace-extended at the cleared end.
-	active := func(in *faults.Injection, at time.Duration) bool {
-		if at < in.At {
-			return false
-		}
-		if !in.Cleared {
-			return true
-		}
-		return at <= in.ClearedAt+grace
-	}
-
 	// Alarm-side: precision.
 	for _, a := range alarms {
 		tp := false
 		for _, in := range injections {
-			if active(in, a.At) {
+			if Active(in, a.At, grace) {
 				tp = true
 				break
 			}
@@ -134,7 +131,7 @@ func Score(injections []*faults.Injection, alarms []analyzer.Alarm, grace time.D
 		localized := false
 		var firstAlarm time.Duration
 		for _, a := range alarms {
-			if !active(in, a.At) {
+			if !Active(in, a.At, grace) {
 				continue
 			}
 			if !detected {

@@ -8,8 +8,13 @@ import (
 
 func TestCodecRoundTripsPacks(t *testing.T) {
 	fab := testFabric(t)
+	schedules := []*Schedule{GrayMix(fab, 13)} // inject-gray actions
 	for _, name := range PackNames {
 		s, _ := Pack(name, fab, 13)
+		schedules = append(schedules, s)
+	}
+	for _, s := range schedules {
+		name := s.Name
 		data, err := EncodeSchedule(s)
 		if err != nil {
 			t.Fatalf("encode %q: %v", name, err)

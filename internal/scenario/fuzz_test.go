@@ -24,8 +24,10 @@ func FuzzDecodeSchedule(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	if data, err := EncodeSchedule(validSchedule()); err == nil {
-		f.Add(data)
+	for _, s := range []*Schedule{validSchedule(), GrayMix(fab, 17)} {
+		if data, err := EncodeSchedule(s); err == nil {
+			f.Add(data)
+		}
 	}
 	f.Add([]byte(`{"name":"tiny","seed":3,"horizon":60000000000,"actions":[{"at":0,"kind":"noop"}]}`))
 	f.Add([]byte(`{"name":"x","seed":1,"horizon":1000000000,"actions":[{"at":0,"kind":"submit","tp":8,"pp":2,"dp":2}]}`))

@@ -5,7 +5,10 @@ import (
 	"sort"
 	"time"
 
+	"skeletonhunter/internal/cluster"
+	"skeletonhunter/internal/detect"
 	"skeletonhunter/internal/faults"
+	"skeletonhunter/internal/hunter"
 	"skeletonhunter/internal/parallelism"
 	"skeletonhunter/internal/topology"
 	"skeletonhunter/internal/trace"
@@ -26,6 +29,30 @@ func Pack(name string, fab *topology.Fabric, seed int64) (*Schedule, bool) {
 		return ChurnReplay(fab, seed, fab.Hosts()), true
 	}
 	return nil, false
+}
+
+// PackSpec is the fabric the packs are built for and played on: one pod
+// of hosts hosts on 8 rails.
+func PackSpec(hosts int) topology.Spec {
+	return topology.Spec{Pods: 1, HostsPerPod: hosts, Rails: 8, AggPerPod: 2}
+}
+
+// PackOptions configures the deployment a pack is played on. The
+// timescale is compressed to match the packs' 30 s-scale faults: flap
+// down-windows average 30 s, so the detector folds 10 s windows at a
+// 10 s analysis cadence.
+func PackOptions(seed int64, hosts int) hunter.Options {
+	return hunter.Options{
+		Seed: seed,
+		Spec: PackSpec(hosts),
+		Lag: cluster.LagModel{
+			CreateLag:    func(r *rand.Rand, i int) time.Duration { return time.Duration(i) * time.Second },
+			StartupDelay: func(r *rand.Rand) time.Duration { return 5 * time.Second },
+			StopLag:      func(r *rand.Rand) time.Duration { return time.Second },
+		},
+		Detect:           detect.Config{ShortWindow: 10 * time.Second},
+		AnalysisInterval: 10 * time.Second,
+	}
 }
 
 // attachLink is the NIC→ToR link every probe from (host, rail)
@@ -299,5 +326,37 @@ func ChurnReplay(fab *topology.Fabric, seed int64, hosts int) *Schedule {
 	events = append(events, event{at: 12 * time.Minute, win: faultKey + 1, act: Action{Kind: ActClear}})
 
 	resolve(s, events)
+	return s
+}
+
+// Gray-mix timing: the detectors calibrate on a healthy fleet, then
+// the faults land and are measured over ~24 analysis rounds — enough
+// for drift accumulation and chain support without letting the ramp
+// grow into a hard failure.
+const (
+	grayMixInjectAt = 5 * time.Minute
+	grayMixHorizon  = 9 * time.Minute
+)
+
+// GrayMix builds the second-layer detector's campaign: the fleet is
+// filled with 4-host TP8/PP2/DP2 tenants, then three gray faults (a
+// ramped ToR, a subtly slow RNIC, a blinking attach link) land beside
+// two hard faults the first layer is tuned for. It is not a pack: it
+// is played on topology.Production fabrics, with and without the
+// correlate layer armed.
+func GrayMix(fab *topology.Fabric, seed int64) *Schedule {
+	s := &Schedule{Name: "gray-mix", Seed: seed, Horizon: grayMixHorizon}
+	hosts := fab.Hosts()
+	for i := 0; i < hosts/4; i++ {
+		s.Actions = append(s.Actions, Action{Kind: ActSubmit, TP: 8, PP: 2, DP: 2})
+	}
+	at := grayMixInjectAt
+	s.Actions = append(s.Actions,
+		Action{At: at, Kind: ActInjectGray, Issue: int(faults.GrayCongestionDroop), Switch: fab.ToR(0, 1)},
+		Action{At: at, Kind: ActInjectGray, Issue: int(faults.GrayPartialRTT), Host: hosts / 4, Rail: 2},
+		Action{At: at, Kind: ActInjectGray, Issue: int(faults.GrayFlappingLink), Link: attachLink(fab, hosts/2, 0)},
+		Action{At: at, Kind: ActInject, Issue: int(faults.RNICPortDown), Host: hosts - 2, Rail: 4},
+		Action{At: at, Kind: ActInject, Issue: int(faults.SwitchPortDown), Link: attachLink(fab, hosts-5, 6)},
+	)
 	return s
 }

@@ -19,10 +19,12 @@ import (
 type RunLog struct {
 	Schedule *Schedule
 
-	// Tasks maps submit-action index → the submitted task; Jobs maps
-	// train-action index → the collective job.
-	Tasks map[int]*cluster.Task
-	Jobs  map[int]*trainsim.Job
+	// Injections maps inject-action index → the fault it opened, Tasks
+	// submit-action index → the submitted task, and Jobs train-action
+	// index → the collective job.
+	Injections map[int]*faults.Injection
+	Tasks      map[int]*cluster.Task
+	Jobs       map[int]*trainsim.Job
 
 	// Ghost-view phase boundaries (valid when the Has flags are set).
 	GhostAt    time.Duration
@@ -72,17 +74,17 @@ func Install(d *hunter.Deployment, s *Schedule) (*RunLog, error) {
 		return nil, err
 	}
 	log := &RunLog{
-		Schedule: s,
-		Tasks:    make(map[int]*cluster.Task),
-		Jobs:     make(map[int]*trainsim.Job),
+		Schedule:   s,
+		Injections: make(map[int]*faults.Injection),
+		Tasks:      make(map[int]*cluster.Task),
+		Jobs:       make(map[int]*trainsim.Job),
 	}
-	injs := make(map[int]*faults.Injection)
 	for i := range s.Actions {
 		i := i
 		a := s.Actions[i]
 		name := fmt.Sprintf("scenario/%s/%d-%s", s.Name, i, a.Kind)
 		d.Engine.Schedule(a.At, name, func(now time.Duration) {
-			runAction(d, log, injs, i, a, now)
+			runAction(d, log, i, a, now)
 		})
 	}
 	return log, nil
@@ -102,30 +104,30 @@ func (l *RunLog) errf(format string, args ...interface{}) {
 	l.Errs = append(l.Errs, fmt.Sprintf(format, args...))
 }
 
-func runAction(d *hunter.Deployment, log *RunLog, injs map[int]*faults.Injection, i int, a Action, now time.Duration) {
+func runAction(d *hunter.Deployment, log *RunLog, i int, a Action, now time.Duration) {
+	target := faults.Target{Link: a.Link, Switch: a.Switch, Host: a.Host, Rail: a.Rail}
 	switch a.Kind {
 	case ActNoop:
 
-	case ActInject:
-		in, err := d.Injector.Inject(faults.IssueType(a.Issue), faults.Target{
-			Link: a.Link, Switch: a.Switch, Host: a.Host, Rail: a.Rail,
-		})
+	case ActInject, ActInjectLoss, ActInjectGray:
+		var in *faults.Injection
+		var err error
+		switch a.Kind {
+		case ActInject:
+			in, err = d.Injector.Inject(faults.IssueType(a.Issue), target)
+		case ActInjectLoss:
+			in, err = d.Injector.InjectLinkLoss(a.Link, a.Loss)
+		default:
+			in, err = d.Injector.InjectGray(faults.GrayKind(a.Issue), target)
+		}
 		if err != nil {
-			log.errf("action %d inject issue %d: %v", i, a.Issue, err)
+			log.errf("action %d %s issue %d: %v", i, a.Kind, a.Issue, err)
 			return
 		}
-		injs[i] = in
-
-	case ActInjectLoss:
-		in, err := d.Injector.InjectLinkLoss(a.Link, a.Loss)
-		if err != nil {
-			log.errf("action %d inject-loss: %v", i, err)
-			return
-		}
-		injs[i] = in
+		log.Injections[i] = in
 
 	case ActClear:
-		in := injs[a.Ref]
+		in := log.Injections[a.Ref]
 		if in == nil {
 			log.errf("action %d clears action %d which never injected", i, a.Ref)
 			return

@@ -55,6 +55,8 @@ func miniSchedule(fab *topology.Fabric) *Schedule {
 			{At: 4 * time.Minute, Kind: ActInfer, Ref: 0, Window: 900 * time.Second},
 			{At: 4*time.Minute + 30*time.Second, Kind: ActTransport}, // disarm retry
 			{At: 4*time.Minute + 40*time.Second, Kind: ActFinish, Ref: 0},
+			{At: 4*time.Minute + 45*time.Second, Kind: ActInjectGray, Issue: int(faults.GrayCongestionDroop), Switch: fab.ToR(0, 1)},
+			{At: 4*time.Minute + 50*time.Second, Kind: ActClear, Ref: 13},
 		},
 	}
 }
@@ -93,8 +95,8 @@ func TestRunMiniSchedule(t *testing.T) {
 
 	// Ground truth landed in the injector's ledger, all cleared.
 	injs := d.Injector.Injections()
-	if len(injs) != 2 {
-		t.Fatalf("%d injections recorded, want 2", len(injs))
+	if len(injs) != 3 {
+		t.Fatalf("%d injections recorded, want 3", len(injs))
 	}
 	for i, in := range injs {
 		if !in.Cleared {
@@ -103,6 +105,9 @@ func TestRunMiniSchedule(t *testing.T) {
 	}
 	if injs[1].Type != faults.ScenarioLinkLoss {
 		t.Fatalf("loss injection type = %v", injs[1].Type)
+	}
+	if !injs[2].IsGray() || log.Injections[13] != injs[2] {
+		t.Fatalf("inject-gray recorded %+v, want the gray injection at action 13", injs[2])
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"time"
 
+	"skeletonhunter/internal/faults"
 	"skeletonhunter/internal/topology"
 )
 
@@ -43,6 +44,9 @@ const (
 	ActInject Kind = "inject"
 	// ActInjectLoss applies a parameterized loss rate to Link.
 	ActInjectLoss Kind = "inject-loss"
+	// ActInjectGray applies a gray failure: Issue is the faults.GrayKind,
+	// and Switch, Host+Rail or Link the target.
+	ActInjectGray Kind = "inject-gray"
 	// ActClear clears the injection opened by the action at Ref.
 	ActClear Kind = "clear"
 	// ActSubmit submits a training task (TP/PP/DP, Lifetime).
@@ -64,7 +68,7 @@ const (
 )
 
 var validKinds = map[Kind]bool{
-	ActNoop: true, ActInject: true, ActInjectLoss: true, ActClear: true,
+	ActNoop: true, ActInject: true, ActInjectLoss: true, ActInjectGray: true, ActClear: true,
 	ActSubmit: true, ActFinish: true, ActInfer: true, ActTrain: true,
 	ActGhostView: true, ActRefreshView: true, ActTransport: true,
 }
@@ -75,7 +79,7 @@ type Action struct {
 	At   time.Duration `json:"at"`
 	Kind Kind          `json:"kind"`
 
-	// Fault targeting (inject / inject-loss).
+	// Fault targeting (inject / inject-loss / inject-gray).
 	Issue  int               `json:"issue,omitempty"`
 	Link   topology.LinkID   `json:"link,omitempty"`
 	Switch topology.NodeID   `json:"switch,omitempty"`
@@ -177,8 +181,14 @@ func (s *Schedule) validateAction(i int, a Action) error {
 		if a.Loss < 0 || a.Loss > 1 {
 			return fmt.Errorf("scenario: action %d loss %v outside [0,1]", i, a.Loss)
 		}
+	case ActInjectGray:
+		switch faults.GrayKind(a.Issue) {
+		case faults.GrayCongestionDroop, faults.GrayPartialRTT, faults.GrayFlappingLink:
+		default:
+			return fmt.Errorf("scenario: action %d inject-gray with unknown gray kind %d", i, a.Issue)
+		}
 	case ActClear:
-		return ref(ActInject, ActInjectLoss)
+		return ref(ActInject, ActInjectLoss, ActInjectGray)
 	case ActSubmit:
 		if a.TP <= 0 || a.PP <= 0 || a.DP <= 0 {
 			return fmt.Errorf("scenario: action %d submit with non-positive parallelism %d/%d/%d", i, a.TP, a.PP, a.DP)

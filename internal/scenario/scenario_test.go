@@ -35,6 +35,8 @@ func validSchedule() *Schedule {
 			{At: 7 * time.Minute, Kind: ActRefreshView},
 			{At: 8 * time.Minute, Kind: ActTransport, Retries: 2, RetryLatency: time.Millisecond},
 			{At: 9 * time.Minute, Kind: ActFinish, Ref: 0},
+			{At: 9 * time.Minute, Kind: ActInjectGray, Issue: int(faults.GrayCongestionDroop), Switch: "tor/p0/r1"},
+			{At: 10 * time.Minute, Kind: ActClear, Ref: 11},
 		},
 	}
 }
@@ -63,6 +65,7 @@ func TestValidateRejects(t *testing.T) {
 		{"past horizon", mut(func(s *Schedule) { s.Actions[len(s.Actions)-1].At = s.Horizon + 1 })},
 		{"unsorted", mut(func(s *Schedule) { s.Actions[1].At = s.Horizon })},
 		{"inject without issue", mut(func(s *Schedule) { s.Actions[1].Issue = 0 })},
+		{"inject-gray unknown kind", mut(func(s *Schedule) { s.Actions[11].Issue = 99 })},
 		{"loss without link", mut(func(s *Schedule) { s.Actions[3].Link = "" })},
 		{"loss above one", mut(func(s *Schedule) { s.Actions[3].Loss = 1.5 })},
 		{"clear refs self", mut(func(s *Schedule) { s.Actions[2].Ref = 2 })},

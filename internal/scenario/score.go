@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"skeletonhunter/internal/analyzer"
+	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/correlate"
 	"skeletonhunter/internal/faults"
 	"skeletonhunter/internal/metrics"
 )
@@ -18,16 +22,16 @@ const ScoreGrace = 45 * time.Second
 // loss staircases record many windows per fault occurrence, and the
 // pack is judged on occurrences, not windows.
 type PackScore struct {
-	Pack         string  `json:"pack"`
-	Seed         int64   `json:"seed"`
-	Precision    float64 `json:"precision"`
-	Recall       float64 `json:"recall"`        // detected episodes / episodes
-	StrictRecall float64 `json:"strict_recall"` // localized episodes / episodes
-	MeanTTDSec   float64 `json:"mean_ttd_sec"`
-	Alarms       int     `json:"alarms"`
-	Injections   int     `json:"injections"`
-	Episodes     int     `json:"episodes"`
-	RunErrs      int     `json:"run_errs"`
+	Pack         string
+	Seed         int64
+	Precision    float64
+	Recall       float64 // detected episodes / episodes
+	StrictRecall float64 // localized episodes / episodes
+	MeanTTDSec   float64
+	Alarms       int
+	Injections   int
+	Episodes     int
+	RunErrs      int
 }
 
 // ScorePack folds a completed run's ground truth and alarm stream into
@@ -98,4 +102,165 @@ func FlapPhaseRecall(injections []*faults.Injection, alarms []analyzer.Alarm, fr
 func PreCollapseDetection(injections []*faults.Injection, alarms []analyzer.Alarm, collapse time.Duration) bool {
 	r := WindowedScore(injections, alarms, 0, collapse-time.Nanosecond)
 	return r.DetectedEpisodes > 0
+}
+
+// GrayScore scores one arm of a mixed gray + hard campaign (GrayMix).
+// Recall is localization-strict: an injection counts as caught only
+// when an alarm names one of its accepted components inside its active
+// window. Precision is active-window: an alarm is a true positive iff
+// any injection was active when it fired.
+type GrayScore struct {
+	GrayRecall     float64
+	HardRecall     float64
+	Precision      float64
+	MeanGrayTTDSec float64
+	Injections     []InjectionOutcome
+}
+
+// InjectionOutcome is one scheduled fault's scored fate in an arm.
+type InjectionOutcome struct {
+	Name       string
+	Gray       bool
+	Component  component.ID
+	Caught     bool
+	CaughtBy   string // "detect", "correlate", or "both"
+	LatencySec float64
+}
+
+// accepted pairs an injection with the component IDs an alarm may
+// legitimately name for it.
+type accepted struct {
+	in     *faults.Injection
+	accept map[component.ID]bool
+}
+
+// acceptSet widens an injection's ground truth where layers attribute
+// differently: a queue change-point names the switch a gray fault's
+// config degrades, and a fault on an attach link is correctly pinned
+// by naming the RNIC at the link's host end.
+func acceptSet(a Action, in *faults.Injection) map[component.ID]bool {
+	acc := make(map[component.ID]bool, len(in.Components)+1)
+	for _, c := range in.Components {
+		acc[c] = true
+	}
+	if a.Kind == ActInjectGray && a.Switch != "" {
+		acc[component.Switch(a.Switch)] = true
+	}
+	for _, end := range strings.Split(string(a.Link), "--") {
+		var host, rail int
+		if n, err := fmt.Sscanf(end, "nic/h%d/r%d", &host, &rail); err == nil && n == 2 {
+			acc[component.RNIC(host, rail)] = true
+		}
+	}
+	return acc
+}
+
+// ScoreGray scores a completed run's injections, in schedule order,
+// against the first layer's alarms and the correlate layer's alarm
+// stream as OnGray delivered it.
+func ScoreGray(log *RunLog, hard []analyzer.Alarm, gray []correlate.Alarm) GrayScore {
+	var sched []accepted
+	for i, a := range log.Schedule.Actions {
+		if in := log.Injections[i]; in != nil {
+			sched = append(sched, accepted{in: in, accept: acceptSet(a, in)})
+		}
+	}
+	var sc GrayScore
+	tp, total := 0, 0
+	countAlarm := func(at time.Duration) {
+		total++
+		for _, s := range sched {
+			if metrics.Active(s.in, at, 0) {
+				tp++
+				return
+			}
+		}
+	}
+	for _, a := range hard {
+		countAlarm(a.At)
+	}
+	seen := map[int]bool{}
+	for _, al := range gray {
+		// OnGray re-delivers an alarm every round it changes; precision
+		// counts each minted alarm once, at its first anomaly time.
+		if seen[al.Seq] {
+			continue
+		}
+		seen[al.Seq] = true
+		countAlarm(al.At)
+	}
+	sc.Precision = 1
+	if total > 0 {
+		sc.Precision = float64(tp) / float64(total)
+	}
+
+	grayTotal, grayCaught, hardTotal, hardCaught := 0, 0, 0, 0
+	var ttdSum time.Duration
+	for _, s := range sched {
+		io := InjectionOutcome{
+			Name:      s.in.Info.Name,
+			Gray:      s.in.IsGray(),
+			Component: s.in.Components[0],
+		}
+		first := time.Duration(-1)
+		byDetect, byCorrelate := false, false
+		for _, a := range hard {
+			if !metrics.Active(s.in, a.At, 0) {
+				continue
+			}
+			for _, c := range a.Components() {
+				if s.accept[c] {
+					byDetect = true
+					if first < 0 || a.At < first {
+						first = a.At
+					}
+					break
+				}
+			}
+		}
+		for _, al := range gray {
+			if !s.accept[al.Component] || !metrics.Active(s.in, al.At, 0) {
+				continue
+			}
+			byCorrelate = true
+			if first < 0 || al.At < first {
+				first = al.At
+			}
+		}
+		io.Caught = byDetect || byCorrelate
+		switch {
+		case byDetect && byCorrelate:
+			io.CaughtBy = "both"
+		case byDetect:
+			io.CaughtBy = "detect"
+		case byCorrelate:
+			io.CaughtBy = "correlate"
+		}
+		if io.Caught {
+			io.LatencySec = (first - s.in.At).Seconds()
+		}
+		if io.Gray {
+			grayTotal++
+			if io.Caught {
+				grayCaught++
+				ttdSum += first - s.in.At
+			}
+		} else {
+			hardTotal++
+			if io.Caught {
+				hardCaught++
+			}
+		}
+		sc.Injections = append(sc.Injections, io)
+	}
+	if grayTotal > 0 {
+		sc.GrayRecall = float64(grayCaught) / float64(grayTotal)
+	}
+	if hardTotal > 0 {
+		sc.HardRecall = float64(hardCaught) / float64(hardTotal)
+	}
+	if grayCaught > 0 {
+		sc.MeanGrayTTDSec = (ttdSum / time.Duration(grayCaught)).Seconds()
+	}
+	return sc
 }

@@ -6,6 +6,7 @@ import (
 
 	"skeletonhunter/internal/analyzer"
 	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/correlate"
 	"skeletonhunter/internal/faults"
 	"skeletonhunter/internal/localize"
 	"skeletonhunter/internal/trainsim"
@@ -141,5 +142,75 @@ func TestCollapseAtPicksEarliestFailure(t *testing.T) {
 	at, ok := log.CollapseAt()
 	if !ok || at != 7*time.Minute {
 		t.Fatalf("CollapseAt = %v/%v, want 7m/true", at, ok)
+	}
+}
+
+func TestScoreLocalizationStrict(t *testing.T) {
+	comp := component.RNIC(1, 0)
+	log := &RunLog{
+		Schedule: &Schedule{Actions: []Action{{
+			At: 10 * time.Minute, Kind: ActInjectGray, Issue: int(faults.GrayPartialRTT), Host: 1, Rail: 0,
+		}}},
+		Injections: map[int]*faults.Injection{0: {
+			Type:       faults.IssueType(101), // gray offset range
+			At:         10 * time.Minute,
+			Components: []component.ID{comp},
+		}},
+	}
+	// In-window but mis-localized: counts for precision, not recall.
+	wrong := []analyzer.Alarm{{
+		At:       11 * time.Minute,
+		Verdicts: []localize.Verdict{{Components: []component.ID{"switch/tor/9/9"}}},
+	}}
+	sc := ScoreGray(log, wrong, nil)
+	if sc.GrayRecall != 0 || sc.HardRecall != 0 {
+		t.Fatalf("mis-localized alarm scored as caught: %+v", sc)
+	}
+	if sc.Precision != 1 {
+		t.Fatalf("in-window alarm scored as false positive: precision %v", sc.Precision)
+	}
+
+	// A correlate alarm naming the component catches the injection; a
+	// pre-onset alarm is a false positive.
+	gray := []correlate.Alarm{
+		{Seq: 1, Component: comp, At: 12 * time.Minute},
+		{Seq: 1, Component: comp, At: 12 * time.Minute}, // re-delivered: counted once
+		{Seq: 2, Component: comp, At: 5 * time.Minute},  // pre-onset
+	}
+	sc = ScoreGray(log, nil, gray)
+	if sc.GrayRecall != 1 || sc.HardRecall != 0 {
+		t.Fatalf("recall: %+v", sc)
+	}
+	if len(sc.Injections) != 1 || !sc.Injections[0].Caught || sc.Injections[0].CaughtBy != "correlate" {
+		t.Fatalf("correlate catch not scored: %+v", sc.Injections)
+	}
+	if sc.Injections[0].LatencySec != 120 {
+		t.Fatalf("latency = %v s, want 120", sc.Injections[0].LatencySec)
+	}
+	if sc.Precision != 0.5 {
+		t.Fatalf("precision = %v, want 0.5 (1 TP, 1 pre-onset FP)", sc.Precision)
+	}
+}
+
+// TestAcceptSetFromAction pins the accept-set rules derived from the
+// action: a switch-targeted gray fault also accepts the switch, and an
+// injection on an attach link also accepts the RNIC at its host end.
+func TestAcceptSetFromAction(t *testing.T) {
+	fab := testFabric(t)
+	tor := fab.ToR(0, 1)
+	droop := Action{Kind: ActInjectGray, Issue: int(faults.GrayCongestionDroop), Switch: tor}
+	acc := acceptSet(droop, &faults.Injection{Components: []component.ID{component.SwitchConfig(tor)}})
+	if !acc[component.SwitchConfig(tor)] || !acc[component.Switch(tor)] || len(acc) != 2 {
+		t.Fatalf("switch gray accept set = %v", acc)
+	}
+	link := attachLink(fab, 3, 6)
+	down := Action{Kind: ActInject, Issue: int(faults.SwitchPortDown), Link: link}
+	acc = acceptSet(down, &faults.Injection{Components: []component.ID{component.Link(link)}})
+	if !acc[component.Link(link)] || !acc[component.RNIC(3, 6)] || len(acc) != 2 {
+		t.Fatalf("attach-link accept set = %v", acc)
+	}
+	rnic := Action{Kind: ActInject, Issue: int(faults.RNICPortDown), Host: 3, Rail: 6}
+	if acc = acceptSet(rnic, &faults.Injection{Components: []component.ID{component.RNIC(3, 6)}}); len(acc) != 1 {
+		t.Fatalf("RNIC accept set widened: %v", acc)
 	}
 }
