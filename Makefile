@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check deadcode bench bench-api bench-ci bench-correlate bench-remedy bench-scenarios bench-all cover smoke fuzz
+.PHONY: all build test race vet fmt-check deadcode bench bench-micro bench-api bench-ci bench-correlate bench-remedy bench-scenarios bench-all cover smoke fuzz
 
 all: build vet test
 
@@ -44,11 +44,8 @@ deadcode:
 # one overlay trace-cache miss and a tenant's probes while another
 # tenant churns (misses/op should stay 0). The detect pair is one LOF
 # score against a full look-back and one healthy short-window close
-# (allocs/op should stay 0). The scalebench
-# campaign (4096 hosts × 8 rails, deterministic fault schedule) runs
-# the full -workers 1,4,16 matrix at paper scale and reports end-to-end
-# rounds/sec, allocs/round and peak heap per worker count the same way.
-bench:
+# (allocs/op should stay 0).
+bench-micro:
 	$(GO) test -run xxx -bench Analyzer -benchmem . | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_analyzer.json
 	$(GO) test -run xxx -bench IncidentCorrelator -benchmem ./internal/incident | tee /dev/stderr \
@@ -59,28 +56,24 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_netsim.json
 	$(GO) test -run xxx -bench 'LOFScore|DetectorWindowClose' -benchmem ./internal/stats ./internal/detect | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_detect.json
-	GOGC=50 $(GO) run ./cmd/scalebench -o BENCH_scale.json
 
-# CI-sized scalebench: the same 1/4/16 worker matrix on a shrunken
-# fabric (-short), with the coarse parallel-speedup floor enforced
-# (-gate2x fails the run if workers=16 is not ≥2× workers=1 in
-# rounds/sec; it skips loudly on runners with <4 CPUs, where a
-# wall-clock speedup is unmeasurable). Determinism across the matrix
-# is always enforced — a fingerprint mismatch fails regardless of
-# runner size.
-bench-ci:
-	$(GO) test -run xxx -bench Analyzer -benchmem . | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_analyzer.json
-	$(GO) test -run xxx -bench IncidentCorrelator -benchmem ./internal/incident | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_incident.json
-	$(GO) test -run xxx -bench 'AppendBatch|Scan' -benchmem ./internal/logstore | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
-	$(GO) test -run xxx -bench 'TraceForward|ProbeUnderChurn' -benchmem ./internal/overlay ./internal/netsim | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_netsim.json
-	$(GO) test -run xxx -bench 'LOFScore|DetectorWindowClose' -benchmem ./internal/stats ./internal/detect | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_detect.json
-	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -o BENCH_scale.json
-	GOGC=50 $(GO) run ./cmd/scalebench -short -gate2x -campaign gray -o BENCH_scale_gray.json
+# The micro-benchmarks plus the paper-scale campaigns of cmd/bench:
+# scale (4096 hosts × 8 rails, deterministic fault schedule) and
+# scale-gray (the same with gray faults and the correlate layer armed),
+# each played at 1, 4 and 16 workers, reporting rounds/sec,
+# allocs/round and peak heap per worker count. Both fail if the worker
+# counts' fingerprints differ, or if 16 workers are not ≥2× faster than
+# one in rounds/sec (skipped loudly on machines with <4 CPUs, where a
+# wall-clock speedup is unmeasurable).
+bench: bench-micro
+	GOGC=50 $(GO) run ./cmd/bench -campaign scale -o BENCH_scale.json
+	GOGC=50 $(GO) run ./cmd/bench -campaign scale-gray -o BENCH_scale_gray.json
+
+# CI-sized bench: the micro-benchmarks plus both scale campaigns on a
+# 64-host fabric, under the same fingerprint and speedup gates.
+bench-ci: bench-micro
+	GOGC=50 $(GO) run ./cmd/bench -campaign scale -hosts 64 -o BENCH_scale.json
+	GOGC=50 $(GO) run ./cmd/bench -campaign scale-gray -hosts 64 -o BENCH_scale_gray.json
 
 # Second-layer gray-failure detection campaign (cmd/bench): the
 # scenario.GrayMix schedule played with and without internal/correlate
@@ -102,14 +95,15 @@ bench-correlate:
 bench-api:
 	$(GO) run ./cmd/loadgen -o BENCH_api.json
 
-# Self-healing campaign benchmark: the three-fault heal campaign's
+# Self-healing campaign (cmd/bench): the three-fault heal arm's
 # time-to-repair p50/p99 plus the two-arm goodput comparison (healed
 # vs blacklist-only) under a job-restart loop. Fails unless all three
 # faults heal and the healed arm completes strictly more training
 # iterations than detection alone — the remediation plane must pay for
-# itself, not just run.
+# itself, not just run. The report is a pure function of (campaign,
+# seed, hosts) and committed; CI fails if it drifts.
 bench-remedy:
-	$(GO) run ./cmd/remedybench -o BENCH_remedy.json
+	$(GO) run ./cmd/bench -campaign remedy -o BENCH_remedy.json
 
 # Adversarial scenario packs (internal/scenario) played by cmd/bench
 # and scored against their ground-truth fault ledgers: flap+ghost (and

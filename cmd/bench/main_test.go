@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"skeletonhunter/internal/scenario"
@@ -84,31 +86,45 @@ func TestRunBench(t *testing.T) {
 // of (campaign, seed, hosts): two runs write byte-identical files.
 func TestReportDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eight simulated campaigns")
+		t.Skip("eight simulated campaigns plus six remedy arms")
 	}
 	dir := t.TempDir()
-	var reports [2][]byte
-	for i := range reports {
-		rep, err := run("scenarios", 7, 0)
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"scenarios", "remedy"} {
+		var reports [2][]byte
+		for i := range reports {
+			rep, err := run(name, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "BENCH_"+name+".json")
+			if err := writeReport(rep, path); err != nil {
+				t.Fatal(err)
+			}
+			if reports[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
 		}
-		path := filepath.Join(dir, "BENCH_scenarios.json")
-		if err := writeReport(rep, path); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(reports[0], reports[1]) {
+			t.Fatalf("%s: two runs wrote different reports:\n%s\n---\n%s", name, reports[0], reports[1])
 		}
-		if reports[i], err = os.ReadFile(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(reports[0], reports[1]) {
-		t.Fatalf("two runs wrote different reports:\n%s\n---\n%s", reports[0], reports[1])
 	}
 }
 
 func TestRunRejectsUnknownCampaign(t *testing.T) {
-	if _, err := run("nonesuch", 7, 0); err == nil {
+	_, err := run("nonesuch", 7, 0)
+	if err == nil {
 		t.Fatal("run accepted an unknown campaign")
+	}
+	for name := range campaigns {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name campaign %s", err, name)
+		}
+	}
+}
+
+func TestRunRejectsOtherRemedyHosts(t *testing.T) {
+	if _, err := run("remedy", 0, 64); err == nil {
+		t.Fatal("remedy accepted -hosts 64 on its 16-host fabric")
 	}
 }
 
@@ -166,5 +182,105 @@ func TestRunBenchSmallCampaign(t *testing.T) {
 	}
 	if on["chains_emitted"] == 0 {
 		t.Fatal("on arm emitted no causal chains")
+	}
+}
+
+func TestFingerprintGate(t *testing.T) {
+	g := scaleGates[0]
+	same := []Arm{{Name: "workers-1", Fingerprint: "ab"}, {Name: "workers-4", Fingerprint: "ab"}}
+	if r := g.eval(same); !r.Pass {
+		t.Errorf("equal fingerprints failed: %s", r.Reason)
+	}
+	split := append(same, Arm{Name: "workers-16", Fingerprint: "cd"})
+	if r := g.eval(split); r.Pass || !strings.Contains(r.Reason, "workers-16") {
+		t.Errorf("diverging fingerprint: pass=%v reason %q, want a failure naming workers-16", r.Pass, r.Reason)
+	}
+}
+
+// TestScaleCampaign plays the fleet-fill schedule at every worker count
+// on a 16-host fabric: the arms must agree bit for bit, and both
+// always-on gates must return a verdict.
+func TestScaleCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three simulated fleet campaigns")
+	}
+	rep, err := run("scale", 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Arms) != 3 {
+		t.Fatalf("%d arms, want workers-1, -4 and -16", len(rep.Arms))
+	}
+	for _, a := range rep.Arms {
+		if a.Fingerprint == "" || a.Fingerprint != rep.Arms[0].Fingerprint {
+			t.Errorf("%s fingerprint %q, want %s's %q", a.Name, a.Fingerprint, rep.Arms[0].Name, rep.Arms[0].Fingerprint)
+		}
+		if a.Metrics["probes_per_round"] <= 0 || a.Metrics["tasks"] == 0 || a.Metrics["run_errs"] != 0 {
+			t.Errorf("%s: metrics %v", a.Name, a.Metrics)
+		}
+		if a.Wall["rounds_per_sec"] <= 0 {
+			t.Errorf("%s: wall %v", a.Name, a.Wall)
+		}
+	}
+	gates := map[string]GateResult{}
+	for _, g := range rep.Gates {
+		gates[g.Name] = g
+	}
+	if g := gates["fingerprints_equal"]; !g.Pass {
+		t.Errorf("fingerprint gate: %+v", g)
+	}
+	// One 12-host task leaves extra workers nothing to split, so where
+	// the gate runs only its verdict's presence is checked.
+	sp, ok := gates["speedup_2x"]
+	switch {
+	case !ok || sp.Reason == "":
+		t.Errorf("speedup gate returned no verdict: %+v", sp)
+	case runtime.NumCPU() < minSpeedupCPUs && (!sp.Pass || !strings.HasPrefix(sp.Reason, "skipped")):
+		t.Errorf("speedup gate on %d CPUs: %+v, want a passing skip", runtime.NumCPU(), sp)
+	}
+}
+
+// TestRemedyCampaign runs the remediation campaign: the heal arm must
+// repair all three faults with a sane TTR distribution, and the healed
+// goodput arm must strictly beat blacklist-only.
+func TestRemedyCampaign(t *testing.T) {
+	rep, err := run("remedy", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := armsByName(rep)
+	heal := arms["heal"]
+	if heal["repaired"] < 3 || heal["committed"] < 3 {
+		t.Fatalf("heal arm repaired %v / committed %v, want >= 3", heal["repaired"], heal["committed"])
+	}
+	if heal["ttr_p50_s"] <= 0 || heal["ttr_p99_s"] < heal["ttr_p50_s"] {
+		t.Fatalf("TTR percentiles p50=%v p99=%v", heal["ttr_p50_s"], heal["ttr_p99_s"])
+	}
+	if healed, bl := arms["healed"]["iterations"], arms["blacklist-only"]["iterations"]; healed <= bl {
+		t.Fatalf("healed goodput %v <= blacklist-only %v", healed, bl)
+	}
+	if !passed(rep.Gates) {
+		t.Fatalf("gates: %+v", rep.Gates)
+	}
+}
+
+func TestPercentile(t *testing.T) {
+	cases := []struct {
+		sorted []float64
+		p      float64
+		want   float64
+	}{
+		{nil, 0.5, 0},
+		{[]float64{10}, 0.5, 10},
+		{[]float64{10}, 0.99, 10},
+		{[]float64{10, 20}, 0.5, 10},
+		{[]float64{10, 20, 30, 40}, 0.5, 20},
+		{[]float64{10, 20, 30, 40}, 0.99, 40},
+		{[]float64{10, 20, 30, 40}, 0.01, 10},
+	}
+	for _, tc := range cases {
+		if got := percentile(tc.sorted, tc.p); got != tc.want {
+			t.Errorf("percentile(%v, %v) = %v, want %v", tc.sorted, tc.p, got, tc.want)
+		}
 	}
 }

@@ -360,3 +360,58 @@ func GrayMix(fab *topology.Fabric, seed int64) *Schedule {
 	)
 	return s
 }
+
+// FleetFill builds the fleet-scale campaign: hosts/12 TP8/PP4/DP3
+// tenants fill the fabric at t = 0 (96 GPUs = 12 hosts against 32-host
+// pods, so every third task straddles a pod boundary and its same-rail
+// probes fan out across the full agg²×spine ECMP set), then at
+// injectAt an RNIC, a ToR port and an agg switch fail at once — host-,
+// port- and switch-scoped faults active together. With gray, a ToR
+// whose latency ramps from zero and an RNIC a few µs slow land beside
+// them: signals only the correlate layer is built to surface.
+func FleetFill(fab *topology.Fabric, seed int64, injectAt, horizon time.Duration, gray bool) *Schedule {
+	name := "fleet-fill"
+	if gray {
+		name += "-gray"
+	}
+	s := &Schedule{Name: name, Seed: seed, Horizon: horizon}
+	hosts := fab.Hosts()
+	for i := 0; i < hosts/12; i++ {
+		s.Actions = append(s.Actions, Action{Kind: ActSubmit, TP: 8, PP: 4, DP: 3})
+	}
+	s.Actions = append(s.Actions,
+		Action{At: injectAt, Kind: ActInject, Issue: int(faults.RNICPortDown), Host: hosts / 3, Rail: 3},
+		Action{At: injectAt, Kind: ActInject, Issue: int(faults.SwitchPortDown), Link: attachLink(fab, hosts/2, 5)},
+		Action{At: injectAt, Kind: ActInject, Issue: int(faults.SwitchOffline), Switch: fab.Agg(0, 1)},
+	)
+	if gray {
+		s.Actions = append(s.Actions,
+			Action{At: injectAt, Kind: ActInjectGray, Issue: int(faults.GrayCongestionDroop), Switch: fab.ToR(0, 1)},
+			Action{At: injectAt, Kind: ActInjectGray, Issue: int(faults.GrayPartialRTT), Host: hosts / 4, Rail: 2},
+		)
+	}
+	return s
+}
+
+// Heal-trio timing: the task trains healthy for healInjectAt, then the
+// faults land with enough quiet time after them for every repair to
+// plan, execute, verify and commit.
+const (
+	healInjectAt = 7 * time.Minute
+	healHorizon  = 25 * time.Minute
+)
+
+// HealTrio builds the self-healing campaign on an empty fabric: one
+// 4-host TP8/PP2/DP2 task at t = 0 — first-fit placement puts its
+// container i on host i — then at healInjectAt an RNIC hard-down on
+// host 0 rail 0, a ToR-side port down on host 1's rail-3 link, and a
+// drifted RNIC offload table on host 2 rail 5: three distinct task
+// hosts, three different repair plays.
+func HealTrio(fab *topology.Fabric, seed int64) *Schedule {
+	return &Schedule{Name: "heal-trio", Seed: seed, Horizon: healHorizon, Actions: []Action{
+		{Kind: ActSubmit, TP: 8, PP: 2, DP: 2},
+		{At: healInjectAt, Kind: ActInject, Issue: int(faults.RNICPortDown), Host: 0, Rail: 0},
+		{At: healInjectAt, Kind: ActInject, Issue: int(faults.SwitchPortDown), Link: attachLink(fab, 1, 3)},
+		{At: healInjectAt, Kind: ActInject, Issue: int(faults.OffloadingFailure), Host: 2, Rail: 5},
+	}}
+}
