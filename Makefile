@@ -40,9 +40,10 @@ deadcode:
 # for CI to archive, so analysis- and incident-plane perf regressions
 # show up as an artifact diff. The log-store pair is the round's
 # barrier append and a full-ring scan per query dimension — the read
-# cost the scan-on-read store accepts, as a number. The netsim pair is
-# one overlay trace-cache miss and a tenant's probes while another
-# tenant churns (misses/op should stay 0). The detect pair is one LOF
+# cost the scan-on-read store accepts, as a number. The netsim line is
+# one overlay trace-cache miss, a tenant's probes while another tenant
+# churns (misses/op should stay 0), and one agent round with its
+# analyzer enqueue and log append (allocs/op should stay 0). The detect pair is one LOF
 # score against a full look-back and one healthy short-window close
 # (allocs/op should stay 0).
 bench-micro:
@@ -52,7 +53,7 @@ bench-micro:
 		| $(GO) run ./cmd/benchjson -o BENCH_incident.json
 	$(GO) test -run xxx -bench 'AppendBatch|Scan' -benchmem ./internal/logstore | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
-	$(GO) test -run xxx -bench 'TraceForward|ProbeUnderChurn' -benchmem ./internal/overlay ./internal/netsim | tee /dev/stderr \
+	$(GO) test -run xxx -bench 'TraceForward|ProbeUnderChurn|AgentRound' -benchmem ./internal/overlay ./internal/netsim ./internal/probe | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_netsim.json
 	$(GO) test -run xxx -bench 'LOFScore|DetectorWindowClose' -benchmem ./internal/stats ./internal/detect | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_detect.json

@@ -69,7 +69,7 @@ func main() {
 				res := d.Net.Probe(src, dst, uint64(i))
 				var path []string
 				for _, l := range res.UnderlayPath {
-					path = append(path, string(l))
+					path = append(path, string(d.Fabric.LinkByIndex(l)))
 				}
 				reports = append(reports, transport.ProbeReport{
 					SrcContainer: tg.SrcContainer, SrcRail: tg.SrcRail,

@@ -10,8 +10,9 @@
 // same shape runs in-process: the analyzer is a set of per-task shards,
 // each owning one pair table (per pair: detector windows, recent paths
 // and overlay endpoints) and a healthy-observation ring. Agent batches
-// land in their task's shard inbox as 64-byte entries that point at
-// their pair's slot (ingest stage); each analysis round fans the shards
+// land in their task's shard inbox as pointer-free 48-byte entries that
+// index their pair's slot and a shard-owned pool of path ordinals
+// (ingest stage); each analysis round fans the shards
 // out over probe.FanOut — the same task-pinned worker pool the probe
 // round runs on — where every shard drains its inbox into its slots and
 // detector (window/detect stage) and disentangles its pending anomalies
@@ -107,6 +108,10 @@ func (c Config) withDefaults() Config {
 // healthyMemory bounds how many healthy observations a shard keeps.
 const healthyMemory = 512
 
+// pathStride is the ordinals a healthy observation holds in place: one
+// tunnel leg's longest route.
+const pathStride = topology.MaxPathNodes - 1
+
 // pairKey is a pair's shard-local key: its task-local coordinates (src
 // container, src rail, dst container, dst rail), 16 bits each, packed so
 // that integer order is the canonical (lexicographic) pair order.
@@ -140,21 +145,45 @@ type slot struct {
 	// src and dst are the endpoints as the pair's newest drained run
 	// probed them, so evidence follows a migrated or restarted container.
 	src, dst overlay.Addr
-	// paths holds the pair's last PathMemory probe paths, oldest first:
-	// a copy-shift ring, so a full memory admits a path without
-	// reallocating.
-	paths [][]topology.LinkID
+	// paths holds the pair's last PathMemory probe paths, oldest first,
+	// each as its length followed by its link ordinals; npaths counts
+	// them. It is a copy-shift ring the slot owns, so a full memory
+	// admits a path without reallocating.
+	paths  []int32
+	npaths int
+}
+
+// remember admits one probe path into the slot's path memory, dropping
+// the oldest once memory paths are held.
+func (sl *slot) remember(path []int32, memory int) {
+	if memory <= 0 {
+		return
+	}
+	if sl.paths == nil {
+		// A pair's ECMP paths share one length, so this sizes the
+		// memory for good.
+		sl.paths = make([]int32, 0, memory*(1+len(path)))
+	}
+	if sl.npaths == memory {
+		sl.paths = append(sl.paths[:0], sl.paths[1+sl.paths[0]:]...)
+		sl.npaths--
+	}
+	sl.paths = append(sl.paths, int32(len(path)))
+	sl.paths = append(sl.paths, path...)
+	sl.npaths++
 }
 
 // entry is one probe record waiting in a shard inbox, cut down to what
 // drain reads — including the endpoint hosts, which a migration or
-// restart can change mid-round: 64 bytes against a probe.Record's 176.
+// restart can change mid-round: 48 bytes against a probe.Record's 176,
+// and nothing for the GC to scan. Its path is the pathLen ordinals at
+// pathOff in the shard's path pool.
 type entry struct {
 	At, RTT          time.Duration
-	Path             []topology.LinkID
 	key              pairKey
 	slot             int32
 	srcHost, dstHost int32
+	pathOff, pathLen int32
 	lost             bool
 }
 
@@ -167,19 +196,23 @@ type shard struct {
 	detector *detect.Detector
 	// index and slots are the pair table; free lists slots a forgotten
 	// pair left for reuse. Slot positions never reach an output.
-	index   map[pairKey]int32
-	slots   []slot
-	free    []int32
-	inbox   []entry // records awaiting the window/detect stage
-	pending []detect.Anomaly
-	healthy []localize.Observation
-	hIdx    int
+	index    map[pairKey]int32
+	slots    []slot
+	free     []int32
+	inbox    []entry // records awaiting the window/detect stage
+	pathPool []int32 // the inbox entries' path ordinals
+	pending  []detect.Anomaly
+	// healthy is the ring of recent healthy observations; their paths
+	// live in healthyLinks (see observeHealthy).
+	healthy      []localize.Observation
+	healthyLinks []int32
+	hIdx         int
 	// samples is a reusable buffer for one pair run's samples: the
 	// detector and the correlate layer both read it.
 	samples []detect.Sample
-	// locScratch is the shard's reusable localization workspace (vote
-	// accumulator and link interner); per-shard votes merge at the round
-	// barrier in task-key order, never across shards.
+	// locScratch is the shard's reusable localization workspace (the
+	// vote accumulator); per-shard votes merge at the round barrier in
+	// task-key order, never across shards.
 	locScratch localize.Scratch
 }
 
@@ -210,8 +243,9 @@ func (s *shard) slotOf(k pairKey, rec *probe.Record) int32 {
 }
 
 // enqueue admits one agent round's records into the inbox, resolving
-// each pair run's slot once. Nothing is refused: an entry is small
-// enough that a stalled round's backlog fits.
+// each pair run's slot once and copying the borrowed paths into the
+// shard's path pool. Nothing is refused: an entry is small enough that
+// a stalled round's backlog fits.
 func (s *shard) enqueue(recs probe.Batch) {
 	runKey, runIdx := pairKey(0), int32(-1)
 	for i := range recs {
@@ -221,11 +255,13 @@ func (s *shard) enqueue(recs probe.Batch) {
 			runKey, runIdx = k, s.slotOf(k, rec)
 		}
 		s.inbox = append(s.inbox, entry{
-			At: rec.At, RTT: rec.RTT, Path: rec.Path,
+			At: rec.At, RTT: rec.RTT,
 			key: k, slot: runIdx,
 			srcHost: int32(rec.Src.Host), dstHost: int32(rec.Dst.Host),
+			pathOff: int32(len(s.pathPool)), pathLen: int32(len(rec.Path)),
 			lost: rec.Lost,
 		})
+		s.pathPool = append(s.pathPool, rec.Path...)
 	}
 	s.cfg.Obs.Add(obs.RecordsIngested, uint64(len(recs)))
 }
@@ -258,6 +294,7 @@ func (s *shard) drain(cs *correlate.Shard) (records int) {
 		lo = hi
 	}
 	s.inbox = s.inbox[:0]
+	s.pathPool = s.pathPool[:0]
 	return records
 }
 
@@ -270,26 +307,12 @@ func (s *shard) observeRun(cs *correlate.Shard, run []entry) {
 	s.samples = s.samples[:0]
 	for i := range run {
 		e := &run[i]
-		if len(e.Path) > 0 {
-			switch paths := sl.paths; {
-			case len(paths) < s.cfg.PathMemory:
-				if paths == nil {
-					paths = make([][]topology.LinkID, 0, s.cfg.PathMemory)
-				}
-				sl.paths = append(paths, e.Path)
-			case len(paths) > 0:
-				copy(paths, paths[1:])
-				paths[len(paths)-1] = e.Path
-			}
+		path := s.pathPool[e.pathOff : e.pathOff+e.pathLen]
+		if len(path) > 0 {
+			sl.remember(path, s.cfg.PathMemory)
 		}
-		if !e.lost && len(e.Path) > 0 && e.RTT < 50*time.Microsecond {
-			ob := localize.Observation{Path: e.Path}
-			if len(s.healthy) < healthyMemory {
-				s.healthy = append(s.healthy, ob)
-			} else {
-				s.healthy[s.hIdx%healthyMemory] = ob
-				s.hIdx++
-			}
+		if !e.lost && len(path) > 0 && e.RTT < 50*time.Microsecond {
+			s.observeHealthy(path)
 		}
 		s.samples = append(s.samples, detect.Sample{At: e.At, RTT: e.RTT, Lost: e.lost})
 	}
@@ -298,6 +321,26 @@ func (s *shard) observeRun(cs *correlate.Shard, run []entry) {
 	if cs != nil {
 		cs.ObserveRun(key, sl.src, sl.dst, s.samples)
 	}
+}
+
+// observeHealthy records one healthy probe path in the shard's ring,
+// copied into storage the ring owns: each entry's stride of one shared
+// array, or a buffer of the entry's own once a longer path lands there.
+func (s *shard) observeHealthy(path []int32) {
+	i := len(s.healthy)
+	if i < healthyMemory {
+		if s.healthy == nil {
+			s.healthy = make([]localize.Observation, 0, healthyMemory)
+			s.healthyLinks = make([]int32, healthyMemory*pathStride)
+		}
+		lo := i * pathStride
+		s.healthy = append(s.healthy, localize.Observation{Path: s.healthyLinks[lo : lo : lo+pathStride]})
+	} else {
+		i = s.hIdx % healthyMemory
+		s.hIdx++
+	}
+	ob := &s.healthy[i]
+	ob.Path = append(ob.Path[:0], path...)
 }
 
 // flush closes every pair's open windows at now, walking the pair
@@ -328,8 +371,9 @@ func (s *shard) localizeRound(loc *localize.Localizer) ([]detect.Anomaly, []loca
 
 // evidence builds the localization evidence for a round's anomalies:
 // one entry per anomalous pair, in pair-key order, with the endpoints
-// and recent paths its slot holds; anomaly types map onto localization
-// symptoms.
+// and recent paths its slot holds (views into the slot's path memory,
+// read before the next drain moves it); anomaly types map onto
+// localization symptoms.
 func (s *shard) evidence(anomalies []detect.Anomaly) []localize.Evidence {
 	byPair := map[detect.PairKey]localize.Symptom{}
 	for _, a := range anomalies {
@@ -357,8 +401,17 @@ func (s *shard) evidence(anomalies []detect.Anomaly) []localize.Evidence {
 			continue
 		}
 		sl := &s.slots[i]
+		var paths [][]int32
+		if sl.npaths > 0 {
+			paths = make([][]int32, 0, sl.npaths)
+			for off := int32(0); int(off) < len(sl.paths); {
+				lo, hi := off+1, off+1+sl.paths[off]
+				paths = append(paths, sl.paths[lo:hi:hi])
+				off = hi
+			}
+		}
 		evidence = append(evidence, localize.Evidence{
-			Src: sl.src, Dst: sl.dst, Symptom: byPair[key], Paths: sl.paths,
+			Src: sl.src, Dst: sl.dst, Symptom: byPair[key], Paths: paths,
 		})
 	}
 	return evidence
@@ -389,7 +442,7 @@ type Analyzer struct {
 	// Gate, when set, is consulted at the top of every analysis round;
 	// returning true withholds the round (telemetry-fault injection:
 	// the streaming job falling behind its schedule). A withheld
-	// round's records stay queued in the shard inboxes, 64 bytes each,
+	// round's records stay queued in the shard inboxes, 48 bytes each,
 	// and the next round that runs drains them all.
 	Gate func(now time.Duration) bool
 

@@ -337,7 +337,7 @@ func TestPathMemoryRingKeepsNewest(t *testing.T) {
 	an := New(r.eng, r.an.Localizer, Config{PathMemory: 3})
 	for i := 0; i < 7; i++ {
 		rec := r.record(0, 1, 0, uint64(i))
-		rec.Path = []topology.LinkID{topology.LinkID(rune('a' + i))}
+		rec.Path = []int32{int32(i)}
 		an.IngestBatch(probe.Batch{rec})
 	}
 	an.Round(r.eng.Now())
@@ -347,11 +347,12 @@ func TestPathMemoryRingKeepsNewest(t *testing.T) {
 	}
 	for _, i := range s.index {
 		sl := &s.slots[i]
-		if len(sl.paths) != 3 || cap(sl.paths) != 3 {
-			t.Fatalf("paths len %d cap %d, want 3/3", len(sl.paths), cap(sl.paths))
+		// Three one-link paths, each stored as its length and its link.
+		if sl.npaths != 3 || len(sl.paths) != 6 || cap(sl.paths) != 6 {
+			t.Fatalf("%d paths in %d/%d ordinals, want 3 in 6/6", sl.npaths, len(sl.paths), cap(sl.paths))
 		}
-		for i, p := range sl.paths {
-			if want := topology.LinkID(rune('e' + i)); p[0] != want {
+		for i := 0; i < 3; i++ {
+			if p, want := sl.paths[2*i:2*i+2], []int32{1, int32(4 + i)}; !slices.Equal(p, want) {
 				t.Fatalf("paths[%d] = %v, want %v", i, p, want)
 			}
 		}
@@ -391,11 +392,11 @@ func TestAnalyzerIngestsWholeRound(t *testing.T) {
 	}
 }
 
-// TestInboxEntrySize pins the inbox entry at one 64-byte cache line, a
-// third of the probe.Record it replaces.
+// TestInboxEntrySize pins the inbox entry at 48 bytes, under a quarter
+// of the probe.Record it replaces.
 func TestInboxEntrySize(t *testing.T) {
-	if size := unsafe.Sizeof(entry{}); size > 64 {
-		t.Fatalf("inbox entry is %d bytes, want ≤ 64", size)
+	if size := unsafe.Sizeof(entry{}); size > 48 {
+		t.Fatalf("inbox entry is %d bytes, want ≤ 48", size)
 	}
 }
 

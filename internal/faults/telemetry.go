@@ -68,8 +68,9 @@ func NewTelemetryInjector(eng *sim.Engine, opts TelemetryOptions, stats *obs.Sta
 // surviving batches (possibly duplicated, possibly preceded by an
 // earlier held batch) to sink. A nil injector delivers verbatim.
 //
-// Held batches are copied: the agent reuses its batch's backing array
-// across rounds, so anything retained past this call must not alias it.
+// Held batches are deep-copied: the agent reuses its batch's records
+// and paths across rounds, so anything retained past this call must
+// not alias them.
 func (ti *TelemetryInjector) Deliver(b probe.Batch, sink probe.BatchSink) {
 	if ti == nil {
 		sink(b)
@@ -80,7 +81,7 @@ func (ti *TelemetryInjector) Deliver(b probe.Batch, sink probe.BatchSink) {
 		return
 	}
 	if ti.opts.ReorderBatchProb > 0 && !ti.haveHeld && ti.batchRNG.Float64() < ti.opts.ReorderBatchProb {
-		ti.held = append(ti.held[:0], b...)
+		ti.held = b.Clone()
 		ti.haveHeld = true
 		ti.stats.Inc(obs.BatchesReordered)
 		return

@@ -13,7 +13,7 @@ import (
 // deliveries records a copy of every batch a sink receives.
 type deliveries []probe.Batch
 
-func (d *deliveries) sink(b probe.Batch) { *d = append(*d, append(probe.Batch(nil), b...)) }
+func (d *deliveries) sink(b probe.Batch) { *d = append(*d, b.Clone()) }
 
 func oneRecord(rtt time.Duration) probe.Batch {
 	return probe.Batch{{Task: "t", DstContainer: 1, RTT: rtt}}
@@ -71,6 +71,36 @@ func TestTelemetryDeliverFaults(t *testing.T) {
 				t.Fatalf("%v = %d, want %d", tc.counter, n, tc.count)
 			}
 		})
+	}
+}
+
+// TestTelemetryHeldBatchOwnsItsPaths: an agent refills its batch and
+// the path buffer the records point into every round, so a batch the
+// injector holds back must keep its own copy of the paths, not views of
+// the agent's buffer that the next round overwrites.
+func TestTelemetryHeldBatchOwnsItsPaths(t *testing.T) {
+	ti := NewTelemetryInjector(sim.NewEngine(1), TelemetryOptions{ReorderBatchProb: 1}, nil)
+	paths := []int32{1, 2, 3, 4}
+	batch := probe.Batch{
+		{Task: "t", DstContainer: 1, Path: paths[0:2]},
+		{Task: "t", DstContainer: 2, Path: paths[2:4]},
+	}
+	var got deliveries
+	ti.Deliver(batch, got.sink) // held back
+	// The agent's next round reuses both buffers.
+	copy(paths, []int32{9, 9, 9, 9})
+	batch[0].DstContainer, batch[1].DstContainer = 3, 3
+	ti.Deliver(batch, got.sink)
+	if len(got) != 2 {
+		t.Fatalf("delivered %d batches, want the new round then the held one", len(got))
+	}
+	held := got[1]
+	want := probe.Batch{
+		{Task: "t", DstContainer: 1, Path: []int32{1, 2}},
+		{Task: "t", DstContainer: 2, Path: []int32{3, 4}},
+	}
+	if !reflect.DeepEqual(held, want) {
+		t.Fatalf("held batch released as %+v, want %+v", held, want)
 	}
 }
 

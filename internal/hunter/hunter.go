@@ -223,7 +223,7 @@ func New(opts Options) (*Deployment, error) {
 		Correlate:        cor,
 	})
 	an.Start()
-	log := logstore.New(1 << 16)
+	log := logstore.New(1<<16, fab)
 	log.Obs = st
 
 	d := &Deployment{
@@ -273,6 +273,7 @@ func New(opts Options) (*Deployment, error) {
 		Records:     d.evidenceRecords,
 		QueueLength: net.QueueLength,
 		Offload:     ovl.DumpOffload,
+		LinkName:    fab.LinkByIndex,
 	})
 	d.Incidents.Obs = st
 	// Resolution sweeps ride the analysis-round cadence. Incidents

@@ -57,7 +57,7 @@ func installShuffler(d *Deployment, seed int64) *batchShuffler {
 }
 
 // tap receives a batch in place of normal delivery. The batch's
-// backing array is reused by the agent, so buffer a copy.
+// records and paths are reused by the agent, so buffer a deep copy.
 func (s *batchShuffler) tap(b probe.Batch) {
 	if len(b) == 0 {
 		return
@@ -66,7 +66,7 @@ func (s *batchShuffler) tap(b probe.Batch) {
 	if _, ok := s.queues[k]; !ok {
 		s.order = append(s.order, k)
 	}
-	s.queues[k] = append(s.queues[k], append(probe.Batch(nil), b...))
+	s.queues[k] = append(s.queues[k], b.Clone())
 }
 
 // flush delivers everything buffered: repeatedly pick a random agent

@@ -92,7 +92,7 @@ func (b *transportBackend) PingList(task string, container int) ([]transport.Tar
 
 // Report implements transport.Backend: wire reports become analyzer
 // ingest records, resolving endpoint addresses through the control
-// plane.
+// plane and path links to fabric ordinals.
 func (b *transportBackend) Report(task string, container int, reports []transport.ProbeReport) error {
 	d := b.dep()
 	t, ok := d.CP.Task(cluster.TaskID(task))
@@ -101,8 +101,10 @@ func (b *transportBackend) Report(task string, container int, reports []transpor
 	}
 	// Validate and convert the whole report, then ingest it as one
 	// batch, mirroring the in-process agents' per-round path. A report
-	// with any malformed entry is rejected wholesale.
+	// with any malformed entry — a container, rail or link the
+	// deployment does not have — is rejected wholesale.
 	batch := make(probe.Batch, 0, len(reports))
+	var paths []int32
 	for _, r := range reports {
 		if r.SrcContainer < 0 || r.SrcContainer >= len(t.Containers) ||
 			r.DstContainer < 0 || r.DstContainer >= len(t.Containers) {
@@ -123,8 +125,16 @@ func (b *transportBackend) Report(task string, container int, reports []transpor
 			RTT:  time.Duration(r.RTTNanos),
 			Lost: r.Lost,
 		}
+		start := len(paths)
 		for _, l := range r.Path {
-			rec.Path = append(rec.Path, topology.LinkID(l))
+			ord, ok := d.Fabric.LinkIndex(topology.LinkID(l))
+			if !ok {
+				return fmt.Errorf("report references link %q outside the fabric", l)
+			}
+			paths = append(paths, ord)
+		}
+		if len(paths) > start {
+			rec.Path = paths[start:len(paths):len(paths)]
 		}
 		batch = append(batch, rec)
 	}

@@ -242,6 +242,9 @@ type Sources struct {
 	QueueLength func(node topology.NodeID) float64
 	// Offload dumps RNIC↔vswitch flow-table consistency for a rail.
 	Offload func(host, rail int) overlay.OffloadDump
+	// LinkName renders a record path's link ordinal in the fingerprint.
+	// Required when records carry paths.
+	LinkName func(ord int32) topology.LinkID
 }
 
 // Config tunes the correlator. Zero values take the defaults.

@@ -1,11 +1,13 @@
 package incident
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"skeletonhunter/internal/analyzer"
+	"skeletonhunter/internal/cluster"
 	"skeletonhunter/internal/component"
 	"skeletonhunter/internal/detect"
 	"skeletonhunter/internal/localize"
@@ -339,6 +341,44 @@ func BenchmarkIncidentCorrelator(b *testing.B) {
 		}
 		if i%16 == 0 {
 			c.Sweep(at)
+		}
+	}
+}
+
+// TestFingerprintRecordFormat pins the fingerprint's evidence-record
+// line to the bytes %+v produced when a record's path was a slice of
+// link IDs, so moving the path to ordinals moved no fingerprint.
+func TestFingerprintRecordFormat(t *testing.T) {
+	type linkIDRecord struct {
+		Task                  cluster.TaskID
+		SrcContainer, SrcRail int
+		DstContainer, DstRail int
+		Src, Dst              overlay.Addr
+		At                    time.Duration
+		RTT                   time.Duration
+		Lost                  bool
+		Path                  []topology.LinkID
+	}
+	links := []topology.LinkID{"nic/h3/r1--tor/p0/r1", "agg/p0/a1--tor/p0/r1", "agg/p0/a1--spine/s0"}
+	c := New(Config{}, Sources{LinkName: func(o int32) topology.LinkID { return links[o] }})
+	for _, tc := range []struct {
+		rec  probe.Record
+		path []topology.LinkID
+	}{
+		{probe.Record{}, nil},
+		{probe.Record{
+			Task: "job-7", SrcContainer: 3, SrcRail: 1, DstContainer: 11, DstRail: 1,
+			Src: overlay.Addr{VNI: 4242, IP: "10.1.0.3", Host: 3, Rail: 1},
+			Dst: overlay.Addr{VNI: 4242, IP: "10.1.0.11", Host: 300, Rail: 1},
+			At:  90*time.Second + 250*time.Millisecond, RTT: 16512 * time.Nanosecond,
+			Path: []int32{0, 1, 2},
+		}, links},
+		{probe.Record{Task: "t", At: -time.Second, Lost: true, Path: []int32{2}}, links[2:]},
+	} {
+		r := tc.rec
+		legacy := linkIDRecord{r.Task, r.SrcContainer, r.SrcRail, r.DstContainer, r.DstRail, r.Src, r.Dst, r.At, r.RTT, r.Lost, tc.path}
+		if got, want := string(c.appendRecord(nil, &r)), fmt.Sprintf(" r %+v\n", legacy); got != want {
+			t.Errorf("record line\n got %q\nwant %q", got, want)
 		}
 	}
 }

@@ -10,8 +10,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/overlay"
+	"skeletonhunter/internal/probe"
 )
 
 // SnapshotVersion is the incident snapshot format version. Version 2
@@ -88,6 +91,7 @@ func (c *Correlator) Crash() {
 // determinism probe.
 func (c *Correlator) Fingerprint() string {
 	h := sha256.New()
+	var line []byte
 	for _, inc := range c.incidents {
 		fmt.Fprintf(h, "inc %s %s %s %s %d %d %d %d %d %d %d %d %d %d %v %q\n",
 			inc.ID, inc.Component, inc.State, inc.Severity,
@@ -96,8 +100,9 @@ func (c *Correlator) Fingerprint() string {
 			inc.AlarmCount, inc.Reopens, inc.Gray, inc.Mitigation)
 		ev := inc.Evidence
 		fmt.Fprintf(h, " ev %d %d %d\n", ev.GatheredAt, ev.TotalRecords, len(ev.Records))
-		for _, r := range ev.Records {
-			fmt.Fprintf(h, " r %+v\n", r)
+		for i := range ev.Records {
+			line = c.appendRecord(line[:0], &ev.Records[i])
+			h.Write(line)
 		}
 		for _, q := range ev.Queues {
 			fmt.Fprintf(h, " q %s %g\n", q.Node, q.Depth)
@@ -116,4 +121,51 @@ func (c *Correlator) Fingerprint() string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendRecord renders one evidence record into a fingerprint line,
+// byte for byte as fmt's %+v rendered it when paths were link IDs, so a
+// fingerprint does not depend on how the record stores its path.
+func (c *Correlator) appendRecord(b []byte, r *probe.Record) []byte {
+	b = append(b, " r {Task:"...)
+	b = append(b, r.Task...)
+	b = append(b, " SrcContainer:"...)
+	b = strconv.AppendInt(b, int64(r.SrcContainer), 10)
+	b = append(b, " SrcRail:"...)
+	b = strconv.AppendInt(b, int64(r.SrcRail), 10)
+	b = append(b, " DstContainer:"...)
+	b = strconv.AppendInt(b, int64(r.DstContainer), 10)
+	b = append(b, " DstRail:"...)
+	b = strconv.AppendInt(b, int64(r.DstRail), 10)
+	b = append(b, " Src:"...)
+	b = appendAddr(b, r.Src)
+	b = append(b, " Dst:"...)
+	b = appendAddr(b, r.Dst)
+	b = append(b, " At:"...)
+	b = append(b, r.At.String()...)
+	b = append(b, " RTT:"...)
+	b = append(b, r.RTT.String()...)
+	b = append(b, " Lost:"...)
+	b = strconv.AppendBool(b, r.Lost)
+	b = append(b, " Path:["...)
+	for i, o := range r.Path {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, c.src.LinkName(o)...)
+	}
+	return append(b, "]}\n"...)
+}
+
+// appendAddr renders an overlay address as %+v does.
+func appendAddr(b []byte, a overlay.Addr) []byte {
+	b = append(b, "{VNI:"...)
+	b = strconv.AppendUint(b, uint64(a.VNI), 10)
+	b = append(b, " IP:"...)
+	b = append(b, a.IP...)
+	b = append(b, " Host:"...)
+	b = strconv.AppendInt(b, int64(a.Host), 10)
+	b = append(b, " Rail:"...)
+	b = strconv.AppendInt(b, int64(a.Rail), 10)
+	return append(b, '}')
 }

@@ -66,14 +66,15 @@ func (s Symptom) String() string {
 type Evidence struct {
 	Src, Dst overlay.Addr
 	Symptom  Symptom
-	// Paths are the underlay paths recent probes of this pair took.
-	Paths [][]topology.LinkID
+	// Paths are the underlay paths recent probes of this pair took, as
+	// fabric link ordinals.
+	Paths [][]int32
 }
 
-// Observation is a recent healthy probe: it traversed Path at normal
-// latency. Used to exonerate latency suspects.
+// Observation is a recent healthy probe: it traversed Path (fabric link
+// ordinals) at normal latency. Used to exonerate latency suspects.
 type Observation struct {
-	Path []topology.LinkID
+	Path []int32
 }
 
 // Layer reports which disentanglement stage produced a verdict.
@@ -193,10 +194,9 @@ func NewWithControlPlane(net *netsim.Net, cp *cluster.ControlPlane) *Localizer {
 	}
 }
 
-// Scratch is a reusable per-shard localization workspace: the link
-// interner and the dense-ordinal vote accumulator persist across
-// analysis rounds instead of reallocating ~NumLinks-sized tables per
-// shard per round.
+// Scratch is a reusable per-shard localization workspace: the
+// dense-ordinal vote accumulator persists across analysis rounds
+// instead of reallocating a NumLinks-sized table per shard per round.
 //
 // Ownership: a Scratch belongs to exactly one analyzer shard; one
 // shard's rounds never run concurrently, so no locking. Shards on the
@@ -204,7 +204,6 @@ func NewWithControlPlane(net *netsim.Net, cp *cluster.ControlPlane) *Localizer {
 // per-shard and merge at the round barrier in task-key order (see
 // analyzer), never across shards.
 type Scratch struct {
-	in       *linkInterner
 	votes    []int32
 	touched  []int32 // dirty vote ordinals, carried so the next round can zero them
 	pairOrds [][]int32
@@ -311,75 +310,18 @@ func (l *Localizer) containerName(a overlay.Addr) string {
 	return fmt.Sprintf("vni%d/%s", a.VNI, a.IP)
 }
 
-// linkInterner maps LinkIDs to dense int32 ordinals for the vote
-// tables. Fabric links use their construction ordinals directly;
-// anything else (defensive: evidence should only carry fabric links)
-// gets an extra ordinal past the fabric's range.
-type linkInterner struct {
-	fab   *topology.Fabric
-	base  int32
-	extra map[topology.LinkID]int32
-	ids   []topology.LinkID // extra ordinal - base → id
-}
-
-func newLinkInterner(fab *topology.Fabric) *linkInterner {
-	in := &linkInterner{fab: fab}
-	if fab != nil {
-		in.base = int32(fab.NumLinks())
-	}
-	return in
-}
-
-func (in *linkInterner) ord(l topology.LinkID) int32 {
-	if in.fab != nil {
-		if o, ok := in.fab.LinkIndex(l); ok {
-			return o
-		}
-	}
-	if o, ok := in.extra[l]; ok {
-		return o
-	}
-	if in.extra == nil {
-		in.extra = map[topology.LinkID]int32{}
-	}
-	o := in.base + int32(len(in.ids))
-	in.extra[l] = o
-	in.ids = append(in.ids, l)
-	return o
-}
-
-// lookup resolves an already-interned link without extending the table.
-func (in *linkInterner) lookup(l topology.LinkID) (int32, bool) {
-	if in.fab != nil {
-		if o, ok := in.fab.LinkIndex(l); ok {
-			return o, true
-		}
-	}
-	o, ok := in.extra[l]
-	return o, ok
-}
-
-func (in *linkInterner) id(o int32) topology.LinkID {
-	if o < in.base {
-		return in.fab.LinkByIndex(o)
-	}
-	return in.ids[o-in.base]
-}
-
-func (in *linkInterner) size() int { return int(in.base) + len(in.ids) }
-
-// internPairSet dedupes one pair's observed links into a sorted
-// ordinal set (one vote per pair, not per probe). known, when non-nil,
-// is the topology view: links it disclaims are dropped before voting —
-// the tomography of a system that does not know those links exist.
-func (in *linkInterner) internPairSet(paths [][]topology.LinkID, known func(topology.LinkID) bool) []int32 {
+// pairSet dedupes one pair's observed links into a sorted ordinal set
+// (one vote per pair, not per probe). known, when non-nil, is the
+// topology view: links it disclaims are dropped before voting — the
+// tomography of a system that does not know those links exist.
+func pairSet(fab *topology.Fabric, paths [][]int32, known func(topology.LinkID) bool) []int32 {
 	var ords []int32
 	for _, p := range paths {
-		for _, link := range p {
-			if known != nil && !known(link) {
+		for _, o := range p {
+			if known != nil && !known(fab.LinkByIndex(o)) {
 				continue
 			}
-			ords = append(ords, in.ord(link))
+			ords = append(ords, o)
 		}
 	}
 	sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
@@ -409,17 +351,14 @@ func ordSetContains(set []int32, o int32) bool {
 // iteration, and at production scale (40K+ links) re-building
 // string-keyed maps per iteration dominated the analysis round.
 func (l *Localizer) physicalIntersection(sc *Scratch, evidence []Evidence, healthy []Observation) ([]Verdict, []Evidence) {
-	if sc.in == nil || sc.in.fab != l.Net.Fabric {
-		sc.in = newLinkInterner(l.Net.Fabric)
-	}
-	in := sc.in
+	fab := l.Net.Fabric
 	pairOrds := sc.pairOrds[:0]
 	for _, ev := range evidence {
-		pairOrds = append(pairOrds, in.internPairSet(ev.Paths, l.View))
+		pairOrds = append(pairOrds, pairSet(fab, ev.Paths, l.View))
 	}
 	sc.pairOrds = pairOrds
-	if len(sc.votes) < in.size() {
-		grown := make([]int32, in.size())
+	if n := fab.NumLinks(); len(sc.votes) < n {
+		grown := make([]int32, n)
 		copy(grown, sc.votes)
 		sc.votes = grown
 	}
@@ -427,10 +366,10 @@ func (l *Localizer) physicalIntersection(sc *Scratch, evidence []Evidence, healt
 	// intersectOnce zeroes exactly those before voting, so the reused
 	// table starts clean without an O(NumLinks) sweep.
 	ix := &intersector{
-		loc:      l,
-		interner: in,
-		votes:    sc.votes,
-		touched:  sc.touched,
+		loc:     l,
+		fab:     fab,
+		votes:   sc.votes,
+		touched: sc.touched,
 	}
 	defer func() { sc.touched = ix.touched }()
 
@@ -479,10 +418,10 @@ func (l *Localizer) physicalIntersection(sc *Scratch, evidence []Evidence, healt
 
 // intersector carries the reusable vote table across peel iterations.
 type intersector struct {
-	loc      *Localizer
-	interner *linkInterner
-	votes    []int32 // by link ordinal; reset via touched between passes
-	touched  []int32
+	loc     *Localizer
+	fab     *topology.Fabric
+	votes   []int32 // by link ordinal; reset via touched between passes
+	touched []int32
 }
 
 // intersectOnce performs one vote-and-classify pass over the remaining
@@ -528,7 +467,7 @@ func (ix *intersector) intersectOnce(evidence []Evidence, pairOrds [][]int32, re
 	sort.Slice(topOrds, func(i, j int) bool { return topOrds[i] < topOrds[j] })
 	top := make([]topology.LinkID, len(topOrds))
 	for i, o := range topOrds {
-		top[i] = ix.interner.id(o)
+		top[i] = ix.fab.LinkByIndex(o)
 	}
 
 	// Latency exoneration: if the evidence is latency-dominated and
@@ -547,8 +486,8 @@ func (ix *intersector) intersectOnce(evidence []Evidence, pairOrds [][]int32, re
 	if allLatency && len(healthy) > 0 {
 		healthyHits := 0
 		for _, ob := range healthy {
-			for _, link := range ob.Path {
-				if o, ok := ix.interner.lookup(link); ok && ordSetContains(topOrds, o) {
+			for _, o := range ob.Path {
+				if ordSetContains(topOrds, o) {
 					healthyHits++
 					break
 				}
@@ -566,7 +505,7 @@ func (ix *intersector) intersectOnce(evidence []Evidence, pairOrds [][]int32, re
 		remEvidence[i] = evidence[idx]
 	}
 	groups := decomposeTop(top, remEvidence)
-	explained := make([]bool, ix.interner.size())
+	explained := make([]bool, ix.fab.NumLinks())
 	var verdicts []Verdict
 	for _, g := range groups {
 		v := g.verdict
@@ -574,7 +513,7 @@ func (ix *intersector) intersectOnce(evidence []Evidence, pairOrds [][]int32, re
 		for _, idx := range remaining {
 			set := pairOrds[idx]
 			for _, link := range g.links {
-				if o, ok := ix.interner.lookup(link); ok && ordSetContains(set, o) {
+				if o, ok := ix.fab.LinkIndex(link); ok && ordSetContains(set, o) {
 					v.Pairs++
 					break
 				}
@@ -596,7 +535,7 @@ func (ix *intersector) intersectOnce(evidence []Evidence, pairOrds [][]int32, re
 		}
 		verdicts = append(verdicts, v)
 		for _, link := range g.links {
-			if o, ok := ix.interner.lookup(link); ok {
+			if o, ok := ix.fab.LinkIndex(link); ok {
 				explained[o] = true
 			}
 		}

@@ -54,7 +54,7 @@ func (r *rig) gatherEvidence(symptomHint Symptom) ([]Evidence, []Observation) {
 			}
 			for rail := 0; rail < 8; rail++ {
 				a, b := src.Addrs[rail], dst.Addrs[rail]
-				var paths [][]topology.LinkID
+				var paths [][]int32
 				lost, slow := 0, 0
 				const probes = 12
 				for p := 0; p < probes; p++ {
@@ -308,7 +308,7 @@ func TestLocalizeNothingWrong(t *testing.T) {
 	// A single spurious latency evidence with healthy counterevidence:
 	// every stage declines, verdict is "unknown/manual".
 	res := r.net.Probe(a, b, 1)
-	ev := []Evidence{{Src: a, Dst: b, Symptom: SymptomLatency, Paths: [][]topology.LinkID{res.UnderlayPath}}}
+	ev := []Evidence{{Src: a, Dst: b, Symptom: SymptomLatency, Paths: [][]int32{res.UnderlayPath}}}
 	healthy := []Observation{{Path: res.UnderlayPath}}
 	verdicts := r.loc.LocalizeWith(nil, ev, healthy)
 	if len(verdicts) != 1 || verdicts[0].Layer != LayerUnknown {

@@ -11,22 +11,29 @@ import (
 	"skeletonhunter/internal/topology"
 )
 
+// fleetFab is the benchmark's fleet-steady fabric (512 hosts).
+var fleetFab = func() *topology.Fabric {
+	f, err := topology.New(topology.Production(512))
+	if err != nil {
+		panic(err)
+	}
+	return f
+}()
+
 // fleetRound synthesizes n records shaped like one probing round of the
 // benchmark's fleet-steady workload: 42 tasks of 12 containers on 8
-// rails, each probe crossing NIC→ToR→agg→ToR→NIC of its rail.
+// rails, each probe on one ECMP path of its rail.
 func fleetRound(n int, at time.Duration) []probe.Record {
 	recs := make([]probe.Record, n)
+	var v topology.PathView
 	for i := range recs {
 		task, src, rail := i%42, i/42%12, i/504%8
 		dst := (src + 1 + i%11) % 12
 		srcHost, dstHost := task*12+src, task*12+dst
-		tor := func(host int) topology.NodeID {
-			return topology.NodeID(fmt.Sprintf("tor/p%d/r%d", host/32, rail))
+		err := fleetFab.PathViewByHash(topology.NIC{Host: srcHost, Rail: rail}, topology.NIC{Host: dstHost, Rail: rail}, uint64(i), &v)
+		if err != nil {
+			panic(err)
 		}
-		nic := func(host int) topology.NodeID {
-			return topology.NodeID(fmt.Sprintf("nic/h%d/r%d", host, rail))
-		}
-		agg := topology.NodeID(fmt.Sprintf("agg/p%d/a%d", srcHost/32, i%2))
 		recs[i] = probe.Record{
 			Task:         cluster.TaskID(fmt.Sprintf("task-%d", task)),
 			SrcContainer: src, SrcRail: rail,
@@ -34,12 +41,7 @@ func fleetRound(n int, at time.Duration) []probe.Record {
 			Src: overlay.Addr{Host: srcHost, Rail: rail},
 			Dst: overlay.Addr{Host: dstHost, Rail: rail},
 			At:  at, RTT: 16 * time.Microsecond,
-			Path: []topology.LinkID{
-				topology.MakeLinkID(nic(srcHost), tor(srcHost)),
-				topology.MakeLinkID(tor(srcHost), agg),
-				topology.MakeLinkID(agg, tor(dstHost)),
-				topology.MakeLinkID(tor(dstHost), nic(dstHost)),
-			},
+			Path: v.LinkOrdinals(nil),
 		}
 	}
 	return recs
@@ -48,7 +50,7 @@ func fleetRound(n int, at time.Duration) []probe.Record {
 // fleetRing is the deployment's ring (1<<16 slots), filled past the
 // wrap with fleet-shaped rounds.
 func fleetRing() *Store {
-	s := New(1 << 16)
+	s := New(1<<16, fleetFab)
 	for round := 0; round < 2; round++ {
 		s.AppendBatch(fleetRound(44352, time.Duration(round)*time.Second))
 	}

@@ -9,13 +9,17 @@
 // window, not history forever. Eviction is FIFO — an append overwrites
 // the oldest slot — and nothing is materialised per dimension: a write
 // is a copy into the ring, and a query is one oldest-to-newest filtered
-// scan of the retained slots. The trade is O(capacity) reads (see
-// BenchmarkScan) for writes that cost a memcpy; at fleet size the ring
-// turns over more than once per probing round while reads happen a few
-// hundred times per campaign, so the write side is the one that counts.
+// scan of the retained slots. Each slot owns the storage of its
+// record's path (fabric link ordinals) and refills it on overwrite; a
+// query copies the paths it returns into one array of its own. The
+// trade is O(capacity) reads (see BenchmarkScan) for writes that cost a
+// memcpy; at fleet size the ring turns over more than once per probing
+// round while reads happen a few hundred times per campaign, so the
+// write side is the one that counts.
 package logstore
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -32,24 +36,26 @@ type Store struct {
 	// records-logged counter.
 	Obs *obs.Stats
 
+	fab   *topology.Fabric
 	mu    sync.RWMutex
 	slots []probe.Record
 	next  int    // slot the next record lands in
 	total uint64 // records ever appended
 }
 
-// New returns a store retaining up to capacity records.
-func New(capacity int) *Store {
+// New returns a store retaining up to capacity records whose paths are
+// ordinals of links in fab.
+func New(capacity int, fab *topology.Fabric) *Store {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Store{slots: make([]probe.Record, capacity)}
+	return &Store{fab: fab, slots: make([]probe.Record, capacity)}
 }
 
 // AppendBatch stores a probing round's records under one lock
 // acquisition, overwriting the oldest retained records once the ring is
-// full. Records are copied into the ring, so callers may reuse the
-// batch's backing array.
+// full. Records and their paths are copied into the ring, so callers
+// may reuse the batch's storage.
 func (s *Store) AppendBatch(recs []probe.Record) {
 	if len(recs) == 0 {
 		return
@@ -58,10 +64,19 @@ func (s *Store) AppendBatch(recs []probe.Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.total += uint64(len(recs))
-	for len(recs) > 0 {
-		n := copy(s.slots[s.next:], recs)
-		recs = recs[n:]
-		s.next = (s.next + n) % len(s.slots)
+	for i := range recs {
+		slot := &s.slots[s.next]
+		path := slot.Path[:0]
+		if path == nil && len(recs[i].Path) > 0 {
+			// Room for one tunnel leg's longest route, so the slot's
+			// storage outgrows it only for multi-leg paths.
+			path = make([]int32, 0, topology.MaxPathNodes-1)
+		}
+		*slot = recs[i]
+		slot.Path = append(path, recs[i].Path...)
+		if s.next++; s.next == len(s.slots) {
+			s.next = 0
+		}
 	}
 }
 
@@ -75,17 +90,29 @@ func (s *Store) retained() (older, newer []probe.Record) {
 }
 
 // scan returns the retained records at or after since that match,
-// oldest first.
+// oldest first. The returned paths share one array the caller owns.
 func (s *Store) scan(since time.Duration, match func(*probe.Record) bool) []probe.Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []probe.Record
+	n := 0
 	older, newer := s.retained()
 	for _, run := range [2][]probe.Record{older, newer} {
 		for i := range run {
 			if r := &run[i]; r.At >= since && match(r) {
 				out = append(out, *r)
+				n += len(r.Path)
 			}
+		}
+	}
+	paths := make([]int32, 0, n)
+	for i := range out {
+		if p := out[i].Path; len(p) > 0 {
+			start := len(paths)
+			paths = append(paths, p...)
+			out[i].Path = paths[start:len(paths):len(paths)]
+		} else {
+			out[i].Path = nil
 		}
 	}
 	return out
@@ -119,11 +146,13 @@ func (s *Store) BySwitch(node topology.NodeID, since time.Duration) []probe.Reco
 	if !strings.HasPrefix(n, "tor/") && !strings.HasPrefix(n, "agg/") && !strings.HasPrefix(n, "spine/") {
 		return nil
 	}
-	// A link is "<a>--<b>" (topology.MakeLinkID).
-	head, tail := n+"--", "--"+n
+	links := s.fab.LinksAt(node)
+	if len(links) == 0 {
+		return nil
+	}
 	return s.scan(since, func(r *probe.Record) bool {
-		for _, l := range r.Path {
-			if strings.HasPrefix(string(l), head) || strings.HasSuffix(string(l), tail) {
+		for _, o := range r.Path {
+			if _, ok := slices.BinarySearch(links, o); ok {
 				return true
 			}
 		}

@@ -14,6 +14,18 @@ import (
 	"skeletonhunter/internal/topology"
 )
 
+// fab is the fabric the fixtures' links belong to: two pods of four
+// hosts on two rails, two aggs per pod, one spine.
+var fab = func() *topology.Fabric {
+	f, err := topology.New(topology.Spec{Pods: 2, HostsPerPod: 4, Rails: 2, AggPerPod: 2, Spines: 1})
+	if err != nil {
+		panic(err)
+	}
+	return f
+}()
+
+// rec builds a record whose path is the named fabric links, as
+// ordinals.
 func rec(task string, srcC, dstC int, at time.Duration, path ...string) probe.Record {
 	r := probe.Record{
 		Task:         cluster.TaskID(task),
@@ -24,7 +36,11 @@ func rec(task string, srcC, dstC int, at time.Duration, path ...string) probe.Re
 		At:  at, RTT: 16 * time.Microsecond,
 	}
 	for _, p := range path {
-		r.Path = append(r.Path, topology.LinkID(p))
+		ord, ok := fab.LinkIndex(topology.LinkID(p))
+		if !ok {
+			panic("fixture link outside the fabric: " + p)
+		}
+		r.Path = append(r.Path, ord)
 	}
 	return r
 }
@@ -33,7 +49,7 @@ func rec(task string, srcC, dstC int, at time.Duration, path ...string) probe.Re
 func put(s *Store, r probe.Record) { s.AppendBatch([]probe.Record{r}) }
 
 func TestQueries(t *testing.T) {
-	s := New(100)
+	s := New(100, fab)
 	put(s, rec("t1", 0, 1, time.Second, "nic/h0/r1--tor/p0/r1", "nic/h1/r1--tor/p0/r1"))
 	put(s, rec("t1", 1, 2, 2*time.Second, "nic/h1/r1--tor/p0/r1", "nic/h2/r1--tor/p0/r1"))
 	put(s, rec("t2", 0, 1, 3*time.Second))
@@ -68,7 +84,7 @@ func TestQueries(t *testing.T) {
 }
 
 func TestConcurrentAppendQuery(t *testing.T) {
-	s := New(256)
+	s := New(256, fab)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -90,7 +106,7 @@ func TestConcurrentAppendQuery(t *testing.T) {
 }
 
 func TestZeroCapacityFloor(t *testing.T) {
-	s := New(0)
+	s := New(0, fab)
 	put(s, rec("t", 0, 1, 0))
 	if s.Len() != 1 {
 		t.Fatalf("len = %d", s.Len())
@@ -102,7 +118,7 @@ func TestZeroCapacityFloor(t *testing.T) {
 // indexed store filed it twice under the one container key, so
 // ByContainer served it twice and evidence bundles double-counted it.
 func TestContainerOwnProbeReturnedOnce(t *testing.T) {
-	s := New(8)
+	s := New(8, fab)
 	put(s, rec("t1", 2, 2, time.Second))
 	put(s, rec("t1", 2, 3, 2*time.Second))
 	if got := s.ByContainer("t1", 2, 0); len(got) != 2 {
@@ -125,7 +141,7 @@ func TestQueriesMatchModel(t *testing.T) {
 		{"nic/h0/r1--tor/p0/r1", "agg/p0/a0--tor/p0/r1"},
 		{"nic/h1/r1--tor/p0/r1", "agg/p0/a1--tor/p0/r1", "agg/p0/a1--spine/s0"},
 		nil, // lost before the first hop
-		{"nic/h2/r1--tor/p1/r1"},
+		{"nic/h4/r1--tor/p1/r1"},
 	}
 	stream := make([]probe.Record, 120)
 	for i := range stream {
@@ -137,7 +153,7 @@ func TestQueriesMatchModel(t *testing.T) {
 	}
 	touches := func(r probe.Record, node string) bool {
 		for _, l := range r.Path {
-			if ends := strings.Split(string(l), "--"); ends[0] == node || ends[1] == node {
+			if ends := strings.Split(string(fab.LinkByIndex(l)), "--"); ends[0] == node || ends[1] == node {
 				return true
 			}
 		}
@@ -192,7 +208,7 @@ func TestQueriesMatchModel(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(tc.capacity)
+			s := New(tc.capacity, fab)
 			for done, i := 0, 0; done < len(stream); i++ {
 				n := tc.batch(i)
 				if done+n > len(stream) {
@@ -254,7 +270,7 @@ func ats(recs []probe.Record) []time.Duration {
 // the query started — and nothing may panic mid-eviction.
 func TestQueryDuringEvictionNeverServesEvicted(t *testing.T) {
 	const capacity = 64
-	s := New(capacity)
+	s := New(capacity, fab)
 	// Pre-fill so eviction is active from the first concurrent append.
 	for i := 0; i < capacity; i++ {
 		put(s, rec("t1", i%4, (i+1)%4, time.Duration(i)*time.Second,

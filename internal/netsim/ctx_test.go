@@ -28,7 +28,7 @@ func TestProbeCtxPartitioningInvariant(t *testing.T) {
 			n.ProbeIntoCtx(ctxs[i%nctx], &res, a, b, uint64(i))
 			p := ""
 			for _, l := range res.UnderlayPath {
-				p += string(l) + "|"
+				p += string(n.Fabric.LinkByIndex(l)) + "|"
 			}
 			out = append(out, outcome{lost: res.Lost, rtt: int64(res.RTT), path: p})
 		}

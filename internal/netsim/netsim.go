@@ -272,10 +272,9 @@ type Result struct {
 	// RTT is the measured round-trip time (valid only when !Lost).
 	RTT time.Duration
 	// UnderlayPath lists the physical links of every tunnel leg actually
-	// traversed (the view a traceroute with the same flow would return).
-	UnderlayPath []topology.LinkID
-	// UnderlayNodes lists the traversed fabric nodes, in order.
-	UnderlayNodes []topology.NodeID
+	// traversed (the view a traceroute with the same flow would return),
+	// as fabric link ordinals (topology.Fabric.LinkByIndex renders them).
+	UnderlayPath []int32
 }
 
 // ProbeCtx is the per-caller mutable state of the probe hot path:
@@ -422,8 +421,8 @@ func (n *Net) Probe(src, dst overlay.Addr, entropy uint64) Result {
 }
 
 // ProbeInto is the buffer-reusing form of Probe for serial callers: it
-// resets *res and refills it, reusing the UnderlayPath/UnderlayNodes
-// backing arrays across calls. It drives an internal default ProbeCtx
+// resets *res and refills it, reusing the UnderlayPath backing array
+// across calls. It drives an internal default ProbeCtx
 // and commits queue tallies immediately, so its observable behaviour
 // matches the historical serial path; concurrent callers use
 // ProbeIntoCtx with contexts of their own.
@@ -476,10 +475,7 @@ func (e *effects) apply(c *Condition, now time.Duration) bool {
 func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, entropy uint64) {
 	now := n.Engine.Now()
 
-	*res = Result{
-		UnderlayPath:  res.UnderlayPath[:0],
-		UnderlayNodes: res.UnderlayNodes[:0],
-	}
+	*res = Result{UnderlayPath: res.UnderlayPath[:0]}
 	tr := ctx.trace(n, src, dst.IP)
 	if !tr.reached {
 		// A broken or looped chain, or an unregistered source that
@@ -531,8 +527,7 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 			res.Lost = true
 			return
 		}
-		res.UnderlayPath = pv.Links(res.UnderlayPath)
-		res.UnderlayNodes = pv.Nodes(res.UnderlayNodes)
+		res.UnderlayPath = pv.LinkOrdinals(res.UnderlayPath)
 
 		last := pv.Len() - 1
 		for i := 0; i <= last; i++ {

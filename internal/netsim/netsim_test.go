@@ -180,7 +180,7 @@ func TestECMPSpreadAcrossPods(t *testing.T) {
 		res := n.Probe(a, b, uint64(i))
 		key := ""
 		for _, l := range res.UnderlayPath {
-			key += string(l) + "|"
+			key += string(n.Fabric.LinkByIndex(l)) + "|"
 		}
 		paths[key] = true
 	}

@@ -7,9 +7,14 @@
 // round in one simulation event. Each round's results reach the
 // analyzer as one Batch of Records carrying end-to-end latency, loss,
 // and the underlay path the probe's flow traversed — the
-// traceroute-style physical path tomography needs (§5.3) — through the
-// engine's ShardSink, or the agent's own BatchSink when the sharded
-// path is off.
+// traceroute-style physical path tomography needs (§5.3), as fabric
+// link ordinals — through the engine's ShardSink, or the agent's own
+// BatchSink when the sharded path is off.
+//
+// A delivered batch is borrowed: the records and their paths live in
+// agent buffers that the next round refills. A sink that keeps a
+// record or a path past its call copies it into storage it owns (or
+// the whole batch, with Clone).
 package probe
 
 import (
@@ -21,7 +26,6 @@ import (
 	"skeletonhunter/internal/netsim"
 	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/overlay"
-	"skeletonhunter/internal/topology"
 )
 
 // Record is one probe observation.
@@ -36,8 +40,10 @@ type Record struct {
 	RTT      time.Duration
 	Lost     bool
 	// Path is the underlay links the probe's flow was routed over (the
-	// view a traceroute with the same five-tuple would return).
-	Path []topology.LinkID
+	// view a traceroute with the same five-tuple would return), as
+	// fabric link ordinals (topology.Fabric.LinkByIndex renders them).
+	// In a delivered batch it is borrowed, like the batch itself.
+	Path []int32
 }
 
 // Batch is the records of one probing round from one agent. All
@@ -46,9 +52,29 @@ type Record struct {
 // exploits.
 type Batch []Record
 
-// BatchSink consumes a whole probing round at once. The slice is only
-// valid for the duration of the call: the agent reuses its backing
-// array across rounds, so a sink that retains records must copy them.
+// Clone deep-copies the batch — records and paths, the paths sharing
+// one new array — for a consumer that keeps it past the sink call.
+func (b Batch) Clone() Batch {
+	n := 0
+	for i := range b {
+		n += len(b[i].Path)
+	}
+	out := append(Batch(nil), b...)
+	paths := make([]int32, 0, n)
+	for i := range out {
+		if out[i].Path != nil {
+			start := len(paths)
+			paths = append(paths, out[i].Path...)
+			out[i].Path = paths[start:len(paths):len(paths)]
+		}
+	}
+	return out
+}
+
+// BatchSink consumes a whole probing round at once. The batch is only
+// valid for the duration of the call: the agent reuses the records'
+// backing array and the paths they point into across rounds, so a sink
+// that retains records or paths must copy them.
 type BatchSink func(Batch)
 
 // OverlayAgent probes on behalf of one container. One agent exists per
@@ -57,8 +83,8 @@ type BatchSink func(Batch)
 // agent restarts.
 //
 // Ownership: everything below the exported configuration — the reused
-// batch, the netsim scratch result, the targets buffer, the entropy
-// counter — is single-owner state: exactly one RoundEngine worker
+// batch and its path buffer, the netsim scratch result, the targets
+// buffer, the entropy counter — is single-owner state: exactly one RoundEngine worker
 // executes the agent's round each tick (agents of one task always ride
 // the same worker slot). Nothing here is safe to share.
 type OverlayAgent struct {
@@ -87,16 +113,9 @@ type OverlayAgent struct {
 	entropy uint64
 	epoch   uint64              // controller epoch the agent last registered under
 	batch   Batch               // reused across rounds
+	paths   []int32             // the batch's path ordinals, reused across rounds
 	targets []controller.Target // reused ping-list buffer (serial prologue only)
-
-	// scratch is the reused netsim result (its path buffers are recycled
-	// every probe). arena is the round's link storage: downstream sinks
-	// retain Record.Path slices past the round, so the storage cannot be
-	// recycled, but all of a round's paths can share one allocation —
-	// fresh per round, sized by the previous round — and each record
-	// gets a capacity-capped subslice of it.
-	scratch   netsim.Result
-	arenaSize int
+	scratch netsim.Result       // reused netsim result (its path buffer is recycled every probe)
 }
 
 // Start registers the agent with the controller and enrolls it in the
@@ -160,10 +179,7 @@ func (a *OverlayAgent) prepareRound(now time.Duration) bool {
 // Delivery is the RoundEngine's (ShardSink, or the agent's BatchSink).
 func (a *OverlayAgent) executeRound(ctx *netsim.ProbeCtx, now time.Duration) {
 	a.batch = a.batch[:0]
-	// Fresh per-round path arena, sized by the previous round: sinks
-	// retain Record.Path past the round, so the storage cannot be
-	// recycled, but all of a round's paths can share one allocation.
-	arena := make([]topology.LinkID, 0, a.arenaSize)
+	a.paths = a.paths[:0]
 	sent := 0
 	for _, tg := range a.targets {
 		dst := a.Task.Containers[tg.DstContainer]
@@ -174,11 +190,14 @@ func (a *OverlayAgent) executeRound(ctx *netsim.ProbeCtx, now time.Duration) {
 			sent++
 			a.Net.ProbeIntoCtx(ctx, &a.scratch, src, dstAddr, a.entropy)
 			res := &a.scratch
-			var path []topology.LinkID
+			var path []int32
 			if len(res.UnderlayPath) > 0 {
-				start := len(arena)
-				arena = append(arena, res.UnderlayPath...)
-				path = arena[start:len(arena):len(arena)]
+				// A record keeps pointing at the array it was cut from
+				// if a later append moves the buffer; the contents stay
+				// valid until the next round refills it.
+				start := len(a.paths)
+				a.paths = append(a.paths, res.UnderlayPath...)
+				path = a.paths[start:len(a.paths):len(a.paths)]
 			}
 			a.batch = append(a.batch, Record{
 				Task:         a.Task.ID,
@@ -191,13 +210,6 @@ func (a *OverlayAgent) executeRound(ctx *netsim.ProbeCtx, now time.Duration) {
 				Path: path,
 			})
 		}
-	}
-	if cap(arena) > a.arenaSize {
-		a.arenaSize = cap(arena)
-	} else if len(arena) < a.arenaSize/2 {
-		// Shrink the estimate when ping lists get pruned, so a one-off
-		// large round doesn't pin oversized arenas forever.
-		a.arenaSize = len(arena) * 2
 	}
 	a.rounds++
 	a.Obs.Inc(obs.ProbeRounds)

@@ -146,7 +146,7 @@ func TestProbesPerTargetSpreadsEntropy(t *testing.T) {
 		BatchSink: each(func(rec Record) {
 			key := ""
 			for _, l := range rec.Path {
-				key += string(l)
+				key += string(r.net.Fabric.LinkByIndex(l))
 			}
 			paths[key] = true
 		}),

@@ -20,7 +20,7 @@ func TestPathViewNodeOrdinals(t *testing.T) {
 	}
 	check := func(v *PathView, where string) {
 		t.Helper()
-		for i, n := range v.Nodes(nil) {
+		for i, n := range v.nodes[:v.n] {
 			want, ok := fab.NodeIndex(n)
 			if !ok {
 				t.Fatalf("%s: node %d (%s) has no fabric ordinal", where, i, n)

@@ -28,6 +28,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // NodeKind discriminates fabric nodes.
@@ -299,6 +300,19 @@ func (f *Fabric) LinkIndex(l LinkID) (int32, bool) {
 // LinkByIndex returns the link with the given ordinal.
 func (f *Fabric) LinkByIndex(ord int32) LinkID { return f.ordLinks[ord] }
 
+// LinksAt returns the ordinals of the links incident to a node, in
+// ascending order; an unknown node has none.
+func (f *Fabric) LinksAt(n NodeID) []int32 {
+	head, tail := string(n)+"--", "--"+string(n)
+	var out []int32
+	for ord, l := range f.ordLinks {
+		if strings.HasPrefix(string(l), head) || strings.HasSuffix(string(l), tail) {
+			out = append(out, int32(ord))
+		}
+	}
+	return out
+}
+
 // NumNodes returns the number of fabric nodes (NICs plus switches).
 func (f *Fabric) NumNodes() int { return len(f.nodeOrdOf) }
 
@@ -325,8 +339,8 @@ const MaxPathNodes = 7
 // PathView is an allocation-free view of one ECMP path: fixed-size
 // arrays sized for the longest route, filled in place by
 // PathViewByHash. A view is only valid until it is refilled; callers
-// that keep a path materialize it with Materialize (or append from
-// Nodes/Links into their own storage).
+// that keep a path materialize it with Materialize (or append its
+// LinkOrdinals into their own storage).
 type PathView struct {
 	nodes [MaxPathNodes]NodeID
 	nords [MaxPathNodes]int32
@@ -347,11 +361,8 @@ func (v *PathView) LinkOrdinal(i int) int32 { return v.ords[i] }
 // NodeOrdinal returns the dense fabric ordinal of the i-th node.
 func (v *PathView) NodeOrdinal(i int) int32 { return v.nords[i] }
 
-// Nodes appends the path's nodes to buf and returns it.
-func (v *PathView) Nodes(buf []NodeID) []NodeID { return append(buf, v.nodes[:v.n]...) }
-
-// Links appends the path's links to buf and returns it.
-func (v *PathView) Links(buf []LinkID) []LinkID { return append(buf, v.links[:v.n-1]...) }
+// LinkOrdinals appends the path's link ordinals to buf and returns it.
+func (v *PathView) LinkOrdinals(buf []int32) []int32 { return append(buf, v.ords[:v.n-1]...) }
 
 // Materialize copies the view into an owned Path.
 func (v *PathView) Materialize() Path {
