@@ -43,9 +43,9 @@ deadcode:
 # cost the scan-on-read store accepts, as a number. The netsim line is
 # one overlay trace-cache miss, a tenant's probes while another tenant
 # churns (misses/op should stay 0), and one agent round with its
-# analyzer enqueue and log append (allocs/op should stay 0). The detect pair is one LOF
-# score against a full look-back and one healthy short-window close
-# (allocs/op should stay 0).
+# analyzer enqueue and log append (allocs/op should stay 0). The detect line is one LOF
+# score against a full look-back, one healthy short-window close and
+# one probe ingested by a fitted pair (allocs/op should stay 0).
 bench-micro:
 	$(GO) test -run xxx -bench Analyzer -benchmem . | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_analyzer.json
@@ -55,7 +55,7 @@ bench-micro:
 		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
 	$(GO) test -run xxx -bench 'TraceForward|ProbeUnderChurn|AgentRound' -benchmem ./internal/overlay ./internal/netsim ./internal/probe | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_netsim.json
-	$(GO) test -run xxx -bench 'LOFScore|DetectorWindowClose' -benchmem ./internal/stats ./internal/detect | tee /dev/stderr \
+	$(GO) test -run xxx -bench 'LOFScore|DetectorWindowClose|DetectorObserve' -benchmem ./internal/stats ./internal/detect | tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -o BENCH_detect.json
 
 # The micro-benchmarks plus the paper-scale campaigns of cmd/bench:
@@ -132,15 +132,17 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Short fuzzing runs of the codecs hostile bytes can reach: the
+# Short fuzzing runs of the codecs hostile bytes can reach — the
 # transport wire frames and the scenario-schedule JSON (CI artifacts
-# and replay files). CI runs this as a smoke pass; longer local
+# and replay files) — and of the one-pass lognormal estimator against
+# its two-pass oracle. CI runs this as a smoke pass; longer local
 # sessions just raise FUZZTIME.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run xxx -fuzz FuzzDecodeSchedule -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run xxx -fuzz FuzzLogMoments -fuzztime $(FUZZTIME) ./internal/stats
 
 # Runs the example walkthroughs end to end — the documented entry
 # points must keep working, not just compiling.

@@ -15,8 +15,9 @@ import "math"
 // shifts but needs a calibrated reference and drifts on noisy floors.
 type CUSUM struct {
 	// RefMu and RefSigma describe the healthy log-RTT distribution the
-	// statistic is standardized against (fit them with
-	// stats.FitLogNormal on a healthy window).
+	// statistic is standardized against: fit them on a healthy window
+	// with stats.LogMoments, the estimator the long-term detector
+	// folds its windows into (stats.FitLogNormal over a slice).
 	RefMu, RefSigma float64
 	// Drift is the allowance k subtracted per observation (default
 	// 0.75 standard deviations). The textbook k=0.5/h=5 operating

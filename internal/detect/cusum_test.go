@@ -97,19 +97,19 @@ func TestCUSUMVsLOFLatency(t *testing.T) {
 	}
 	// LOF path: history of healthy windows, then shifted windows.
 	var d Detector
-	var history [][]float64
+	var history []float64
 	for w := 0; w < 10; w++ {
 		xs := make([]float64, 30)
 		for i := range xs {
 			xs[i] = healthy.Sample(r)
 		}
-		history = append(history, append([]float64(nil), d.robustVector(xs)...))
+		history = append(history, d.robustVector(xs)...)
 	}
 	xs := make([]float64, 30)
 	for i := range xs {
 		xs[i] = shifted.Sample(r)
 	}
-	if s := stats.LOFScore(new(stats.LOFScratch), d.robustVector(xs), history, 5); s < 4 {
+	if s := stats.LOFScore(new(stats.LOFScratch), d.robustVector(xs), history, features, 5); s < 4 {
 		t.Fatalf("LOF missed the shifted window: %v", s)
 	}
 }

@@ -13,6 +13,12 @@
 //     catching gradual degradation that creeps into the short-term
 //     history (Fig. 14).
 //
+// A pair's state is bounded however long it is watched: the long
+// window is its log-moments (stats.LogMoments) plus the last 100 RTTs
+// a long-term anomaly carries as evidence, and the look-back is a
+// fixed array of ten summary vectors. Only the open short window's
+// RTTs grow with the probing rate.
+//
 // Loss is handled directly: a window losing every probe is
 // unconnectivity; a loss rate above threshold is a packet-loss anomaly.
 package detect
@@ -102,6 +108,9 @@ type Anomaly struct {
 // The paper's fixed detection parameters.
 const (
 	longWindow    = 30 * time.Minute
+	lookBack      = 10  // short windows of LOF history (5 minutes)
+	features      = 4   // robust descriptors per short window (robustVector)
+	tailLen       = 100 // long-window RTTs a long-term anomaly carries
 	lofNeighbors  = 5
 	lossThreshold = 0.02
 	minSamples    = 5 // minimum probes per window to evaluate
@@ -110,7 +119,6 @@ const (
 // Config tunes detection. Zero values select the paper's parameters.
 type Config struct {
 	ShortWindow  time.Duration // default 30 s
-	LookBack     int           // short windows of history for LOF (default 10 ≡ 5 min)
 	LOFThreshold float64       // default 4
 	ZThreshold   float64       // |Z| beyond which the long window fails (default 6)
 }
@@ -118,9 +126,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ShortWindow == 0 {
 		c.ShortWindow = 30 * time.Second
-	}
-	if c.LookBack == 0 {
-		c.LookBack = 10
 	}
 	if c.LOFThreshold == 0 {
 		// Healthy windows occasionally reach LOF ≈ 3 against a 10-window
@@ -141,6 +146,10 @@ func (c Config) withDefaults() Config {
 // monitored pair (the analyzer keeps it in its pair-table slot) and
 // forgets a pair by dropping it. The zero value is a pair not yet
 // observed.
+//
+// Its size does not grow with time: beyond the fixed fields it holds
+// two heap slices, the open short window's RTTs and the long window's
+// tail of at most tailLen RTTs.
 type Pair struct {
 	open bool // a sample has arrived: the windows below are anchored
 
@@ -149,15 +158,22 @@ type Pair struct {
 	rtts     []float64 // µs
 	lost     int
 	total    int
-	// history holds the summary vectors of the last LookBack healthy
-	// windows, oldest first: a copy-shift ring whose evicted vector is
-	// overwritten with the newest, so a full history never allocates.
-	history [][]float64
+	// history holds the robust vectors of the last nhist ≤ lookBack
+	// healthy windows end to end, oldest first: a copy-shift ring
+	// inside the pair, so the look-back never allocates.
+	history [lookBack * features]float64
+	nhist   int
 
-	// Long-term accumulation.
+	// Long-term accumulation: the window's log-moments, and its last
+	// tailLen RTTs (µs) for a long-term anomaly's evidence. The tail
+	// stays nil until ref is fitted, since no window before that can
+	// emit; once full it is a ring whose oldest sample is at tailHead.
 	longStart time.Duration
-	longRTTs  []float64
-	ref       *stats.LogNormal
+	long      stats.LogMoments
+	tail      []float64
+	tailHead  int
+	ref       stats.LogNormal
+	fitted    bool // ref holds the first long window's fit
 }
 
 // Detector is the streaming anomaly detector. Feed it a pair's samples
@@ -220,7 +236,33 @@ func (d *Detector) observe(key PairKey, st *Pair, s Sample) {
 	}
 	us := float64(s.RTT) / float64(time.Microsecond)
 	st.rtts = append(st.rtts, us)
-	st.longRTTs = append(st.longRTTs, us)
+	st.long.Add(us)
+	if st.fitted {
+		st.keepTail(us)
+	}
+}
+
+// keepTail records us as the long window's newest RTT. The tail grows
+// by doubling up to tailLen, then overwrites its oldest sample.
+func (st *Pair) keepTail(us float64) {
+	switch {
+	case len(st.tail) < cap(st.tail):
+		st.tail = append(st.tail, us)
+	case len(st.tail) < tailLen:
+		grown := make([]float64, len(st.tail), min(max(2*len(st.tail), 16), tailLen))
+		copy(grown, st.tail)
+		st.tail = append(grown, us)
+	default:
+		st.tail[st.tailHead] = us
+		st.tailHead = (st.tailHead + 1) % tailLen
+	}
+}
+
+// tailRTTs returns a copy of the tail, oldest first.
+func (st *Pair) tailRTTs() []float64 {
+	out := make([]float64, 0, len(st.tail))
+	out = append(out, st.tail[st.tailHead:]...)
+	return append(out, st.tail[:st.tailHead]...)
 }
 
 // Flush closes the pair's open windows at the given time; a pair never
@@ -273,8 +315,8 @@ func (d *Detector) closeShort(key PairKey, st *Pair, now time.Duration) {
 	// genuine fault (slow path, firmware, misconfiguration) shifts the
 	// entire distribution and therefore the order statistics.
 	vec := d.robustVector(st.rtts)
-	if len(st.history) >= 6 {
-		score := stats.LOFScore(&d.lof, vec, st.history, lofNeighbors)
+	if st.nhist >= 6 {
+		score := stats.LOFScore(&d.lof, vec, st.history[:st.nhist*features], features, lofNeighbors)
 		if score > d.cfg.LOFThreshold {
 			d.emit(Anomaly{Key: key, Type: LatencyShortTerm, At: at, Score: score,
 				WindowRTTs: append([]float64(nil), st.rtts...)})
@@ -283,38 +325,34 @@ func (d *Detector) closeShort(key PairKey, st *Pair, now time.Duration) {
 			return
 		}
 	}
-	switch {
-	case len(st.history) < d.cfg.LookBack:
-		if st.history == nil {
-			st.history = make([][]float64, 0, d.cfg.LookBack)
-		}
-		st.history = append(st.history, append([]float64(nil), vec...))
-	case len(st.history) > 0:
-		evicted := st.history[0]
-		copy(st.history, st.history[1:])
-		st.history[len(st.history)-1] = append(evicted[:0], vec...)
+	if st.nhist == lookBack {
+		copy(st.history[:], st.history[features:])
+		st.nhist--
 	}
+	copy(st.history[st.nhist*features:], vec)
+	st.nhist++
 }
 
 func (d *Detector) closeLong(key PairKey, st *Pair, now time.Duration) {
 	defer func() {
 		st.longStart = now
-		st.longRTTs = st.longRTTs[:0]
+		st.long = stats.LogMoments{}
+		st.tail, st.tailHead = st.tail[:0], 0
 	}()
-	if len(st.longRTTs) < minSamples*10 {
+	if st.long.Len() < minSamples*10 {
 		return
 	}
 	at := st.longStart + longWindow
-	if st.ref == nil {
+	if !st.fitted {
 		// First long window: fit the reference distribution (time T of
 		// Fig. 14). The fit assumes the pair starts healthy; a pair that
 		// is anomalous from birth is caught by the short-term detector.
-		if ref, err := stats.FitLogNormal(st.longRTTs); err == nil {
-			st.ref = &ref
+		if ref, err := st.long.Fit(); err == nil {
+			st.ref, st.fitted = ref, true
 		}
 		return
 	}
-	z, _, err := st.ref.ZTest(st.longRTTs)
+	z, _, err := st.ref.ZTestMoments(st.long)
 	if err != nil {
 		return
 	}
@@ -323,7 +361,7 @@ func (d *Detector) closeLong(key PairKey, st *Pair, now time.Duration) {
 	}
 	if z > d.cfg.ZThreshold {
 		d.emit(Anomaly{Key: key, Type: LatencyLongTerm, At: at, Score: z,
-			WindowRTTs: sampleTail(st.longRTTs, 100)})
+			WindowRTTs: st.tailRTTs()})
 	}
 }
 
@@ -351,11 +389,4 @@ func (d *Detector) robustVector(rtts []float64) []float64 {
 		trimmed,
 	}
 	return d.vec[:]
-}
-
-func sampleTail(xs []float64, n int) []float64 {
-	if len(xs) <= n {
-		return append([]float64(nil), xs...)
-	}
-	return append([]float64(nil), xs[len(xs)-n:]...)
 }

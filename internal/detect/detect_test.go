@@ -365,9 +365,9 @@ func TestForgetPair(t *testing.T) {
 	fresh.Flush(testKey, &freshSt, end)
 
 	sameAnomalies(t, "forgotten pair", *forgotOut, *freshOut)
-	if len(st.history) != len(freshSt.history) || st.winStart != freshSt.winStart || st.longStart != freshSt.longStart {
+	if st.nhist != freshSt.nhist || st.winStart != freshSt.winStart || st.longStart != freshSt.longStart {
 		t.Fatalf("forgotten pair's windows differ from a fresh pair's: %d/%v/%v vs %d/%v/%v",
-			len(st.history), st.winStart, st.longStart, len(freshSt.history), freshSt.winStart, freshSt.longStart)
+			st.nhist, st.winStart, st.longStart, freshSt.nhist, freshSt.winStart, freshSt.longStart)
 	}
 }
 
@@ -484,34 +484,38 @@ func TestAnomalyTypeString(t *testing.T) {
 }
 
 // TestHistoryRingKeepsNewestOldestFirst pins the copy-shift ring: the
-// look-back holds the newest LookBack healthy vectors, oldest first,
-// never outgrows its capacity, and overwrites the evicted vector in
-// place instead of allocating a new one.
+// look-back holds the newest lookBack healthy vectors, oldest first,
+// never outgrows its capacity, and evicts without allocating.
 func TestHistoryRingKeepsNewestOldestFirst(t *testing.T) {
-	d := New(Config{ShortWindow: 10 * time.Second, LookBack: 3}, func(Anomaly) {})
+	d := New(Config{ShortWindow: 10 * time.Second}, func(Anomaly) {})
 	var st Pair
+	// Window w is ten probes at 10+w µs, so every summary feature of it
+	// is 10+w.
 	window := func(w int) {
 		for i := 0; i < 10; i++ {
 			at := time.Duration(w*10+i) * time.Second
 			d.ObserveMany(testKey, &st, []Sample{{At: at, RTT: time.Duration(10+w) * time.Microsecond}})
 		}
 	}
-	for w := 0; w < 7; w++ {
-		window(w)
+	w := 0
+	next := func() { window(w); w++ }
+	for w < lookBack+3 {
+		next()
 	}
-	// Window 6 is still open; flushing it evicts the oldest vector.
-	evicted := &st.history[0][0]
-	d.Flush(testKey, &st, 70*time.Second)
-	if len(st.history) != 3 || cap(st.history) != 3 {
-		t.Fatalf("history len %d cap %d, want 3/3", len(st.history), cap(st.history))
+	// From here on each window's first probe closes the one before it
+	// into a full look-back, evicting its oldest vector.
+	if allocs := testing.AllocsPerRun(5, next); allocs != 0 {
+		t.Fatalf("evicting from a full look-back allocated %v times per window, want 0", allocs)
 	}
-	for i, vec := range st.history {
-		if want := float64(14 + i); vec[0] != want || vec[3] != want {
+	d.Flush(testKey, &st, time.Duration(w*10)*time.Second)
+	if st.nhist != lookBack {
+		t.Fatalf("history holds %d vectors, want %d", st.nhist, lookBack)
+	}
+	for i := 0; i < st.nhist; i++ {
+		vec := st.history[i*features : (i+1)*features]
+		if want := float64(10 + w - lookBack + i); vec[0] != want || vec[3] != want {
 			t.Fatalf("history[%d] = %v, want the window at %v µs", i, vec, want)
 		}
-	}
-	if &st.history[2][0] != evicted {
-		t.Fatal("newest vector was allocated instead of recycling the evicted one")
 	}
 }
 
@@ -523,8 +527,8 @@ func warmDetector(tb testing.TB) (*Detector, *Pair, []float64) {
 	r := rand.New(rand.NewSource(37))
 	at := feed(d, st, r, 0, 6*time.Minute, 16, 0)
 	d.Flush(testKey, st, at)
-	if len(st.history) != d.cfg.LookBack {
-		tb.Fatalf("history %d windows, want a full look-back of %d", len(st.history), d.cfg.LookBack)
+	if st.nhist != lookBack {
+		tb.Fatalf("history %d windows, want a full look-back of %d", st.nhist, lookBack)
 	}
 	dist := stats.LogNormal{Mu: math.Log(16), Sigma: 0.08}
 	window := make([]float64, 30)
@@ -555,5 +559,208 @@ func BenchmarkDetectorWindowClose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		closeWindow(d, st, window)
+	}
+}
+
+// lognormalRun draws n samples around medianUS, one every step from
+// from on.
+func lognormalRun(r *rand.Rand, from, step time.Duration, n int, medianUS float64) []Sample {
+	dist := stats.LogNormal{Mu: math.Log(medianUS), Sigma: 0.08}
+	out := make([]Sample, n)
+	for i := range out {
+		out[i] = Sample{At: from + time.Duration(i)*step, RTT: time.Duration(dist.Sample(r) * float64(time.Microsecond))}
+	}
+	return out
+}
+
+// longTermAnomalies plays runs, in order, into a fresh pair with the
+// short-term LOF disabled, flushes at end, and returns the long-term
+// anomalies.
+func longTermAnomalies(end time.Duration, runs ...[]Sample) []Anomaly {
+	out, emit := collect()
+	d := New(Config{LOFThreshold: 1e9}, emit)
+	var st Pair
+	for _, run := range runs {
+		d.ObserveMany(testKey, &st, run)
+	}
+	d.Flush(testKey, &st, end)
+	var long []Anomaly
+	for _, a := range *out {
+		if a.Type == LatencyLongTerm {
+			long = append(long, a)
+		}
+	}
+	return long
+}
+
+// TestLongTermWindowRTTsAreTail pins the evidence a long-term anomaly
+// carries: the failing window's last min(n, 100) RTTs in µs, oldest
+// first, for a window longer than the tail (by a count that is no
+// multiple of 100) and one shorter.
+func TestLongTermWindowRTTsAreTail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		step time.Duration
+		n    int
+	}{
+		{"1750 samples", time.Second, 1750},
+		{"70 samples", 25 * time.Second, 70},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(51))
+			reference := lognormalRun(r, 0, time.Second, 1800, 16)
+			degraded := lognormalRun(r, 30*time.Minute, tc.step, tc.n, 40)
+			long := longTermAnomalies(time.Hour, reference, degraded)
+			if len(long) != 1 || long[0].At != time.Hour {
+				t.Fatalf("long-term anomalies %+v, want one at 1h", long)
+			}
+			var want []float64
+			for _, s := range degraded[max(0, tc.n-100):] {
+				want = append(want, float64(s.RTT)/float64(time.Microsecond))
+			}
+			got := long[0].WindowRTTs
+			if len(got) != len(want) {
+				t.Fatalf("WindowRTTs holds %d samples, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("WindowRTTs[%d] = %v, want %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestLongWindowNonPositiveRTT pins that a long window holding a
+// non-positive RTT neither fits the reference nor is tested against
+// it.
+func TestLongWindowNonPositiveRTT(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	reference := lognormalRun(r, 0, time.Second, 1800, 16)
+	degraded := lognormalRun(r, 30*time.Minute, time.Second, 1800, 40)
+	zeroed := func(run []Sample) []Sample {
+		run = append([]Sample(nil), run...)
+		run[len(run)/2].RTT = 0
+		return run
+	}
+	if long := longTermAnomalies(time.Hour, reference, degraded); len(long) != 1 {
+		t.Fatalf("precondition: clean windows raised %d long-term anomalies, want 1", len(long))
+	}
+	// An unfitted first window leaves the degraded second one to become
+	// the reference, so nothing is tested.
+	if long := longTermAnomalies(time.Hour, zeroed(reference), degraded); len(long) != 0 {
+		t.Fatalf("a reference window with a zero RTT was fitted: %+v", long)
+	}
+	if long := longTermAnomalies(time.Hour, reference, zeroed(degraded)); len(long) != 0 {
+		t.Fatalf("a window with a zero RTT was Z-tested: %+v", long)
+	}
+}
+
+// TestLongWindowMinimumIgnoresLostProbes pins that only delivered
+// probes count toward the 50-sample minimum a long window needs to fit
+// the reference.
+func TestLongWindowMinimumIgnoresLostProbes(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	degraded := lognormalRun(r, 30*time.Minute, time.Second, 1800, 40)
+	for _, delivered := range []int{49, 50} {
+		// One delivered probe every 20 s, and a lost one between each
+		// pair of them.
+		var reference []Sample
+		for i, s := range lognormalRun(r, 0, 20*time.Second, delivered, 16) {
+			reference = append(reference, s)
+			if i < 40 {
+				reference = append(reference, Sample{At: s.At + 10*time.Second, Lost: true})
+			}
+		}
+		long := longTermAnomalies(time.Hour, reference, degraded)
+		if fitted := len(long) == 1; fitted != (delivered >= 50) {
+			t.Fatalf("%d delivered probes and 40 lost: long-term anomalies %+v", delivered, long)
+		}
+	}
+}
+
+// healthyProber feeds one pair healthy probes around 16 µs at 1 Hz,
+// one sample per call, without allocating.
+type healthyProber struct {
+	d     *Detector
+	st    *Pair
+	at    time.Duration
+	rtts  [1024]time.Duration
+	batch [1]Sample
+}
+
+func newHealthyProber(d *Detector, seed int64) *healthyProber {
+	p := &healthyProber{d: d, st: new(Pair)}
+	r := rand.New(rand.NewSource(seed))
+	dist := stats.LogNormal{Mu: math.Log(16), Sigma: 0.08}
+	for i := range p.rtts {
+		p.rtts[i] = time.Duration(dist.Sample(r) * float64(time.Microsecond))
+	}
+	return p
+}
+
+func (p *healthyProber) probe() {
+	i := int(p.at/time.Second) % len(p.rtts)
+	p.batch[0] = Sample{At: p.at, RTT: p.rtts[i]}
+	p.d.ObserveMany(testKey, p.st, p.batch[:])
+	p.at += time.Second
+}
+
+// TestLongWindowStateBounded is the unit-scale guard on the detector's
+// memory slope: a pair probed at 1 Hz for three simulated hours keeps
+// its tail nil until the reference is fitted and at most tailLen
+// samples after, no pair slice grows once the first tested window has
+// closed, and a warmed ObserveMany on the fitted pair, window closes
+// included, allocates nothing.
+func TestLongWindowStateBounded(t *testing.T) {
+	var anomalies int
+	p := newHealthyProber(New(Config{}, func(Anomaly) { anomalies++ }), 61)
+	st := p.st
+	var rttsCap, tailCap int
+	for p.at < 3*time.Hour {
+		p.probe()
+		switch {
+		case !st.fitted:
+			if st.tail != nil {
+				t.Fatalf("at %v: tail allocated before the reference was fitted", p.at)
+			}
+		case cap(st.tail) > tailLen:
+			t.Fatalf("at %v: tail capacity %d, want ≤ %d", p.at, cap(st.tail), tailLen)
+		case p.at == time.Hour+time.Second:
+			rttsCap, tailCap = cap(st.rtts), cap(st.tail)
+		case p.at > time.Hour && (cap(st.rtts) != rttsCap || cap(st.tail) != tailCap):
+			t.Fatalf("at %v: slices grew to rtts %d / tail %d, from %d / %d at 1h",
+				p.at, cap(st.rtts), cap(st.tail), rttsCap, tailCap)
+		}
+	}
+	if !st.fitted || tailCap != tailLen || st.long.Len() > int(longWindow/time.Second) {
+		t.Fatalf("after 3h: fitted %v, tail capacity %d, long window %d samples", st.fitted, tailCap, st.long.Len())
+	}
+	if anomalies != 0 {
+		t.Fatalf("healthy probes raised %d anomalies", anomalies)
+	}
+	// Each run is a whole long window, so it closes sixty short windows
+	// and one Z-tested long one.
+	window := func() {
+		for end := p.at + longWindow; p.at < end; {
+			p.probe()
+		}
+	}
+	if allocs := testing.AllocsPerRun(2, window); allocs != 0 {
+		t.Fatalf("a fitted pair's warmed ingest allocated %v times per long window, want 0", allocs)
+	}
+}
+
+// BenchmarkDetectorObserve is the per-probe ingest cost of a fitted
+// pair at 1 Hz, window closes amortized in.
+func BenchmarkDetectorObserve(b *testing.B) {
+	p := newHealthyProber(New(Config{}, func(Anomaly) {}), 62)
+	for p.at < 2*time.Hour {
+		p.probe()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.probe()
 	}
 }

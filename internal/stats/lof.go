@@ -88,15 +88,17 @@ func (s *LOFScratch) neighbours(idx []int, row []float64, k int) (float64, []int
 // look-back window) without including the query in the reference
 // densities — the streaming form used by the detector, where each new
 // window is judged against history. Scores near 1 indicate an inlier;
-// scores substantially above 1 an outlier. k is clamped to
-// [1, len(history)]; an empty history scores 1 (no evidence).
+// scores substantially above 1 an outlier. The history is flat: point
+// i is history[i*dim : (i+1)*dim], and len(query) must be dim. k is
+// clamped to [1, number of points]; an empty history scores 1 (no
+// evidence).
 //
 // The tables live in s, which callers keep across calls.
-func LOFScore(s *LOFScratch, query []float64, history [][]float64, k int) float64 {
-	n := len(history)
-	if n == 0 {
+func LOFScore(s *LOFScratch, query, history []float64, dim, k int) float64 {
+	if len(history) == 0 {
 		return 1
 	}
+	n := len(history) / dim
 	if k > n {
 		k = n
 	}
@@ -104,17 +106,18 @@ func LOFScore(s *LOFScratch, query []float64, history [][]float64, k int) float6
 		k = 1
 	}
 	s.grow(n)
+	point := func(i int) []float64 { return history[i*dim : (i+1)*dim] }
 
 	// Distances among history points and from query to history.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := EuclideanDistance(history[i], history[j])
+			d := EuclideanDistance(point(i), point(j))
 			s.dist[i*n+j] = d
 			s.dist[j*n+i] = d
 		}
 	}
-	for i := range history {
-		s.qd[i] = EuclideanDistance(query, history[i])
+	for i := 0; i < n; i++ {
+		s.qd[i] = EuclideanDistance(query, point(i))
 	}
 
 	// History k-distances and neighbourhoods: row i of the neighbour

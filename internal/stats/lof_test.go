@@ -15,17 +15,33 @@ func cluster2D(r *rand.Rand, cx, cy, spread float64, n int) [][]float64 {
 	return out
 }
 
+// flatten lays points out end to end, the history layout LOFScore
+// takes.
+func flatten(points [][]float64) []float64 {
+	var flat []float64
+	for _, p := range points {
+		flat = append(flat, p...)
+	}
+	return flat
+}
+
+// lofScore is LOFScore over a history of separate points of the
+// query's dimension.
+func lofScore(s *LOFScratch, query []float64, history [][]float64, k int) float64 {
+	return LOFScore(s, query, flatten(history), len(query), k)
+}
+
 func TestLOFScoreStreaming(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	history := cluster2D(r, 10, 10, 0.2, 10) // 5-minute lookback = 10 windows
 
 	// A query inside the cluster is an inlier.
-	in := LOFScore(new(LOFScratch), []float64{10.05, 9.9}, history, 5)
+	in := lofScore(new(LOFScratch), []float64{10.05, 9.9}, history, 5)
 	if in > 1.5 {
 		t.Fatalf("inlier query scored %v", in)
 	}
 	// A query far away is an outlier.
-	out := LOFScore(new(LOFScratch), []float64{30, 30}, history, 5)
+	out := lofScore(new(LOFScratch), []float64{30, 30}, history, 5)
 	if out < 5 {
 		t.Fatalf("outlier query scored %v", out)
 	}
@@ -35,17 +51,17 @@ func TestLOFScoreStreaming(t *testing.T) {
 }
 
 func TestLOFScoreEmptyHistory(t *testing.T) {
-	if s := LOFScore(new(LOFScratch), []float64{1}, nil, 3); s != 1 {
+	if s := lofScore(new(LOFScratch), []float64{1}, nil, 3); s != 1 {
 		t.Fatalf("score with no history = %v, want 1 (no evidence)", s)
 	}
 }
 
 func TestLOFScoreDuplicateHistory(t *testing.T) {
 	history := [][]float64{{2, 2}, {2, 2}, {2, 2}}
-	if s := LOFScore(new(LOFScratch), []float64{2, 2}, history, 2); s != 1 {
+	if s := lofScore(new(LOFScratch), []float64{2, 2}, history, 2); s != 1 {
 		t.Fatalf("coincident query scored %v, want 1", s)
 	}
-	if s := LOFScore(new(LOFScratch), []float64{9, 9}, history, 2); !math.IsInf(s, 1) {
+	if s := lofScore(new(LOFScratch), []float64{9, 9}, history, 2); !math.IsInf(s, 1) {
 		t.Fatalf("distant query against zero-spread history scored %v, want +Inf", s)
 	}
 }
@@ -69,7 +85,7 @@ func TestLOFLatencyWindowScenario(t *testing.T) {
 	for i := range xs {
 		xs[i] = healthy.Sample(r)
 	}
-	if s := LOFScore(new(LOFScratch), windowVector(xs), history, 5); s > 2.0 {
+	if s := lofScore(new(LOFScratch), windowVector(xs), history, 5); s > 2.0 {
 		t.Fatalf("healthy window scored %v", s)
 	}
 	// Anomalous window.
@@ -77,7 +93,7 @@ func TestLOFLatencyWindowScenario(t *testing.T) {
 	for i := range xs {
 		xs[i] = bad.Sample(r)
 	}
-	if s := LOFScore(new(LOFScratch), windowVector(xs), history, 5); s < 5 {
+	if s := lofScore(new(LOFScratch), windowVector(xs), history, 5); s < 5 {
 		t.Fatalf("anomalous window scored only %v", s)
 	}
 }
@@ -87,7 +103,7 @@ func TestLOFLatencyWindowScenario(t *testing.T) {
 func windowVector(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return []float64{Percentile(s, 0.25), Percentile(s, 0.5), Percentile(s, 0.75), Mean(s)}
+	return []float64{Percentile(s, 0.25), Percentile(s, 0.5), Percentile(s, 0.75), mean(s)}
 }
 
 // lofScoreOracle is the allocate-per-call LOFScore the scratch version
@@ -257,7 +273,7 @@ func TestLOFScoreMatchesOracle(t *testing.T) {
 		}
 		k := r.Intn(n+3) - 1
 		want := lofScoreOracle(query, history, k)
-		got := LOFScore(&s, query, history, k)
+		got := lofScore(&s, query, history, k)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d (n=%d dim=%d k=%d): scratch %v, oracle %v\nquery %v\nhistory %v",
 				trial, n, dim, k, got, want, query, history)
@@ -279,9 +295,10 @@ func detectorHistory(r *rand.Rand) (query []float64, history [][]float64) {
 
 func TestLOFScoreWarmScratchAllocatesNothing(t *testing.T) {
 	query, history := detectorHistory(rand.New(rand.NewSource(31)))
+	flat := flatten(history)
 	var s LOFScratch
-	LOFScore(&s, query, history, 5)
-	if allocs := testing.AllocsPerRun(100, func() { LOFScore(&s, query, history, 5) }); allocs != 0 {
+	LOFScore(&s, query, flat, len(query), 5)
+	if allocs := testing.AllocsPerRun(100, func() { LOFScore(&s, query, flat, len(query), 5) }); allocs != 0 {
 		t.Fatalf("warm LOFScore allocated %v times per call, want 0", allocs)
 	}
 }
@@ -290,9 +307,10 @@ var lofSink float64
 
 func BenchmarkLOFScore(b *testing.B) {
 	query, history := detectorHistory(rand.New(rand.NewSource(31)))
+	flat := flatten(history)
 	var s LOFScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		lofSink = LOFScore(&s, query, history, 5)
+		lofSink = LOFScore(&s, query, flat, len(query), 5)
 	}
 }

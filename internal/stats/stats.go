@@ -1,11 +1,12 @@
 // Package stats implements the statistical primitives SkeletonHunter's
-// analyzer relies on: percentiles and means over latency windows
-// (§5.2), lognormal parameter estimation and Z-testing for long-term
-// anomaly detection (Fig. 14), and the local outlier factor (LOF) used
-// for short-term anomaly detection.
+// analyzer relies on: percentiles over latency windows (§5.2),
+// lognormal parameter estimation and Z-testing for long-term anomaly
+// detection (Fig. 14), and the local outlier factor (LOF) used for
+// short-term anomaly detection.
 //
-// Everything operates on plain float64 slices so the analyzer can stream
-// window aggregates through without allocation-heavy abstractions.
+// Everything operates on plain float64 slices, or on LogMoments, a
+// fixed-size fold of a sample, so the analyzer can stream window
+// aggregates through without allocation-heavy abstractions.
 package stats
 
 import "math"
@@ -32,18 +33,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	hi := lo + 1
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs (NaN for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs))
 }
 
 // EuclideanDistance returns the L2 distance between equal-length vectors.
