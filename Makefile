@@ -29,16 +29,18 @@ fmt-check:
 
 # Type-checks every non-test package and fails on any package-level
 # symbol under internal/, exported or not, that no non-test code
-# references. Symbols kept for
+# references, and on any Config/Options/Policy field that no non-test
+# code writes outside withDefaults. Symbols and fields kept for
 # tests or paper artefacts are allowlisted, each with a reason, in
 # deadcode_test.go; a stale allowlist entry fails too.
 deadcode:
-	$(GO) test -count=1 -run '^TestNoUnreferencedExports$$' .
+	$(GO) test -count=1 -run '^(TestNoUnreferencedExports|TestNoUnsetConfigFields)$$' .
 
 # Runs the analyzer-round, incident-correlator and log-store benchmarks
-# and writes machine-readable summaries (name → ns/op, B/op, allocs/op)
-# for CI to archive, so analysis- and incident-plane perf regressions
-# show up as an artifact diff. The log-store pair is the round's
+# and writes each run's raw `go test -bench -benchmem` text — the format
+# benchstat compares — to a BENCH_*.txt file for CI to archive, so
+# analysis- and incident-plane perf regressions show up as an artifact
+# diff. The log-store pair is the round's
 # barrier append and a full-ring scan per query dimension — the read
 # cost the scan-on-read store accepts, as a number. The netsim line is
 # one overlay trace-cache miss, a tenant's probes while another tenant
@@ -46,17 +48,13 @@ deadcode:
 # analyzer enqueue and log append (allocs/op should stay 0). The detect line is one LOF
 # score against a full look-back, one healthy short-window close and
 # one probe ingested by a fitted pair (allocs/op should stay 0).
+bench-run = $(GO) test -run xxx -bench '$(2)' -benchmem $(3) > $(1); s=$$?; cat $(1); exit $$s
 bench-micro:
-	$(GO) test -run xxx -bench Analyzer -benchmem . | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_analyzer.json
-	$(GO) test -run xxx -bench IncidentCorrelator -benchmem ./internal/incident | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_incident.json
-	$(GO) test -run xxx -bench 'AppendBatch|Scan' -benchmem ./internal/logstore | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_logstore.json
-	$(GO) test -run xxx -bench 'TraceForward|ProbeUnderChurn|AgentRound' -benchmem ./internal/overlay ./internal/netsim ./internal/probe | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_netsim.json
-	$(GO) test -run xxx -bench 'LOFScore|DetectorWindowClose|DetectorObserve' -benchmem ./internal/stats ./internal/detect | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -o BENCH_detect.json
+	$(call bench-run,BENCH_analyzer.txt,Analyzer,.)
+	$(call bench-run,BENCH_incident.txt,IncidentCorrelator,./internal/incident)
+	$(call bench-run,BENCH_logstore.txt,AppendBatch|Scan,./internal/logstore)
+	$(call bench-run,BENCH_netsim.txt,TraceForward|ProbeUnderChurn|AgentRound,./internal/overlay ./internal/netsim ./internal/probe)
+	$(call bench-run,BENCH_detect.txt,LOFScore|DetectorWindowClose|DetectorObserve,./internal/stats ./internal/detect)
 
 # The micro-benchmarks plus the paper-scale campaigns of cmd/bench:
 # scale (4096 hosts × 8 rails, deterministic fault schedule) and

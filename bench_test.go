@@ -14,6 +14,7 @@ import (
 
 	"skeletonhunter/internal/analyzer"
 	"skeletonhunter/internal/cluster"
+	"skeletonhunter/internal/correlate"
 	"skeletonhunter/internal/detect"
 	"skeletonhunter/internal/figures"
 	"skeletonhunter/internal/hcluster"
@@ -472,19 +473,21 @@ func BenchmarkAblationLongTerm(b *testing.B) {
 // BenchmarkAblationCUSUMvsLOF compares the sequential (per-sample)
 // CUSUM detector against the windowed LOF on the same moderate latency
 // shift: CUSUM reacts in a handful of samples, LOF waits for its
-// 30-sample window to close. The production system prefers LOF (no
-// parametric reference, robust to multimodal histories); this
-// quantifies what that choice costs in reaction time.
+// 30-sample window to close. The CUSUM is the correlate layer's own
+// detector — level k = 1σ, h = 5σ over log-RTT — armed with the
+// healthy reference as its baseline. The production system prefers LOF
+// for the first layer (no parametric reference, robust to multimodal
+// histories); this quantifies what that choice costs in reaction time.
 func BenchmarkAblationCUSUMvsLOF(b *testing.B) {
 	healthy := stats.LogNormal{Mu: math.Log(16), Sigma: 0.1}
 	shifted := stats.LogNormal{Mu: math.Log(22), Sigma: 0.1}
 	var cusumSamples, lofSamples float64
 	for i := 0; i < b.N; i++ {
 		r := rand.New(rand.NewSource(6))
-		c := detect.NewCUSUM(healthy.Mu, healthy.Sigma)
+		c := correlate.CUSUM{Mu: healthy.Mu, Sig: healthy.Sigma}
 		cusumSamples = 300
 		for s := 0; s < 300; s++ {
-			if c.Observe(shifted.Sample(r)) {
+			if fired, _, _, _ := c.Observe(math.Log(shifted.Sample(r))); fired {
 				cusumSamples = float64(s + 1)
 				break
 			}

@@ -34,7 +34,6 @@ var deadcodeAllow = map[string]string{
 	"transport.Server.RejectedConns":           "retry tests observe admission rejections",
 	"transport.Server.ReplayDrops":             "retry tests observe deduplicated replays",
 	"hunter.Deployment.LastCheckpoint":         "crash tests read the last checkpoint image",
-	"hunter.Deployment.Migrations":             "migration tests count task migrations",
 	"analyzer.Analyzer.Blacklisted":            "hunter tests observe blacklisting",
 	"incident.Correlator.Incident":             "hunter incident tests look up one incident",
 	"netsim.Net.TransportConfig":               "scenario tests observe the transport model",
@@ -55,10 +54,6 @@ var deadcodeAllow = map[string]string{
 	"scenario.DecodeSchedule":           "schedule codec behind FuzzDecodeSchedule",
 
 	// Paper artefacts and wire ops reached only from tests and benchmarks.
-	"detect.NewCUSUM":                      "CUSUM ablation: BenchmarkAblationCUSUMvsLOF and EXPERIMENTS.md",
-	"detect.CUSUM.Observe":                 "CUSUM ablation: BenchmarkAblationCUSUMvsLOF and EXPERIMENTS.md",
-	"detect.CUSUM.Statistic":               "CUSUM ablation: detector state for its unit tests",
-	"detect.CUSUM.Reset":                   "CUSUM ablation: detector state for its unit tests",
 	"hunter.Deployment.OverrideWorkload":   "§7.3 workload-change experiment",
 	"hunter.Deployment.RevalidateSkeleton": "§7.3 skeleton revalidation",
 	"transport.Client.Epoch":               "wire-protocol client op",
@@ -95,6 +90,168 @@ func TestNoUnreferencedExports(t *testing.T) {
 			t.Errorf("allowlist entry %s no longer exists; drop it from the list", key)
 		}
 	}
+}
+
+// unsetFieldAllow lists the config fields, keyed "<package path below
+// internal/>.<Type>.<Field>", that no non-test code writes but that are
+// kept on purpose. Like deadcodeAllow, a stale entry fails the test.
+var unsetFieldAllow = map[string]string{
+	// Ablation switches: benchmarks and tests flip them to show what
+	// each design choice buys.
+	"detect.Config.ZThreshold":            "long-term ablation: BenchmarkAblationLongTerm disables the Z-test",
+	"detect.Config.LOFThreshold":          "detect tests disable the short-term window to isolate the long-term one",
+	"skeleton.Options.TimeDomainFeatures": "STFT ablation: BenchmarkAblationSTFT and TestAblationTimeDomainWorseThanSTFT",
+	"skeleton.Options.Unconstrained":      "constraint ablation: BenchmarkAblationConstraints",
+
+	// Clocks and caps that tests shorten or shrink to reach an edge.
+	"incident.Config.QuietWindow":              "incident tests set the flap clock",
+	"incident.Config.EvidenceWindow":           "incident tests narrow the evidence window",
+	"incident.Config.MaxEvidenceRecords":       "incident tests shrink or disable the evidence cap",
+	"incident.Config.MaxEvidenceNotes":         "incident tests shrink the note cap",
+	"apiserver.Config.MaxWatchers":             "watch tests shrink the watcher cap to force shedding",
+	"apiserver.Config.WatchBacklog":            "watch tests shrink the backlog to force 410 Gone",
+	"transport.ServerConfig.IdleTimeout":       "retry tests shorten the idle timeout to observe reaping",
+	"transport.ServerConfig.MaxConns":          "retry tests shrink the connection cap to force rejection",
+	"transport.Config.Retry":                   "retry tests shorten the backoff schedule",
+	"transport.RetryPolicy.RetryNonIdempotent": "retry tests opt non-idempotent ops into retry",
+
+	// Deployment wiring that tests arm.
+	"hunter.Options.API":       "incident API tests raise the read plane's rate limits on a deployment",
+	"hunter.Options.Incidents": "incident tests tune the correlator a deployment builds",
+}
+
+// TestNoUnsetConfigFields fails on any exported field of an exported
+// struct under internal/ whose name ends in Config, Options or Policy
+// that no non-test code writes outside its type's withDefaults: a field
+// only one value reaches is a constant, not a knob. A write is a
+// composite-literal element, an assignment or increment through a
+// selector, or taking the field's address (flag.IntVar and friends).
+func TestNoUnsetConfigFields(t *testing.T) {
+	prog, err := loadProgram(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields, written := prog.configFieldWrites()
+	for _, key := range sortedKeys(fields) {
+		if written[key] {
+			continue
+		}
+		if _, ok := unsetFieldAllow[key]; !ok {
+			t.Errorf("%s: %s is written by no non-test code outside withDefaults; make it a constant or allowlist it with a reason", prog.fset.Position(fields[key]), key)
+		}
+	}
+	for _, key := range sortedKeys(unsetFieldAllow) {
+		if unsetFieldAllow[key] == "" {
+			t.Errorf("allowlist entry %s has no reason", key)
+		}
+		if _, ok := fields[key]; !ok {
+			t.Errorf("allowlist entry %s no longer exists; drop it from the list", key)
+		} else if written[key] {
+			t.Errorf("allowlist entry %s is now written; drop it from the list", key)
+		}
+	}
+}
+
+// configFieldWrites returns the declaring position of every exported
+// field of an exported *Config, *Options or *Policy struct under
+// internal/, and the set of those fields some non-test code writes
+// outside the owning type's withDefaults method.
+func (p *program) configFieldWrites() (map[string]token.Pos, map[string]bool) {
+	fields := map[string]token.Pos{}
+	keyOf := map[*types.Var]string{}
+	owner := map[string]*types.TypeName{}
+	for _, lp := range p.pkgs {
+		scope := lp.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+				continue
+			}
+			k := p.key(tn)
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if k == "" || !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[k+"."+f.Name()] = f.Pos()
+					keyOf[f] = k + "." + f.Name()
+					owner[k+"."+f.Name()] = tn
+				}
+			}
+		}
+	}
+
+	written := map[string]bool{}
+	for _, lp := range p.pkgs {
+		// mark records a write to the field v unless it sits in the
+		// owning type's withDefaults.
+		mark := func(v types.Object, in *ast.FuncDecl) {
+			f, ok := v.(*types.Var)
+			if !ok {
+				return
+			}
+			k, ok := keyOf[f]
+			if !ok {
+				return
+			}
+			if in != nil && in.Name.Name == "withDefaults" && in.Recv != nil {
+				if named := receiverNamed(lp.info.Types[in.Recv.List[0].Type].Type); named != nil && named.Obj() == owner[k] {
+					return
+				}
+			}
+			written[k] = true
+		}
+		// target marks every field selected on the way to an
+		// assignment's operand: a.B.C = x writes both B and C.
+		var target func(e ast.Expr, in *ast.FuncDecl)
+		target = func(e ast.Expr, in *ast.FuncDecl) {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				mark(lp.info.Uses[x.Sel], in)
+				target(x.X, in)
+			case *ast.IndexExpr:
+				target(x.X, in)
+			case *ast.StarExpr:
+				target(x.X, in)
+			case *ast.ParenExpr:
+				target(x.X, in)
+			}
+		}
+		for _, f := range lp.files {
+			for _, decl := range f.Decls {
+				in, _ := decl.(*ast.FuncDecl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							target(lhs, in)
+						}
+					case *ast.IncDecStmt:
+						target(x.X, in)
+					case *ast.UnaryExpr:
+						if x.Op == token.AND {
+							target(x.X, in)
+						}
+					case *ast.CompositeLit:
+						st, ok := lp.info.Types[x].Type.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, elt := range x.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								mark(lp.info.Uses[kv.Key.(*ast.Ident)], in)
+							} else {
+								mark(st.Field(i), in)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return fields, written
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -76,9 +76,6 @@ type Config struct {
 	// AnalysisInterval is how often batched anomalies are localized
 	// (default 30 s, aligned with the short-term window).
 	AnalysisInterval time.Duration
-	// PathMemory bounds how many recent probe paths are kept per pair
-	// (default 8).
-	PathMemory int
 	// Workers bounds the analysis round's fan-out across task shards
 	// on the task-pinned pool (probe.FanOut); <= 0 means GOMAXPROCS.
 	// Results are identical at any value; this only trades wall-clock
@@ -99,14 +96,14 @@ func (c Config) withDefaults() Config {
 	if c.AnalysisInterval == 0 {
 		c.AnalysisInterval = 30 * time.Second
 	}
-	if c.PathMemory == 0 {
-		c.PathMemory = 8
-	}
 	return c
 }
 
 // healthyMemory bounds how many healthy observations a shard keeps.
 const healthyMemory = 512
+
+// pathMemory bounds how many recent probe paths are kept per pair.
+const pathMemory = 8
 
 // pathStride is the ordinals a healthy observation holds in place: one
 // tunnel leg's longest route.
@@ -145,7 +142,7 @@ type slot struct {
 	// src and dst are the endpoints as the pair's newest drained run
 	// probed them, so evidence follows a migrated or restarted container.
 	src, dst overlay.Addr
-	// paths holds the pair's last PathMemory probe paths, oldest first,
+	// paths holds the pair's last pathMemory probe paths, oldest first,
 	// each as its length followed by its link ordinals; npaths counts
 	// them. It is a copy-shift ring the slot owns, so a full memory
 	// admits a path without reallocating.
@@ -154,17 +151,14 @@ type slot struct {
 }
 
 // remember admits one probe path into the slot's path memory, dropping
-// the oldest once memory paths are held.
-func (sl *slot) remember(path []int32, memory int) {
-	if memory <= 0 {
-		return
-	}
+// the oldest once pathMemory paths are held.
+func (sl *slot) remember(path []int32) {
 	if sl.paths == nil {
 		// A pair's ECMP paths share one length, so this sizes the
 		// memory for good.
-		sl.paths = make([]int32, 0, memory*(1+len(path)))
+		sl.paths = make([]int32, 0, pathMemory*(1+len(path)))
 	}
-	if sl.npaths == memory {
+	if sl.npaths == pathMemory {
 		sl.paths = append(sl.paths[:0], sl.paths[1+sl.paths[0]:]...)
 		sl.npaths--
 	}
@@ -309,7 +303,7 @@ func (s *shard) observeRun(cs *correlate.Shard, run []entry) {
 		e := &run[i]
 		path := s.pathPool[e.pathOff : e.pathOff+e.pathLen]
 		if len(path) > 0 {
-			sl.remember(path, s.cfg.PathMemory)
+			sl.remember(path)
 		}
 		if !e.lost && len(path) > 0 && e.RTT < 50*time.Microsecond {
 			s.observeHealthy(path)

@@ -330,12 +330,13 @@ func TestAnalyzerRoundEndHook(t *testing.T) {
 }
 
 // TestPathMemoryRingKeepsNewest pins the per-pair path ring: the newest
-// PathMemory paths, oldest first, in a slice that never outgrows its
+// pathMemory paths, oldest first, in a slice that never outgrows its
 // capacity.
 func TestPathMemoryRingKeepsNewest(t *testing.T) {
+	const extra = 4
 	r := newRig(t)
-	an := New(r.eng, r.an.Localizer, Config{PathMemory: 3})
-	for i := 0; i < 7; i++ {
+	an := New(r.eng, r.an.Localizer, Config{})
+	for i := 0; i < pathMemory+extra; i++ {
 		rec := r.record(0, 1, 0, uint64(i))
 		rec.Path = []int32{int32(i)}
 		an.IngestBatch(probe.Batch{rec})
@@ -347,12 +348,12 @@ func TestPathMemoryRingKeepsNewest(t *testing.T) {
 	}
 	for _, i := range s.index {
 		sl := &s.slots[i]
-		// Three one-link paths, each stored as its length and its link.
-		if sl.npaths != 3 || len(sl.paths) != 6 || cap(sl.paths) != 6 {
-			t.Fatalf("%d paths in %d/%d ordinals, want 3 in 6/6", sl.npaths, len(sl.paths), cap(sl.paths))
+		// One-link paths, each stored as its length and its link.
+		if sl.npaths != pathMemory || len(sl.paths) != 2*pathMemory || cap(sl.paths) != 2*pathMemory {
+			t.Fatalf("%d paths in %d/%d ordinals, want %d in %d/%d", sl.npaths, len(sl.paths), cap(sl.paths), pathMemory, 2*pathMemory, 2*pathMemory)
 		}
-		for i := 0; i < 3; i++ {
-			if p, want := sl.paths[2*i:2*i+2], []int32{1, int32(4 + i)}; !slices.Equal(p, want) {
+		for i := 0; i < pathMemory; i++ {
+			if p, want := sl.paths[2*i:2*i+2], []int32{1, int32(extra + i)}; !slices.Equal(p, want) {
 				t.Fatalf("paths[%d] = %v, want %v", i, p, want)
 			}
 		}

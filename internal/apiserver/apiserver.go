@@ -74,8 +74,6 @@ type Config struct {
 	// for resumable watches; a cursor older than the backlog gets
 	// 410 Gone and must resync from the full resources (default 512).
 	WatchBacklog int
-	// MaxPollWait caps the long-poll wait_ms parameter (default 30s).
-	MaxPollWait time.Duration
 	// DisableDeltas forces every Update to re-marshal every resource
 	// wholesale — the pre-delta baseline, kept so the delta renderer
 	// can be benchmarked (and equivalence-tested) against it.
@@ -103,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WatchBacklog <= 0 {
 		c.WatchBacklog = 512
-	}
-	if c.MaxPollWait == 0 {
-		c.MaxPollWait = 30 * time.Second
 	}
 	if c.now == nil {
 		c.now = time.Now

@@ -212,6 +212,9 @@ func (s *Server) serveWatch(w http.ResponseWriter, r *http.Request) {
 	s.serveLongPoll(w, r, cursor, q.Get("wait_ms"))
 }
 
+// maxPollWait caps the long-poll wait_ms parameter.
+const maxPollWait = 30 * time.Second
+
 // serveLongPoll answers with NDJSON events past the cursor,
 // optionally blocking up to wait_ms for the first one. The X-Epoch
 // header carries the client's next cursor.
@@ -224,8 +227,8 @@ func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, cursor ui
 			return
 		}
 		wait = time.Duration(ms) * time.Millisecond
-		if wait > s.cfg.MaxPollWait {
-			wait = s.cfg.MaxPollWait
+		if wait > maxPollWait {
+			wait = maxPollWait
 		}
 	}
 

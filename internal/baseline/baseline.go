@@ -56,24 +56,16 @@ func EstimateDeTectorProbes(fab *topology.Fabric, redundancy, ecmpFactor int) in
 	return fab.NumLinks() * redundancy * ecmpFactor
 }
 
-// CostModel converts probe-target counts into probing-round time:
-// agents probe their targets sequentially (each target gets a fixed
-// probing slot), so a round lasts as long as the busiest endpoint's
-// list. This reproduces the proportionality of Fig. 16, where 2 047
-// full-mesh targets per endpoint take ≈2 034 s and a ~25-target
-// skeleton list takes ≈25 s.
-type CostModel struct {
-	// SlotPerTarget is the probing slot per target (default ~993 ms,
-	// calibrated to the paper's full-mesh measurements).
-	SlotPerTarget time.Duration
-}
+// slotPerTarget is the probing slot per target, calibrated to the
+// paper's full-mesh measurements.
+const slotPerTarget = 993 * time.Millisecond
 
 // RoundTime returns the duration of one probing round given the
-// maximum per-endpoint target count.
-func (m CostModel) RoundTime(maxPerEndpointTargets int) time.Duration {
-	slot := m.SlotPerTarget
-	if slot == 0 {
-		slot = 993 * time.Millisecond
-	}
-	return time.Duration(maxPerEndpointTargets) * slot
+// maximum per-endpoint target count. Agents probe their targets
+// sequentially, each in a fixed slot, so a round lasts as long as the
+// busiest endpoint's list. This reproduces the proportionality of
+// Fig. 16, where 2 047 full-mesh targets per endpoint take ≈2 034 s
+// and a ~25-target skeleton list takes ≈25 s.
+func RoundTime(maxPerEndpointTargets int) time.Duration {
+	return time.Duration(maxPerEndpointTargets) * slotPerTarget
 }

@@ -43,12 +43,11 @@ func TestEstimateDeTectorProbes(t *testing.T) {
 }
 
 func TestCostModelShape(t *testing.T) {
-	m := CostModel{}
 	// Fig. 16's anchor points: 2047 targets ≈ 2034 s; 255 ≈ 240 s (the
 	// paper reports 240.54); 25 ≈ 25 s.
-	full := m.RoundTime(2047)
-	basic := m.RoundTime(255)
-	skel := m.RoundTime(25)
+	full := RoundTime(2047)
+	basic := RoundTime(255)
+	skel := RoundTime(25)
 	if full < 1900*time.Second || full > 2150*time.Second {
 		t.Fatalf("full-mesh round = %v", full)
 	}

@@ -16,22 +16,26 @@
 // Pipeline per analysis round:
 //
 //  1. CUSUM. Each series carries two one-sided CUSUM pairs: a
-//     level-shift variant (k≈1σ, small h) for step changes and a
-//     drift variant (k≈0.25σ, larger h) that integrates slow creep.
+//     level-shift variant (k = 1σ, h = 5σ) for step changes and a
+//     drift variant (k = 0.25σ, h = 4σ) that integrates slow creep.
 //     µ and σ are frozen from the first Warmup round means, so
 //     thresholds are seeded-deterministic, never wall-clock-tuned.
 //  2. Dedup. Change-points vote per implicated component; candidates
-//     pass through a stable Bloom filter keyed by component+kind.
+//     pass through a stable Bloom filter keyed by component+kind
+//     (4096 cells, 3 hashes, 4 decrements per insert).
 //     A flapping link refires CUSUM every dip, but only the first
 //     candidate mints an alarm — later ones bump its Suppressed
 //     count. Cell decay forgets old keys, bounding how long a
 //     suppression shadow lasts.
 //  3. Correlation. Co-onset change-points cluster by shared component
-//     (an RNIC implicated by several pair series in one window is a
+//     (an RNIC implicated by two pair series within two rounds is a
 //     far stronger signal than one noisy pair), and a lead-lag
 //     histogram per (leader component, follower task) emits causal
 //     chains — "queue growth leads task RTT inflation by ~2 rounds" —
-//     once support accumulates.
+//     once three lags of at most five rounds accumulate.
+//
+// These parameters are package constants; only Warmup and the dedup
+// seed are configurable.
 //
 // Concurrency contract: Shards are owned by the analyzer's per-task
 // workers during the round fan-out (ShardOf is a pure map read; Warm
@@ -101,6 +105,34 @@ func (v Variant) String() string {
 	return "level-shift"
 }
 
+// The detector's fixed parameters. CUSUM references and thresholds are
+// in σ units.
+const (
+	// levelK/levelH are the level-shift pair's reference and threshold:
+	// large slack, small threshold, fast on step changes.
+	levelK, levelH = 1.0, 5.0
+	// driftK/driftH are the drift pair's: small slack, larger
+	// threshold, integrating slow creep.
+	driftK, driftH = 0.25, 4.0
+	// clusterVotes is how many co-onset RTT change-points must
+	// implicate one component within the two-round cluster window
+	// before it becomes an alarm candidate. Throughput and queue
+	// change-points carry direct attribution and always qualify.
+	clusterVotes = 2
+	// maxLag bounds, in rounds, how far back a leader change-point can
+	// sit from the RTT inflation it explains.
+	maxLag = 5
+	// chainSupport is how many lag observations a (leader, task) pair
+	// needs before its causal chain emits.
+	chainSupport = 3
+	// maxChains caps the chains retained per alarm, observation order,
+	// newest kept.
+	maxChains = 8
+	// The stable Bloom dedup filter: cells, hashes per key, decrements
+	// per insert, and cell maximum.
+	bloomCells, bloomHashes, bloomDecay, bloomMax = 4096, 3, 4, 3
+)
+
 // Config parameterizes the correlate engine. The zero value is usable;
 // withDefaults fills unset fields.
 type Config struct {
@@ -111,32 +143,6 @@ type Config struct {
 	// Seed seeds the dedup filter's decay RNG (deterministic and
 	// checkpointed; default 1).
 	Seed int64
-	// LevelK/LevelH are the level-shift CUSUM reference and threshold
-	// in σ units (defaults 1.0, 5.0). DriftK/DriftH are the drift
-	// pair's (defaults 0.25, 4.0).
-	LevelK, LevelH float64
-	DriftK, DriftH float64
-	// ClusterVotes is how many co-onset RTT change-points must
-	// implicate one component within the two-round cluster window
-	// before it becomes an alarm candidate (default 2). Throughput and
-	// queue change-points carry direct attribution and always qualify.
-	ClusterVotes int
-	// MaxLag bounds, in rounds, how far back a leader change-point can
-	// sit from the RTT inflation it explains (default 5).
-	MaxLag int
-	// ChainSupport is how many lag observations a (leader, task) pair
-	// needs before its causal chain emits (default 3).
-	ChainSupport int
-	// MaxChains caps the chains retained per alarm, observation order,
-	// newest kept (default 8).
-	MaxChains int
-	// BloomCells/BloomHashes/BloomDecay/BloomMax size the stable Bloom
-	// dedup filter (defaults 4096 cells, 3 hashes, 4 decrements per
-	// insert, cell max 3).
-	BloomCells  int
-	BloomHashes int
-	BloomDecay  int
-	BloomMax    int
 	// Obs, when set, receives counters and the stage-correlate-ms
 	// histogram. Nil-safe.
 	Obs *obs.Stats
@@ -148,42 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.LevelK == 0 {
-		c.LevelK = 1.0
-	}
-	if c.LevelH == 0 {
-		c.LevelH = 5.0
-	}
-	if c.DriftK == 0 {
-		c.DriftK = 0.25
-	}
-	if c.DriftH == 0 {
-		c.DriftH = 4.0
-	}
-	if c.ClusterVotes == 0 {
-		c.ClusterVotes = 2
-	}
-	if c.MaxLag == 0 {
-		c.MaxLag = 5
-	}
-	if c.ChainSupport == 0 {
-		c.ChainSupport = 3
-	}
-	if c.MaxChains == 0 {
-		c.MaxChains = 8
-	}
-	if c.BloomCells == 0 {
-		c.BloomCells = 4096
-	}
-	if c.BloomHashes == 0 {
-		c.BloomHashes = 3
-	}
-	if c.BloomDecay == 0 {
-		c.BloomDecay = 4
-	}
-	if c.BloomMax == 0 {
-		c.BloomMax = 3
 	}
 	return c
 }
@@ -209,7 +179,7 @@ type CUSUM struct {
 // only calibrates and never fires. After warmup it returns whether a
 // threshold crossed, which variant and direction (+1 above baseline,
 // −1 below), and the accumulator value at the crossing.
-func (c *CUSUM) Observe(x float64, cfg *Config) (fired bool, v Variant, dir int, stat float64) {
+func (c *CUSUM) Observe(x float64) (fired bool, v Variant, dir int, stat float64) {
 	if c.N < c.Warmup {
 		c.N++
 		d := x - c.Mean
@@ -228,20 +198,20 @@ func (c *CUSUM) Observe(x float64, cfg *Config) (fired bool, v Variant, dir int,
 		return false, 0, 0, 0
 	}
 	z := (x - c.Mu) / c.Sig
-	c.LevelPos = math.Max(0, c.LevelPos+z-cfg.LevelK)
-	c.LevelNeg = math.Max(0, c.LevelNeg-z-cfg.LevelK)
-	c.DriftPos = math.Max(0, c.DriftPos+z-cfg.DriftK)
-	c.DriftNeg = math.Max(0, c.DriftNeg-z-cfg.DriftK)
+	c.LevelPos = math.Max(0, c.LevelPos+z-levelK)
+	c.LevelNeg = math.Max(0, c.LevelNeg-z-levelK)
+	c.DriftPos = math.Max(0, c.DriftPos+z-driftK)
+	c.DriftNeg = math.Max(0, c.DriftNeg-z-driftK)
 	// Level wins ties: a step change trips both pairs, and the level
 	// variant is the sharper description.
 	switch {
-	case c.LevelPos > cfg.LevelH:
+	case c.LevelPos > levelH:
 		stat, fired, v, dir = c.LevelPos, true, VariantLevel, +1
-	case c.LevelNeg > cfg.LevelH:
+	case c.LevelNeg > levelH:
 		stat, fired, v, dir = c.LevelNeg, true, VariantLevel, -1
-	case c.DriftPos > cfg.DriftH:
+	case c.DriftPos > driftH:
 		stat, fired, v, dir = c.DriftPos, true, VariantDrift, +1
-	case c.DriftNeg > cfg.DriftH:
+	case c.DriftNeg > driftH:
 		stat, fired, v, dir = c.DriftNeg, true, VariantDrift, -1
 	}
 	if fired {
@@ -302,7 +272,7 @@ type Alarm struct {
 	// Suppressed counts duplicate candidates collapsed by dedup.
 	Suppressed int
 	// Chains are the causal chains attached by the lead-lag
-	// correlator, observation order, capped at MaxChains (newest kept).
+	// correlator, observation order, capped at maxChains (newest kept).
 	Chains []string
 }
 
@@ -374,13 +344,13 @@ func sigmaFloorFor(kind SeriesKind) float64 {
 
 // endRound folds the round mean (if any samples arrived) and resets
 // the accumulator. Returns the change-point, if one fired.
-func (s *series) endRound(round int, now time.Duration, task string, cfg *Config) (ChangePoint, bool) {
+func (s *series) endRound(round int, now time.Duration, task string) (ChangePoint, bool) {
 	if s.n == 0 {
 		return ChangePoint{}, false
 	}
 	x := s.sum / float64(s.n)
 	s.sum, s.n = 0, 0
-	fired, v, dir, stat := s.cusum.Observe(x, cfg)
+	fired, v, dir, stat := s.cusum.Observe(x)
 	if !fired {
 		return ChangePoint{}, false
 	}
@@ -395,10 +365,10 @@ func (s *series) endRound(round int, now time.Duration, task string, cfg *Config
 // worker during the round fan-out and by the engine goroutine
 // otherwise — the same single-owner contract as analyzer shards.
 type Shard struct {
-	task string
-	cfg  *Config
-	rtt  map[pairKey]*series
-	nic  map[nicKey]*series
+	task   string
+	warmup int
+	rtt    map[pairKey]*series
+	nic    map[nicKey]*series
 	// observedThrough is the last EndRound time: every record folded
 	// into CUSUM state has At ≤ observedThrough. skipThrough is set
 	// from a restored snapshot's observedThrough so the recovery
@@ -408,9 +378,9 @@ type Shard struct {
 	skipThrough     time.Duration
 }
 
-func newShard(task string, cfg *Config) *Shard {
+func newShard(task string, warmup int) *Shard {
 	return &Shard{
-		task: task, cfg: cfg,
+		task: task, warmup: warmup,
 		rtt: make(map[pairKey]*series),
 		nic: make(map[nicKey]*series),
 	}
@@ -427,7 +397,7 @@ func (s *Shard) rttSeries(k pairKey, src, dst overlay.Addr) *series {
 			kind:  KindRTT,
 			name:  fmt.Sprintf("rtt c%d.r%d→c%d.r%d", k.sc, k.sr, k.dc, k.dr),
 			comps: comps,
-			cusum: CUSUM{Warmup: s.cfg.Warmup, SigmaFloor: sigmaFloorFor(KindRTT)},
+			cusum: CUSUM{Warmup: s.warmup, SigmaFloor: sigmaFloorFor(KindRTT)},
 		}
 		s.rtt[k] = sr
 	}
@@ -442,7 +412,7 @@ func (s *Shard) nicSeries(k nicKey) *series {
 			kind:  KindThroughput,
 			name:  "thr " + string(id),
 			comps: []component.ID{id},
-			cusum: CUSUM{Warmup: s.cfg.Warmup, SigmaFloor: sigmaFloorFor(KindThroughput)},
+			cusum: CUSUM{Warmup: s.warmup, SigmaFloor: sigmaFloorFor(KindThroughput)},
 		}
 		s.nic[k] = sn
 	}
@@ -494,7 +464,7 @@ func (s *Shard) EndRound(round int, now time.Duration) []ChangePoint {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 		for _, k := range keys {
-			if cp, ok := s.rtt[k].endRound(round, now, s.task, s.cfg); ok {
+			if cp, ok := s.rtt[k].endRound(round, now, s.task); ok {
 				cps = append(cps, cp)
 			}
 		}
@@ -506,7 +476,7 @@ func (s *Shard) EndRound(round int, now time.Duration) []ChangePoint {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 		for _, k := range keys {
-			if cp, ok := s.nic[k].endRound(round, now, s.task, s.cfg); ok {
+			if cp, ok := s.nic[k].endRound(round, now, s.task); ok {
 				cps = append(cps, cp)
 			}
 		}
@@ -529,7 +499,7 @@ type lagKey struct {
 }
 
 type lagHist struct {
-	Counts  []int // index = lag in rounds, 0..MaxLag
+	Counts  []int // index = lag in rounds, 0..maxLag
 	Total   int
 	Emitted bool
 }
@@ -567,7 +537,7 @@ func New(cfg Config) *Engine {
 		cfg:    cfg,
 		shards: make(map[string]*Shard),
 		queue:  make(map[topology.NodeID]*series),
-		bloom:  newStableBloom(cfg.BloomCells, cfg.BloomHashes, cfg.BloomDecay, uint8(cfg.BloomMax), cfg.Seed),
+		bloom:  newStableBloom(bloomCells, bloomHashes, bloomDecay, bloomMax, cfg.Seed),
 		ledger: make(map[string]int),
 		lags:   make(map[lagKey]*lagHist),
 	}
@@ -578,7 +548,7 @@ func New(cfg Config) *Engine {
 // same contract as the analyzer's shard creation.
 func (e *Engine) Warm(task string) {
 	if _, ok := e.shards[task]; !ok {
-		e.shards[task] = newShard(task, &e.cfg)
+		e.shards[task] = newShard(task, e.cfg.Warmup)
 	}
 }
 
@@ -637,7 +607,7 @@ func (e *Engine) Fold(now time.Duration, cps []ChangePoint) []Alarm {
 			s := e.queueSeries(qs.Node)
 			s.sum += qs.Depth
 			s.n++
-			if cp, ok := s.endRound(e.round, now, "", &e.cfg); ok {
+			if cp, ok := s.endRound(e.round, now, ""); ok {
 				cps = append(cps, cp)
 			}
 		}
@@ -693,7 +663,7 @@ func (e *Engine) Fold(now time.Duration, cps []ChangePoint) []Alarm {
 		if v.cps == 0 { // all evidence from the previous round: already acted on
 			continue
 		}
-		if v.direct || v.rttVotes >= e.cfg.ClusterVotes {
+		if v.direct || v.rttVotes >= clusterVotes {
 			comps = append(comps, c)
 		}
 	}
@@ -754,7 +724,7 @@ func (e *Engine) Fold(now time.Duration, cps []ChangePoint) []Alarm {
 
 // leadLag matches this round's RTT inflation against recent
 // queue/throughput leaders and emits a causal chain once a (leader,
-// task) pair accumulates ChainSupport lag observations.
+// task) pair accumulates chainSupport lag observations.
 func (e *Engine) leadLag(now time.Duration, adverse []ChangePoint, changed map[int]bool) {
 	for _, cp := range adverse {
 		if cp.Kind != KindRTT || cp.Task == "" {
@@ -762,18 +732,18 @@ func (e *Engine) leadLag(now time.Duration, adverse []ChangePoint, changed map[i
 		}
 		for _, lead := range e.leaders {
 			lag := cp.Round - lead.Round
-			if lag < 0 || lag > e.cfg.MaxLag {
+			if lag < 0 || lag > maxLag {
 				continue
 			}
 			lk := lagKey{lead.Component, cp.Task}
 			h, ok := e.lags[lk]
 			if !ok {
-				h = &lagHist{Counts: make([]int, e.cfg.MaxLag+1)}
+				h = &lagHist{Counts: make([]int, maxLag+1)}
 				e.lags[lk] = h
 			}
 			h.Counts[lag]++
 			h.Total++
-			if h.Emitted || h.Total < e.cfg.ChainSupport {
+			if h.Emitted || h.Total < chainSupport {
 				continue
 			}
 			h.Emitted = true
@@ -789,7 +759,7 @@ func (e *Engine) leadLag(now time.Duration, adverse []ChangePoint, changed map[i
 			key := string(lead.Component) + "|" + lead.Kind.String()
 			if idx, ok := e.ledger[key]; ok {
 				al := e.alarms[idx]
-				al.Chains = AppendCapped(al.Chains, e.cfg.MaxChains, chain)
+				al.Chains = AppendCapped(al.Chains, maxChains, chain)
 				al.LastAt = now
 				changed[idx] = true
 			}
@@ -798,7 +768,7 @@ func (e *Engine) leadLag(now time.Duration, adverse []ChangePoint, changed map[i
 }
 
 // retainLeaders appends this round's adverse queue/throughput
-// change-points to the leader ring and evicts entries past MaxLag.
+// change-points to the leader ring and evicts entries past maxLag.
 func (e *Engine) retainLeaders(adverse []ChangePoint) {
 	for _, cp := range adverse {
 		if cp.Kind == KindRTT {
@@ -810,7 +780,7 @@ func (e *Engine) retainLeaders(adverse []ChangePoint) {
 	}
 	keep := e.leaders[:0]
 	for _, lead := range e.leaders {
-		if e.round-lead.Round <= e.cfg.MaxLag {
+		if e.round-lead.Round <= maxLag {
 			keep = append(keep, lead)
 		}
 	}

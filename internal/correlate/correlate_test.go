@@ -14,13 +14,10 @@ import (
 
 // --- CUSUM -----------------------------------------------------------
 
-func testCfg() Config { return Config{Warmup: 5}.withDefaults() }
-
 func TestCUSUMWarmupNeverFires(t *testing.T) {
-	cfg := testCfg()
 	c := CUSUM{Warmup: 5, SigmaFloor: 0.05}
 	for i := 0; i < 5; i++ {
-		if fired, _, _, _ := c.Observe(1e9, &cfg); fired {
+		if fired, _, _, _ := c.Observe(1e9); fired {
 			t.Fatalf("fired during warmup at observation %d", i)
 		}
 	}
@@ -33,19 +30,18 @@ func TestCUSUMWarmupNeverFires(t *testing.T) {
 }
 
 func TestCUSUMLevelShiftFires(t *testing.T) {
-	cfg := testCfg()
 	c := CUSUM{Warmup: 5, SigmaFloor: 0.05}
 	vals := []float64{10.1, 9.9, 10.2, 9.8, 10.0}
 	for _, v := range vals {
-		c.Observe(v, &cfg)
+		c.Observe(v)
 	}
 	// Step to 11: z ≈ 6σ, the level pair crosses on the first sample.
-	fired, v, dir, stat := c.Observe(11, &cfg)
+	fired, v, dir, stat := c.Observe(11)
 	if !fired || v != VariantLevel || dir != +1 {
 		t.Fatalf("step change: fired=%v variant=%v dir=%d, want level-shift +1", fired, v, dir)
 	}
-	if stat <= cfg.LevelH {
-		t.Fatalf("stat %g not above threshold %g", stat, cfg.LevelH)
+	if stat <= levelH {
+		t.Fatalf("stat %g not above threshold %g", stat, levelH)
 	}
 	if c.LevelPos != 0 {
 		t.Fatalf("accumulator not reset after firing: %g", c.LevelPos)
@@ -53,17 +49,16 @@ func TestCUSUMLevelShiftFires(t *testing.T) {
 }
 
 func TestCUSUMDriftFiresDriftVariant(t *testing.T) {
-	cfg := testCfg()
 	c := CUSUM{Warmup: 5, SigmaFloor: 0.05}
 	for i := 0; i < 5; i++ {
-		c.Observe(10, &cfg)
+		c.Observe(10)
 	}
 	// Slow creep at 0.1σ/round: far below the level pair's reference,
 	// but the drift accumulator integrates it.
 	x := 10.0
 	for i := 1; i <= 30; i++ {
 		x += 0.005
-		fired, v, dir, _ := c.Observe(x, &cfg)
+		fired, v, dir, _ := c.Observe(x)
 		if fired {
 			if v != VariantDrift || dir != +1 {
 				t.Fatalf("drift fired as variant=%v dir=%d, want drift +1", v, dir)
@@ -75,26 +70,24 @@ func TestCUSUMDriftFiresDriftVariant(t *testing.T) {
 }
 
 func TestCUSUMDownShiftFiresNegative(t *testing.T) {
-	cfg := testCfg()
 	c := CUSUM{Warmup: 5, SigmaFloor: 0.02}
 	for i := 0; i < 5; i++ {
-		c.Observe(1.0, &cfg)
+		c.Observe(1.0)
 	}
-	fired, _, dir, _ := c.Observe(0.5, &cfg)
+	fired, _, dir, _ := c.Observe(0.5)
 	if !fired || dir != -1 {
 		t.Fatalf("droop: fired=%v dir=%d, want fired -1", fired, dir)
 	}
 }
 
 func TestCUSUMQuietOnStationaryNoise(t *testing.T) {
-	cfg := testCfg()
 	c := CUSUM{Warmup: 5, SigmaFloor: 0.01}
 	vals := []float64{10.1, 9.9, 10.2, 9.8, 10.0}
 	for _, v := range vals {
-		c.Observe(v, &cfg)
+		c.Observe(v)
 	}
 	for i := 0; i < 100; i++ {
-		if fired, v, _, stat := c.Observe(vals[i%len(vals)], &cfg); fired {
+		if fired, v, _, stat := c.Observe(vals[i%len(vals)]); fired {
 			t.Fatalf("fired on stationary noise at round %d (%v, stat %g)", i, v, stat)
 		}
 	}

@@ -189,7 +189,7 @@ func (e *Engine) Restore(snap Snapshot) error {
 	e.round = snap.Round
 	e.shards = make(map[string]*Shard, len(snap.Shards))
 	for _, ss := range snap.Shards {
-		sh := newShard(ss.Task, &e.cfg)
+		sh := newShard(ss.Task, e.cfg.Warmup)
 		sh.observedThrough = ss.ObservedThrough
 		sh.skipThrough = ss.ObservedThrough
 		for _, rs := range ss.RTT {
@@ -206,7 +206,7 @@ func (e *Engine) Restore(snap Snapshot) error {
 	for _, qs := range snap.Queues {
 		e.queue[qs.Node] = restoreSeries(qs)
 	}
-	e.bloom = newStableBloom(e.cfg.BloomCells, e.cfg.BloomHashes, e.cfg.BloomDecay, uint8(e.cfg.BloomMax), e.cfg.Seed)
+	e.bloom = newStableBloom(bloomCells, bloomHashes, bloomDecay, bloomMax, e.cfg.Seed)
 	if len(snap.Bloom.Cells) == len(e.bloom.cells) {
 		copy(e.bloom.cells, snap.Bloom.Cells)
 	}

@@ -127,15 +127,14 @@ func Fig16ProbingTime() (Fig16, error) {
 	if err != nil {
 		return Fig16{}, err
 	}
-	m := baseline.CostModel{}
 	var out Fig16
 	for _, r := range f15.Rows {
 		containers := r.RNICs / 8
 		out.Rows = append(out.Rows, Fig16Row{
 			RNICs:    r.RNICs,
-			FullMesh: m.RoundTime(baseline.PerEndpointFullMesh(containers, 8)),
-			Basic:    m.RoundTime(baseline.PerEndpointBasic(containers)),
-			Skeleton: m.RoundTime(r.SkeletonPerEnd),
+			FullMesh: baseline.RoundTime(baseline.PerEndpointFullMesh(containers, 8)),
+			Basic:    baseline.RoundTime(baseline.PerEndpointBasic(containers)),
+			Skeleton: baseline.RoundTime(r.SkeletonPerEnd),
 		})
 	}
 	return out, nil

@@ -67,14 +67,6 @@ var errNoItems = errors.New("hcluster: no items")
 
 // Options tunes the clustering.
 type Options struct {
-	// MaxGroupSize caps group sizes during merging. Zero means no cap.
-	// Callers that know the DP count ceiling (e.g. number of hosts) can
-	// set it to prune hopeless merges early.
-	MaxGroupSize int
-	// ForceGroupCount, when positive, skips cut selection and cuts the
-	// dendrogram at exactly this many groups (used when the training
-	// task's parallelism degree is known out of band).
-	ForceGroupCount int
 	// Unconstrained disables constraints 2 and 3 (used by the ablation
 	// benchmark to quantify what the constraints buy).
 	Unconstrained bool
@@ -173,13 +165,8 @@ func Cluster(items []Item, dist DistFunc, opts Options) (Result, error) {
 				if linkage[i][j] >= best {
 					continue
 				}
-				if !opts.Unconstrained {
-					if opts.MaxGroupSize > 0 && sizes[i]+sizes[j] > opts.MaxGroupSize {
-						continue
-					}
-					if hostsConflict(clusters[i], clusters[j]) {
-						continue
-					}
+				if !opts.Unconstrained && hostsConflict(clusters[i], clusters[j]) {
+					continue
 				}
 				bi, bj, best = i, j, linkage[i][j]
 			}
@@ -220,10 +207,6 @@ func Cluster(items []Item, dist DistFunc, opts Options) (Result, error) {
 		}
 		sortGroups(gs)
 		return Result{Groups: gs, CutDistance: cutDist}, nil
-	}
-
-	if opts.ForceGroupCount > 0 {
-		return pick(opts.ForceGroupCount)
 	}
 
 	// Candidate cuts: group counts k that divide n (constraint 2 in its

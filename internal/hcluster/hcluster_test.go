@@ -80,18 +80,6 @@ func TestClusterHostConstraint(t *testing.T) {
 	}
 }
 
-func TestClusterForceGroupCount(t *testing.T) {
-	r := rand.New(rand.NewSource(35))
-	s := makeSynthetic(r, 4, 4, false)
-	res, err := Cluster(s.items, s.dist, Options{ForceGroupCount: 8, Unconstrained: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Groups) != 8 {
-		t.Fatalf("forced cut produced %d groups, want 8", len(res.Groups))
-	}
-}
-
 func TestClusterGroupCountDividesN(t *testing.T) {
 	// Constraint 2: with default options the chosen group count divides N.
 	r := rand.New(rand.NewSource(37))
@@ -210,20 +198,5 @@ func TestClusterPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClusterMaxGroupSize(t *testing.T) {
-	r := rand.New(rand.NewSource(39))
-	// One tight class of 8; cap groups at 4 → it must split.
-	s := makeSynthetic(r, 1, 8, false)
-	res, err := Cluster(s.items, s.dist, Options{MaxGroupSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range res.Groups {
-		if len(g) > 4 {
-			t.Fatalf("group exceeds cap: %v", g)
-		}
 	}
 }

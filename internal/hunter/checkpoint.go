@@ -4,8 +4,8 @@
 //
 // The durable state is deliberately small: the controller registry
 // snapshot (tasks, leases, phases, skeletons), the analyzer's alarms
-// and blacklist, the operations ledgers (blocked hosts, migration
-// count), task secrets, and installed skeleton inferences. Everything
+// and blacklist, the operations ledger of blocked hosts, task secrets,
+// and installed skeleton inferences. Everything
 // else is rebuilt deterministically on recovery:
 //
 //   - task membership and container departure counts resynchronize
@@ -69,7 +69,6 @@ type Checkpoint struct {
 	Correlate  correlate.Snapshot
 
 	BlockedHosts []int
-	Migrations   int
 	Secrets      map[cluster.TaskID]string
 	Inferences   map[cluster.TaskID]skeleton.Inference
 }
@@ -92,7 +91,6 @@ func (d *Deployment) Checkpoint() *Checkpoint {
 		Remedy:       remedy.Snapshot{Version: remedy.SnapshotVersion},
 		Correlate:    correlate.Snapshot{Version: correlate.SnapshotVersion},
 		BlockedHosts: d.BlockedHosts(),
-		Migrations:   d.migrations,
 		Secrets:      copyTaskMap(d.secrets),
 		Inferences:   copyTaskMap(d.inferences),
 	}
@@ -128,7 +126,6 @@ func (d *Deployment) CrashController() {
 		d.Correlate.Crash()
 	}
 	d.blockedHosts = make(map[int]bool)
-	d.migrations = 0
 	d.stopped = make(map[cluster.TaskID]int)
 	d.inferences = make(map[cluster.TaskID]skeleton.Inference)
 	d.secrets = make(map[cluster.TaskID]string)
@@ -176,7 +173,6 @@ func (d *Deployment) RecoverFrom(ck *Checkpoint) error {
 	for _, h := range ck.BlockedHosts {
 		d.blockedHosts[h] = true
 	}
-	d.migrations = ck.Migrations
 	d.secrets = copyTaskMap(ck.Secrets)
 	d.inferences = copyTaskMap(ck.Inferences)
 

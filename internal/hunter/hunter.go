@@ -6,7 +6,6 @@
 package hunter
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -54,12 +53,7 @@ type Options struct {
 	// Lag overrides the container lifecycle delays (default: the
 	// production-shaped model).
 	Lag cluster.LagModel
-	// AutoMigrate live-migrates running containers off hosts whose
-	// components get blacklisted (§8's quick-recovery path). Default
-	// off: the paper's deployed system alerts and blacklists, with
-	// migration under development.
-	AutoMigrate bool
-	// DisableFeedback turns the alarm → blacklist/migration loop off:
+	// DisableFeedback turns the alarm → blacklist loop off:
 	// alarms are still raised and recorded, but operations do not act
 	// on them. Used by impact comparisons ("what would the month have
 	// looked like without SkeletonHunter acting").
@@ -133,14 +127,13 @@ type Deployment struct {
 	Obs *obs.Stats
 
 	// OnAlarm, when set, receives every alarm after the deployment's
-	// own feedback handling (blacklist propagation, auto-migration).
+	// own feedback handling (blacklist propagation).
 	OnAlarm func(analyzer.Alarm)
 	// OnGray, when set, receives every changed correlate alarm after
 	// the deployment folds it into the incident plane.
 	OnGray func(correlate.Alarm)
 
 	sweepInterval time.Duration
-	autoMigrate   bool
 	feedbackOff   bool
 	telemetry     *faults.TelemetryInjector
 	batchTap      probe.BatchSink // test seam: intercepts agent batches before delivery
@@ -148,7 +141,6 @@ type Deployment struct {
 	agents        map[cluster.ContainerID]*probe.OverlayAgent
 	stopped       map[cluster.TaskID]int
 	blockedHosts  map[int]bool
-	migrations    int
 	overrides     map[cluster.TaskID]parallelism.Config
 	inferences    map[cluster.TaskID]skeleton.Inference
 	secrets       map[cluster.TaskID]string
@@ -233,7 +225,6 @@ func New(opts Options) (*Deployment, error) {
 		Injector:     faults.NewInjector(net, cp),
 		Log:          log,
 		Obs:          st,
-		autoMigrate:  opts.AutoMigrate,
 		feedbackOff:  opts.DisableFeedback,
 		agents:       make(map[cluster.ContainerID]*probe.OverlayAgent),
 		stopped:      make(map[cluster.TaskID]int),
@@ -254,8 +245,7 @@ func New(opts Options) (*Deployment, error) {
 		Obs:     st,
 	}
 	cp.Subscribe(d.onClusterEvent)
-	// Feedback loop: alarms blacklist hosts out of scheduling and,
-	// optionally, trigger live migration off them.
+	// Feedback loop: alarms blacklist hosts out of scheduling.
 	cp.HostSchedulable = func(h int) bool { return !d.blockedHosts[h] }
 	an.OnAlarm = d.handleAlarm
 	if cor != nil {
@@ -433,7 +423,7 @@ func (d *Deployment) AgentRestartStorm(frac float64, downFor time.Duration) int 
 
 // handleGrayAlarm folds one correlate-layer alarm into the incident
 // plane. Deliberately no feedback: gray signals never blacklist hosts
-// or trigger migrations — they page with evidence (chains included)
+// or drain them — they page with evidence (chains included)
 // and wait for an operator or for the hard detector to confirm.
 func (d *Deployment) handleGrayAlarm(al correlate.Alarm) {
 	d.Incidents.ObserveGray(al)
@@ -442,9 +432,9 @@ func (d *Deployment) handleGrayAlarm(al correlate.Alarm) {
 	}
 }
 
-// handleAlarm folds the alarm into the incident plane, propagates
-// verdicts into the scheduling blacklist and, when enabled, migrates
-// running containers off implicated hosts.
+// handleAlarm folds the alarm into the incident plane and propagates
+// verdicts into the scheduling blacklist. Moving containers off a bad
+// host is the remediation plane's drain-host action (Options.Remedy).
 func (d *Deployment) handleAlarm(al analyzer.Alarm) {
 	d.Incidents.ObserveAlarm(al)
 	if d.feedbackOff {
@@ -456,42 +446,13 @@ func (d *Deployment) handleAlarm(al analyzer.Alarm) {
 		return
 	}
 	for _, c := range al.Components() {
-		migrated, stranded := 0, 0
 		if host, ok := component.HostOf(c); ok {
 			d.blockedHosts[host] = true
-			if d.autoMigrate {
-				for _, task := range d.CP.Tasks() {
-					for _, ct := range task.Containers {
-						if ct.Host == host && ct.State == cluster.Running {
-							switch _, err := d.CP.MigrateContainer(ct.ID); {
-							case err == nil:
-								d.migrations++
-								migrated++
-							case errors.Is(err, cluster.ErrNoMigration):
-								// Every spare is blacklisted or cordoned: the
-								// container is stranded on a known-bad host.
-								// Count it and note it on the incident so the
-								// condition pages instead of vanishing.
-								d.Obs.Inc(obs.MigrationsExhausted)
-								stranded++
-							}
-						}
-					}
-				}
-			}
-		}
-		if stranded > 0 {
-			d.Incidents.NoteRemediation(c, fmt.Sprintf(
-				"auto-migration exhausted: %d container(s) stranded (no schedulable spare)", stranded))
 		}
 		// The analyzer put the component on the §8 blacklist the moment
-		// the alarm raised; that (plus any migration) is the mitigation
-		// the incident's SLO clock stops on.
-		how := "blacklist"
-		if migrated > 0 {
-			how = fmt.Sprintf("blacklist+migration(%d)", migrated)
-		}
-		d.Incidents.NoteMitigated(c, al.At, how)
+		// the alarm raised; that is the mitigation the incident's SLO
+		// clock stops on.
+		d.Incidents.NoteMitigated(c, al.At, "blacklist")
 	}
 	if d.OnAlarm != nil {
 		d.OnAlarm(al)
@@ -507,9 +468,6 @@ func (d *Deployment) BlockedHosts() []int {
 	sort.Ints(out)
 	return out
 }
-
-// Migrations returns the number of auto-migrations performed.
-func (d *Deployment) Migrations() int { return d.migrations }
 
 // startAgent deploys a sidecar agent for a running container — both
 // the with-container path (EvContainerRunning) and the restart path
@@ -652,7 +610,7 @@ func (d *Deployment) RevalidateSkeleton(task *cluster.Task, obsWindow time.Durat
 		return 0, false
 	}
 	eps := d.CollectSeries(task, obsWindow)
-	score := skeleton.Fidelity(eps, inf.Groups, skeleton.Options{})
+	score := skeleton.Fidelity(eps, inf.Groups)
 	if score < FidelityThreshold {
 		d.Controller.RevertToBasic(task.ID)
 		delete(d.inferences, task.ID)

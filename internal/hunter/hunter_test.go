@@ -385,50 +385,6 @@ func TestBlacklistKeepsNewTasksOffBadHosts(t *testing.T) {
 	}
 }
 
-func TestAutoMigrationRecoversTask(t *testing.T) {
-	d, err := New(Options{
-		Seed:        17,
-		Spec:        topology.Spec{Pods: 1, HostsPerPod: 8, Rails: 8, AggPerPod: 2},
-		Lag:         fastLag(),
-		AutoMigrate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	task, err := d.SubmitTask(cluster.TaskSpec{Par: parallelism.Config{TP: 8, PP: 2, DP: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run(6 * time.Minute)
-
-	victim := task.Containers[0]
-	badHost := victim.Host
-	// A host-board latency fault: the container is healthy but its host
-	// is bad — the §8 migration case.
-	in, err := d.Injector.Inject(faults.PCIeNICError, faults.Target{Host: badHost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run(2 * time.Minute)
-	if d.Migrations() == 0 {
-		t.Fatalf("no auto-migration happened; blocked=%v alarms=%d", d.BlockedHosts(), len(d.Analyzer.Alarms()))
-	}
-	if victim.Host == badHost {
-		t.Fatalf("container still on bad host %d", badHost)
-	}
-	// Post-migration, with the fault still active on the old host,
-	// probes among the task run clean: verify directly.
-	a := victim.Addrs[0]
-	b := task.Containers[1].Addrs[0]
-	for i := 0; i < 20; i++ {
-		res := d.Net.Probe(a, b, uint64(i))
-		if res.Lost || res.RTT > 40*time.Microsecond {
-			t.Fatalf("post-migration probe unhealthy: lost=%v rtt=%v", res.Lost, res.RTT)
-		}
-	}
-	d.Injector.Clear(in)
-}
-
 func TestChurnStressNoFalseAlarmsNoLeaks(t *testing.T) {
 	// Challenge 1 at small scale: a stream of short-lived tasks churns
 	// containers continuously (creations, registrations, teardowns)

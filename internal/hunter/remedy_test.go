@@ -8,6 +8,7 @@
 package hunter
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -355,6 +356,10 @@ func TestRemedyDryRunExecutesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Run(7 * time.Minute)
+	hosts := make([]int, len(task.Containers))
+	for i, c := range task.Containers {
+		hosts[i] = c.Host
+	}
 	targets := healFaults(t, d, task)
 	d.Run(18 * time.Minute)
 
@@ -379,12 +384,12 @@ func TestRemedyDryRunExecutesNothing(t *testing.T) {
 	if got := d.CP.CordonedHosts(); len(got) != 0 {
 		t.Fatalf("dry run cordoned hosts %v", got)
 	}
-	if d.Migrations() != 0 {
-		t.Fatalf("dry run migrated %d containers", d.Migrations())
-	}
-	for _, c := range task.Containers {
+	for i, c := range task.Containers {
 		if c.State != cluster.Running {
 			t.Fatalf("dry run disturbed container %s: %v", c.ID, c.State)
+		}
+		if c.Host != hosts[i] {
+			t.Fatalf("dry run migrated container %s from host %d to %d", c.ID, hosts[i], c.Host)
 		}
 	}
 	snap := d.Stats()
@@ -491,50 +496,170 @@ func remedyIDFor(d *Deployment, comp component.ID) int {
 	return -1
 }
 
-// TestMigrationExhaustionSurfaces pins satellite 2: when
-// auto-migration finds no schedulable spare, the condition lands in
-// the obs counters and the incident's evidence instead of vanishing.
-func TestMigrationExhaustionSurfaces(t *testing.T) {
-	d, err := New(Options{
-		Seed:        31,
-		Spec:        topology.Spec{Pods: 1, HostsPerPod: 4, Rails: 8, AggPerPod: 2},
-		Lag:         fastLag(),
-		AutoMigrate: true,
-	})
+// drainRig deploys one TP8/PP2/DP2 task (four containers) with the
+// remediation plane at its defaults and runs it to steady state. The
+// plane's drain-host play is the one path that moves containers off a
+// bad host.
+func drainRig(t *testing.T, seed int64, spec topology.Spec) (*Deployment, *cluster.Task) {
+	t.Helper()
+	d, err := New(Options{Seed: seed, Spec: spec, Lag: fastLag(), Remedy: &remedy.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill every host: TP8 PP2 DP2 = 4 containers on 4 hosts — no
-	// spare anywhere.
 	task, err := d.SubmitTask(cluster.TaskSpec{Par: parallelism.Config{TP: 8, PP: 2, DP: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Run(7 * time.Minute)
-	a := task.Containers[0].Addrs[0]
-	if _, err := d.Injector.Inject(faults.RNICPortDown, faults.Target{Host: a.Host, Rail: a.Rail}); err != nil {
+	d.Run(6 * time.Minute)
+	return d, task
+}
+
+// drainSpec is one pod of eight hosts: the task fills four, leaving
+// spares to drain onto.
+var drainSpec = topology.Spec{Pods: 1, HostsPerPod: 8, Rails: 8, AggPerPod: 2}
+
+// TestAutoMigrationRecoversTask is §8's quick-recovery path: a
+// host-board fault under a healthy container gets its host drained,
+// the container leaves it, and — with the fault still active on the
+// old host — the task's probes run clean.
+func TestAutoMigrationRecoversTask(t *testing.T) {
+	d, task := drainRig(t, 17, drainSpec)
+	victim := task.Containers[0]
+	badHost := victim.Host
+	in, err := d.Injector.Inject(faults.PCIeNICError, faults.Target{Host: badHost})
+	if err != nil {
 		t.Fatal(err)
 	}
-	d.Run(3 * time.Minute)
-
-	snap := d.Stats()
-	if snap.Counters["migrations-exhausted"] == 0 {
-		t.Fatal("exhausted migration not counted")
+	d.Run(2 * time.Minute)
+	if victim.Host == badHost {
+		t.Fatalf("container still on bad host %d; audit=%+v", badHost, d.Remedy.Audit())
 	}
-	inc, ok := d.Incidents.Latest(component.RNIC(a.Host, a.Rail))
+	if !d.CP.HostCordoned(badHost) {
+		t.Fatalf("drained host %d not cordoned", badHost)
+	}
+	a := victim.Addrs[0]
+	b := task.Containers[1].Addrs[0]
+	for i := 0; i < 20; i++ {
+		res := d.Net.Probe(a, b, uint64(i))
+		if res.Lost || res.RTT > 40*time.Microsecond {
+			t.Fatalf("post-migration probe unhealthy: lost=%v rtt=%v", res.Lost, res.RTT)
+		}
+	}
+	d.Injector.Clear(in)
+}
+
+// TestMigratedAgentKeepsProbing follows a drained container's sidecar
+// agent: migration re-homes the same container, so the agent survives,
+// keeps completing rounds, and its probe records reach the log from
+// the NEW host.
+func TestMigratedAgentKeepsProbing(t *testing.T) {
+	d, task := drainRig(t, 17, drainSpec)
+	victim := task.Containers[0]
+	badHost := victim.Host
+	in, err := d.Injector.Inject(faults.PCIeNICError, faults.Target{Host: badHost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Run(2 * time.Minute)
+	d.Injector.Clear(in)
+	if victim.Host == badHost {
+		t.Fatalf("no migration happened (host=%d)", victim.Host)
+	}
+	newHost := victim.Host
+
+	agent, ok := d.agents[victim.ID]
 	if !ok {
-		t.Fatal("no incident for the faulted RNIC")
+		t.Fatal("migrated container lost its sidecar agent")
+	}
+	roundsBefore := agent.Rounds()
+	mark := d.Engine.Now()
+	d.Run(time.Minute)
+	if agent.Rounds() <= roundsBefore {
+		t.Fatalf("agent stopped probing after migration (rounds %d → %d)", roundsBefore, agent.Rounds())
+	}
+	fresh := d.Log.ByTask(string(task.ID), mark)
+	fromNewHost := 0
+	for _, r := range fresh {
+		if r.Src.Host == newHost {
+			fromNewHost++
+		}
+		if r.Src.Host == badHost || r.Dst.Host == badHost {
+			t.Fatalf("post-migration record still references old host %d: %+v", badHost, r)
+		}
+	}
+	if fromNewHost == 0 {
+		t.Fatalf("no probe records from the migrated container's new host %d (%d fresh records)", newHost, len(fresh))
+	}
+}
+
+// assertStranded checks the failure mode of a drain with nowhere to
+// go: the container stays on the bad host, the drain escalates with
+// the reason in the incident's evidence, the incident stays open, and
+// the detector keeps alarming rather than wedging.
+func assertStranded(t *testing.T, d *Deployment, victim *cluster.Container, comp component.ID) {
+	t.Helper()
+	badHost := victim.Host
+	d.Run(3 * time.Minute)
+	if victim.Host != badHost {
+		t.Fatalf("container moved to %d despite exhausted spares", victim.Host)
+	}
+	if d.Stats().Counters["remedy-actions-escalated"] == 0 {
+		t.Fatal("impossible drain was not escalated")
+	}
+	inc, ok := d.Incidents.Latest(comp)
+	if !ok {
+		t.Fatalf("no incident for %s", comp)
 	}
 	found := false
 	for _, note := range inc.Evidence.Remediation {
-		if strings.Contains(note, "auto-migration exhausted") {
+		if strings.Contains(note, "escalated") && strings.Contains(note, cluster.ErrNoMigration.Error()) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no exhaustion note in evidence: %v", inc.Evidence.Remediation)
+		t.Fatalf("no exhaustion reason in evidence: %v", inc.Evidence.Remediation)
 	}
 	if inc.State == incident.Resolved {
 		t.Fatal("stranded incident resolved itself")
 	}
+	alarms := len(d.Analyzer.Alarms())
+	d.Run(2 * time.Minute)
+	if len(d.Analyzer.Alarms()) <= alarms {
+		t.Fatalf("alarms stopped at %d with the fault still active", alarms)
+	}
+}
+
+// TestAutoMigrationNoSpareHosts blacklists every host the task is not
+// on: migration must fail with ErrNoMigration and the drain strands.
+func TestAutoMigrationNoSpareHosts(t *testing.T) {
+	d, task := drainRig(t, 17, drainSpec)
+	used := map[int]bool{}
+	for _, ct := range task.Containers {
+		used[ct.Host] = true
+	}
+	for h := 0; h < d.Fabric.Hosts(); h++ {
+		if !used[h] {
+			d.blockedHosts[h] = true
+		}
+	}
+	victim := task.Containers[0]
+	if _, err := d.CP.MigrateContainer(victim.ID); !errors.Is(err, cluster.ErrNoMigration) {
+		t.Fatalf("migration with no spare hosts: err = %v, want ErrNoMigration", err)
+	}
+	if _, err := d.Injector.Inject(faults.PCIeNICError, faults.Target{Host: victim.Host}); err != nil {
+		t.Fatal(err)
+	}
+	assertStranded(t, d, victim, component.HostBoard(victim.Host))
+}
+
+// TestMigrationExhaustionSurfaces fills every host of a four-host
+// fabric, so a hard-down RNIC's drain has no spare anywhere.
+func TestMigrationExhaustionSurfaces(t *testing.T) {
+	d, task := drainRig(t, 31, topology.Spec{Pods: 1, HostsPerPod: 4, Rails: 8, AggPerPod: 2})
+	victim := task.Containers[0]
+	a := victim.Addrs[0]
+	if _, err := d.Injector.Inject(faults.RNICPortDown, faults.Target{Host: a.Host, Rail: a.Rail}); err != nil {
+		t.Fatal(err)
+	}
+	assertStranded(t, d, victim, component.RNIC(a.Host, a.Rail))
 }

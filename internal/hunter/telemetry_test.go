@@ -1,7 +1,6 @@
 package hunter
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -44,120 +43,6 @@ func TestCrashedOutTaskStateCleanedUp(t *testing.T) {
 	}
 	if _, ok := d.Controller.StatsOf(task.ID); ok {
 		t.Fatal("controller registry entry leaked for crashed-out task")
-	}
-}
-
-// TestAutoMigrationNoSpareHosts pins the feedback path's failure mode:
-// with auto-migration on and every spare host blacklisted, migration
-// must fail with ErrNoMigration, the container stays put, and the
-// deployment keeps alarming rather than wedging.
-func TestAutoMigrationNoSpareHosts(t *testing.T) {
-	d, err := New(Options{
-		Seed:        17,
-		Spec:        topology.Spec{Pods: 1, HostsPerPod: 8, Rails: 8, AggPerPod: 2},
-		Lag:         fastLag(),
-		AutoMigrate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	task, err := d.SubmitTask(cluster.TaskSpec{Par: parallelism.Config{TP: 8, PP: 2, DP: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run(6 * time.Minute)
-
-	// Blacklist every host the task is not on: no destination remains.
-	used := map[int]bool{}
-	for _, ct := range task.Containers {
-		used[ct.Host] = true
-	}
-	for h := 0; h < d.Fabric.Hosts(); h++ {
-		if !used[h] {
-			d.blockedHosts[h] = true
-		}
-	}
-
-	victim := task.Containers[0]
-	badHost := victim.Host
-	if _, err := d.CP.MigrateContainer(victim.ID); !errors.Is(err, cluster.ErrNoMigration) {
-		t.Fatalf("migration with no spare hosts: err = %v, want ErrNoMigration", err)
-	}
-
-	in, err := d.Injector.Inject(faults.PCIeNICError, faults.Target{Host: badHost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run(3 * time.Minute)
-	d.Injector.Clear(in)
-
-	if d.Migrations() != 0 {
-		t.Fatalf("migrated %d containers with no schedulable destination", d.Migrations())
-	}
-	if victim.Host != badHost {
-		t.Fatalf("container moved to %d despite exhausted spares", victim.Host)
-	}
-	if len(d.Analyzer.Alarms()) == 0 {
-		t.Fatal("no alarms: the fault should still be detected when migration is impossible")
-	}
-}
-
-// TestMigratedAgentKeepsProbing verifies the migration feedback loop
-// end to end on the telemetry side: after an auto-migration the
-// container's sidecar agent survives (migration re-homes the same
-// container in place), keeps completing rounds, and its probe records
-// flow from the NEW host into the log service.
-func TestMigratedAgentKeepsProbing(t *testing.T) {
-	d, err := New(Options{
-		Seed:        17,
-		Spec:        topology.Spec{Pods: 1, HostsPerPod: 8, Rails: 8, AggPerPod: 2},
-		Lag:         fastLag(),
-		AutoMigrate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	task, err := d.SubmitTask(cluster.TaskSpec{Par: parallelism.Config{TP: 8, PP: 2, DP: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run(6 * time.Minute)
-
-	victim := task.Containers[0]
-	badHost := victim.Host
-	in, err := d.Injector.Inject(faults.PCIeNICError, faults.Target{Host: badHost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run(2 * time.Minute)
-	d.Injector.Clear(in)
-	if d.Migrations() == 0 || victim.Host == badHost {
-		t.Fatalf("no migration happened (migrations=%d host=%d)", d.Migrations(), victim.Host)
-	}
-	newHost := victim.Host
-
-	agent, ok := d.agents[victim.ID]
-	if !ok {
-		t.Fatal("migrated container lost its sidecar agent")
-	}
-	roundsBefore := agent.Rounds()
-	mark := d.Engine.Now()
-	d.Run(time.Minute)
-	if agent.Rounds() <= roundsBefore {
-		t.Fatalf("agent stopped probing after migration (rounds %d → %d)", roundsBefore, agent.Rounds())
-	}
-	fresh := d.Log.ByTask(string(task.ID), mark)
-	fromNewHost := 0
-	for _, r := range fresh {
-		if r.Src.Host == newHost {
-			fromNewHost++
-		}
-		if r.Src.Host == badHost || r.Dst.Host == badHost {
-			t.Fatalf("post-migration record still references old host %d: %+v", badHost, r)
-		}
-	}
-	if fromNewHost == 0 {
-		t.Fatalf("no probe records from the migrated container's new host %d (%d fresh records)", newHost, len(fresh))
 	}
 }
 

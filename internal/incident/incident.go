@@ -549,9 +549,8 @@ func (c *Correlator) NoteMitigated(comp component.ID, at time.Duration, how stri
 // NoteRemediation appends one line to the component's latest
 // incident's remediation audit trail, through the shared capped
 // appender (observation order, newest MaxEvidenceNotes kept) — the
-// same policy correlate chains get, so a chatty remediation loop (or
-// an auto-migration exhaustion storm) cannot grow evidence without
-// bound. Reports whether an incident existed to annotate.
+// same policy correlate chains get, so a chatty remediation loop
+// cannot grow evidence without bound. Reports whether an incident existed to annotate.
 func (c *Correlator) NoteRemediation(comp component.ID, note string) bool {
 	inc := c.latest[comp]
 	if inc == nil {

@@ -113,10 +113,6 @@ const (
 	// IncidentsRepaired counts incidents whose time-to-repair clock was
 	// stopped by a committed remediation.
 	IncidentsRepaired
-	// MigrationsExhausted counts auto-migration attempts that found no
-	// schedulable spare (all free hosts blacklisted or cordoned) — each
-	// one is a container stranded on a known-bad host.
-	MigrationsExhausted
 	// RemedyActionsExecuted counts remediation actions the policy engine
 	// executed against the control plane.
 	RemedyActionsExecuted
@@ -194,7 +190,6 @@ var counterNames = [numCounters]string{
 	WorkerBusyNanos:         "worker-busy-nanos",
 	WorkerWallNanos:         "worker-wall-nanos",
 	IncidentsRepaired:       "incidents-repaired",
-	MigrationsExhausted:     "migrations-exhausted",
 	RemedyActionsExecuted:   "remedy-actions-executed",
 	RemedyActionsDeferred:   "remedy-actions-deferred",
 	RemedyActionsCommitted:  "remedy-actions-committed",

@@ -14,15 +14,14 @@ import "skeletonhunter/internal/dsp"
 // dropping toward 0 once the grouping no longer reflects the traffic.
 // Callers (the deployment façade) revert a low-fidelity task to its
 // basic ping list so no real traffic path goes unprobed.
-func Fidelity(eps []EndpointSeries, groups [][]int, opts Options) float64 {
-	opts = opts.withDefaults()
+func Fidelity(eps []EndpointSeries, groups [][]int) float64 {
 	if len(groups) < 2 || len(eps) == 0 {
 		return 0
 	}
 	features := make([][]float64, len(eps))
 	fp := func(i int) []float64 {
 		if features[i] == nil {
-			features[i] = dsp.BurstFingerprint(eps[i].Series, opts.STFTWindow, opts.STFTHop)
+			features[i] = dsp.BurstFingerprint(eps[i].Series, stftWindow, stftHop)
 		}
 		return features[i]
 	}

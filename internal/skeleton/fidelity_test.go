@@ -24,7 +24,7 @@ func TestFidelityHighWhenWorkloadStable(t *testing.T) {
 			Series: g.Series(ep, 900*time.Second),
 		})
 	}
-	score := Fidelity(fresh, inf.Groups, Options{})
+	score := Fidelity(fresh, inf.Groups)
 	if score < 0.8 {
 		t.Fatalf("stable-workload fidelity = %v, want ≥ 0.8", score)
 	}
@@ -48,8 +48,8 @@ func TestFidelityDropsWhenWorkloadChanges(t *testing.T) {
 			Series: g.Series(ep, 900*time.Second),
 		})
 	}
-	changed := Fidelity(fresh, inf.Groups, Options{})
-	stable := Fidelity(eps, inf.Groups, Options{})
+	changed := Fidelity(fresh, inf.Groups)
+	stable := Fidelity(eps, inf.Groups)
 	if changed >= stable {
 		t.Fatalf("fidelity did not drop on workload change: %v vs %v", changed, stable)
 	}
@@ -59,10 +59,10 @@ func TestFidelityDropsWhenWorkloadChanges(t *testing.T) {
 }
 
 func TestFidelityDegenerate(t *testing.T) {
-	if Fidelity(nil, nil, Options{}) != 0 {
+	if Fidelity(nil, nil) != 0 {
 		t.Fatal("empty fidelity should be 0")
 	}
-	if Fidelity(nil, [][]int{{0}}, Options{}) != 0 {
+	if Fidelity(nil, [][]int{{0}}) != 0 {
 		t.Fatal("single-group fidelity should be 0")
 	}
 }

@@ -9,6 +9,9 @@
 // The pipeline is the paper's: STFT fingerprints of the burst cycles →
 // constrained hierarchical clustering (Eq. 1–3) → DP = |c̄| from the
 // group size, TP×PP = N/|c̄| → PP levels from the burst time shift.
+// The STFT framing (128-sample window, 64-sample hop) and the 64-sample
+// stage-shift search bound are package constants; Options carries only
+// the ablation switches.
 package skeleton
 
 import (
@@ -31,14 +34,18 @@ type EndpointSeries struct {
 	Series    []float64
 }
 
-// Options tunes inference.
+// The fixed inference parameters, in samples: STFT framing suited to
+// 1 s samples and ~30 s iteration periods, and the stage-shift search
+// bound of half a window.
+const (
+	stftWindow = 128
+	stftHop    = stftWindow / 2
+	maxLag     = stftWindow / 2
+)
+
+// Options holds the inference ablation switches; the zero value is the
+// paper's pipeline.
 type Options struct {
-	// STFTWindow and STFTHop are the framing parameters (samples).
-	// Zero selects defaults (128/64, suited to 1 s samples and ~30 s
-	// iteration periods).
-	STFTWindow, STFTHop int
-	// MaxLag bounds the stage-shift search (samples). Zero = 1 window.
-	MaxLag int
 	// TimeDomainFeatures switches fingerprints to raw (normalized)
 	// time-domain vectors — the ablation showing why STFT is needed
 	// (phase shifts break time-domain similarity across DP replicas).
@@ -46,19 +53,6 @@ type Options struct {
 	// Unconstrained disables the Eq. 2–3 clustering constraints
 	// (ablation).
 	Unconstrained bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.STFTWindow == 0 {
-		o.STFTWindow = 128
-	}
-	if o.STFTHop == 0 {
-		o.STFTHop = o.STFTWindow / 2
-	}
-	if o.MaxLag == 0 {
-		o.MaxLag = o.STFTWindow / 2
-	}
-	return o
 }
 
 // Pair is an undirected skeleton probe pair, as indexes into the input
@@ -94,13 +88,12 @@ var ErrInsufficient = errors.New("skeleton: insufficient data for inference")
 
 // Infer runs the full pipeline.
 func Infer(eps []EndpointSeries, opts Options) (Inference, error) {
-	opts = opts.withDefaults()
 	n := len(eps)
 	if n < 2 {
 		return Inference{}, ErrInsufficient
 	}
 	for _, ep := range eps {
-		if len(ep.Series) < opts.STFTWindow {
+		if len(ep.Series) < stftWindow {
 			return Inference{}, fmt.Errorf("%w: series shorter than STFT window", ErrInsufficient)
 		}
 	}
@@ -111,7 +104,7 @@ func Infer(eps []EndpointSeries, opts Options) (Inference, error) {
 		if opts.TimeDomainFeatures {
 			features[i] = normalizedCopy(ep.Series)
 		} else {
-			features[i] = dsp.BurstFingerprint(ep.Series, opts.STFTWindow, opts.STFTHop)
+			features[i] = dsp.BurstFingerprint(ep.Series, stftWindow, stftHop)
 		}
 	}
 
@@ -155,7 +148,7 @@ func Infer(eps []EndpointSeries, opts Options) (Inference, error) {
 	// 4. Stage ordering from the burst time shift. The synchronized
 	// DP all-reduce dominates every series, so mask the globally loud
 	// samples first and correlate what remains (the pipeline bursts).
-	lags := groupLags(eps, groups, opts.MaxLag)
+	lags := groupLags(eps, groups)
 	inf.StageOf, inf.PP = bucketLags(lags, inf.TPxPP)
 	inf.TP = inf.TPxPP / inf.PP
 
@@ -194,7 +187,7 @@ func normalizedCopy(xs []float64) []float64 {
 //  3. per group, mask the all-reduce window out, fold the residual over
 //     the period, and record the first active phase after iteration
 //     start.
-func groupLags(eps []EndpointSeries, groups [][]int, maxLag int) []int {
+func groupLags(eps []EndpointSeries, groups [][]int) []int {
 	if len(groups) == 0 {
 		return nil
 	}

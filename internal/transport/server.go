@@ -43,12 +43,6 @@ type ServerConfig struct {
 	// DefaultMaxConns); connections over the cap are closed at accept.
 	// Negative disables.
 	MaxConns int
-	// ReplayWindow is how many recent nonces are remembered per
-	// (task, container) to refuse replayed requests (default
-	// DefaultReplayWindow). A captured authenticated frame — say a
-	// stale Deregister — replays verbatim otherwise, since the MAC
-	// covers only op|task|container|nonce. Negative disables.
-	ReplayWindow int
 }
 
 const (
@@ -58,9 +52,12 @@ const (
 	// DefaultMaxConns comfortably exceeds one connection per sidecar
 	// agent on the largest simulated deployments.
 	DefaultMaxConns = 1024
-	// DefaultReplayWindow remembers more nonces per agent than it can
-	// issue inside the idle timeout at its request cadence.
-	DefaultReplayWindow = 256
+	// replayWindow is how many recent nonces are remembered per (task,
+	// container) to refuse replayed requests: more than an agent can
+	// issue inside the idle timeout at its request cadence. A captured
+	// authenticated frame — say a stale Deregister — replays verbatim
+	// otherwise, since the MAC covers only op|task|container|nonce.
+	replayWindow = 256
 )
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -69,9 +66,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.MaxConns == 0 {
 		c.MaxConns = DefaultMaxConns
-	}
-	if c.ReplayWindow == 0 {
-		c.ReplayWindow = DefaultReplayWindow
 	}
 	return c
 }
@@ -258,9 +252,6 @@ func (s *Server) serve(conn net.Conn) {
 // freshNonce records the request's nonce in its agent's replay window
 // and reports whether it was new.
 func (s *Server) freshNonce(req *Request) bool {
-	if s.cfg.ReplayWindow <= 0 {
-		return true
-	}
 	k := replayKey{task: req.Task, container: req.Container}
 	s.replayMu.Lock()
 	defer s.replayMu.Unlock()
@@ -269,7 +260,7 @@ func (s *Server) freshNonce(req *Request) bool {
 		w = &nonceWindow{seen: make(map[string]struct{})}
 		s.replay[k] = w
 	}
-	return w.admit(req.Nonce, s.cfg.ReplayWindow)
+	return w.admit(req.Nonce, replayWindow)
 }
 
 func (s *Server) dispatch(req *Request) Response {
