@@ -143,7 +143,9 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLogMoments -fuzztime $(FUZZTIME) ./internal/stats
 
 # Runs the example walkthroughs end to end — the documented entry
-# points must keep working, not just compiling.
+# points must keep working, not just compiling — and the CLI once with
+# telemetry batch faults armed on four workers.
 smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/incident_console
+	$(GO) run ./cmd/skeletonhunter -workers 4 -tel-drop 0.25 -tel-dup 0.05 -tel-reorder 0.05 -tel-delay 0.3

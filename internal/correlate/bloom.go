@@ -1,5 +1,7 @@
 package correlate
 
+import "skeletonhunter/internal/sim"
+
 // stableBloom is a stable Bloom filter (Deng & Rafiei): saturating
 // uint8 cells, K cells set to Max per insert, P pseudo-random cells
 // decremented first. Continuous decay gives the filter a bounded
@@ -9,7 +11,7 @@ package correlate
 // suppressed, and a key quiet long enough is forgotten so a
 // recurrence pages again.
 //
-// The decay RNG is a splitmix64 stream seeded from the engine config
+// The decay RNG is a sim.SplitMix64 stream seeded from the engine config
 // and carried in checkpoints, so suppression decisions are
 // bit-identical across reruns and across a crash/recover.
 type stableBloom struct {
@@ -17,7 +19,7 @@ type stableBloom struct {
 	k     int
 	p     int
 	max   uint8
-	rng   uint64
+	rng   sim.SplitMix64
 }
 
 func newStableBloom(cells, k, p int, max uint8, seed int64) *stableBloom {
@@ -29,18 +31,8 @@ func newStableBloom(cells, k, p int, max uint8, seed int64) *stableBloom {
 		k:     k,
 		p:     p,
 		max:   max,
-		rng:   uint64(seed),
+		rng:   sim.SplitMix64(seed),
 	}
-}
-
-// next is splitmix64: a tiny, seedable, statistically solid generator
-// whose whole state is one uint64 — trivially checkpointable.
-func (b *stableBloom) next() uint64 {
-	b.rng += 0x9e3779b97f4a7c15
-	z := b.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // hash2 derives double-hashing bases from FNV-64a; h2 is forced odd so
@@ -75,7 +67,7 @@ func (b *stableBloom) seenThenMark(key string) bool {
 		}
 	}
 	for j := 0; j < b.p; j++ {
-		idx := b.next() % n
+		idx := b.rng.Next() % n
 		if b.cells[idx] > 0 {
 			b.cells[idx]--
 		}

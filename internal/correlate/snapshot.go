@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"skeletonhunter/internal/component"
+	"skeletonhunter/internal/sim"
 	"skeletonhunter/internal/topology"
 )
 
@@ -142,7 +143,7 @@ func (e *Engine) Snapshot() Snapshot {
 
 	snap.Bloom = BloomSnapshot{
 		Cells: append([]uint8(nil), e.bloom.cells...),
-		RNG:   e.bloom.rng,
+		RNG:   uint64(e.bloom.rng),
 	}
 	snap.Alarms = e.Alarms()
 
@@ -211,7 +212,7 @@ func (e *Engine) Restore(snap Snapshot) error {
 		copy(e.bloom.cells, snap.Bloom.Cells)
 	}
 	if snap.Bloom.RNG != 0 {
-		e.bloom.rng = snap.Bloom.RNG
+		e.bloom.rng = sim.SplitMix64(snap.Bloom.RNG)
 	}
 	e.alarms = make([]*Alarm, len(snap.Alarms))
 	e.ledger = make(map[string]int, len(snap.Alarms))

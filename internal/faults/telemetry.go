@@ -1,9 +1,11 @@
 package faults
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"time"
 
+	"skeletonhunter/internal/cluster"
 	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/probe"
 	"skeletonhunter/internal/sim"
@@ -23,7 +25,7 @@ type TelemetryOptions struct {
 	// (an at-least-once transport retrying a timed-out write).
 	DuplicateBatchProb float64
 	// ReorderBatchProb is the probability a batch is held back and
-	// released only after a later batch delivers first.
+	// released only after its task's next delivered batch.
 	ReorderBatchProb float64
 	// DelayRoundProb is the probability one analysis round is withheld
 	// (the streaming job behind schedule). Withheld rounds leave their
@@ -37,81 +39,123 @@ type TelemetryOptions struct {
 }
 
 // TelemetryInjector perturbs the monitoring plane's own data path. It
-// sits between the agents' batch output and the deployment's ingest,
-// and gates analysis rounds. All randomness comes from named engine
-// streams, so telemetry-fault campaigns replay bit-identically.
+// is a stage of the sharded probe round, between the agents' batches
+// and the deployment's two consumers of them (the analyzer and the
+// log), and it gates analysis rounds.
 //
-// The injector is driven from the engine's event loop (agent rounds,
-// analysis ticks) and is not safe for concurrent use — the same
-// single-threaded contract as the rest of the simulated world.
+// Each batch's fate is drawn from a sim.SplitMix64 keyed by (seed,
+// task, source container, round time), so it does not depend on which
+// worker delivers the batch or on what other tasks delivered first;
+// round gating draws from a named engine stream. Telemetry-fault
+// campaigns therefore replay bit-identically at any worker count.
+//
+// Concurrency: Prepare, Forget and GateRound run serially on the
+// engine goroutine. Deliver may run on worker goroutines, concurrently
+// for distinct tasks, once Prepare has created their state.
 type TelemetryInjector struct {
 	opts     TelemetryOptions
-	batchRNG *rand.Rand
+	seed     uint64
 	roundRNG *rand.Rand
 	stats    *obs.Stats
-	held     probe.Batch // one batch held back for reordering
-	haveHeld bool
+	streams  map[cluster.TaskID]*taskStream
 }
 
-// NewTelemetryInjector builds an injector drawing from the engine's
-// deterministic streams and counting into stats (nil disables counting).
+// A Side is one consumer of the faulted batch stream. Every side sees
+// the same batches of a task in the same order, each holding its own
+// copy of a held-back batch; faults are counted on Primary only.
+type Side int
+
+const (
+	Primary Side = iota
+	Mirror
+	sides
+)
+
+// taskStream is one task's fault state: the key its batches' fates are
+// drawn from and, per side, the batch held back for reordering (nil
+// when none is).
+type taskStream struct {
+	key  uint64
+	held [sides]probe.Batch
+}
+
+// NewTelemetryInjector builds an injector keyed to the engine's seed,
+// counting into stats (nil disables counting).
 func NewTelemetryInjector(eng *sim.Engine, opts TelemetryOptions, stats *obs.Stats) *TelemetryInjector {
 	return &TelemetryInjector{
 		opts:     opts,
-		batchRNG: eng.Rand("telemetry/batch-faults"),
+		seed:     eng.Rand("telemetry/batch-faults").Uint64(),
 		roundRNG: eng.Rand("telemetry/round-faults"),
 		stats:    stats,
+		streams:  make(map[cluster.TaskID]*taskStream),
 	}
 }
 
-// Deliver passes one agent batch through the fault model and hands the
-// surviving batches (possibly duplicated, possibly preceded by an
-// earlier held batch) to sink. A nil injector delivers verbatim.
-//
-// Held batches are deep-copied: the agent reuses its batch's records
-// and paths across rounds, so anything retained past this call must
-// not alias them.
-func (ti *TelemetryInjector) Deliver(b probe.Batch, sink probe.BatchSink) {
+// Prepare creates the fault state of every task about to deliver, so
+// Deliver callers only read the map. Nil-safe.
+func (ti *TelemetryInjector) Prepare(tasks []cluster.TaskID) {
 	if ti == nil {
-		sink(b)
 		return
 	}
-	if ti.opts.DropBatchProb > 0 && ti.batchRNG.Float64() < ti.opts.DropBatchProb {
-		ti.stats.Inc(obs.BatchesDropped)
+	for _, t := range tasks {
+		if ti.streams[t] == nil {
+			h := fnv.New64a()
+			h.Write([]byte(t))
+			ti.streams[t] = &taskStream{key: ti.seed ^ h.Sum64()}
+		}
+	}
+}
+
+// Forget drops a departed task's fault state, held batches included.
+// Nil-safe.
+func (ti *TelemetryInjector) Forget(task cluster.TaskID) {
+	if ti != nil {
+		delete(ti.streams, task)
+	}
+}
+
+// Deliver passes one agent batch of a prepared task through its fate
+// on one side and hands what survives to sink: nothing (dropped, or
+// held back while the task holds no other batch), the batch, or the
+// batch twice. A batch the task held back earlier follows its next
+// delivered batch. An empty batch has no fate and is ignored.
+//
+// A held batch is deep-copied: the agent reuses its batch's records
+// and paths across rounds.
+func (ti *TelemetryInjector) Deliver(side Side, b probe.Batch, sink func(probe.Batch)) {
+	if len(b) == 0 {
 		return
 	}
-	if ti.opts.ReorderBatchProb > 0 && !ti.haveHeld && ti.batchRNG.Float64() < ti.opts.ReorderBatchProb {
-		ti.held = b.Clone()
-		ti.haveHeld = true
-		ti.stats.Inc(obs.BatchesReordered)
+	st := ti.streams[b[0].Task]
+	rng := sim.SplitMix64(st.key ^ uint64(b[0].SrcContainer)*0x9e3779b97f4a7c15 ^ uint64(b[0].At)*0x94d049bb133111eb)
+	drop := rng.Float64() < ti.opts.DropBatchProb
+	hold := rng.Float64() < ti.opts.ReorderBatchProb
+	dup := rng.Float64() < ti.opts.DuplicateBatchProb
+	held := &st.held[side]
+	switch {
+	case drop:
+		ti.count(side, obs.BatchesDropped)
+		return
+	case hold && *held == nil:
+		*held = b.Clone()
+		ti.count(side, obs.BatchesReordered)
 		return
 	}
 	sink(b)
-	if ti.opts.DuplicateBatchProb > 0 && ti.batchRNG.Float64() < ti.opts.DuplicateBatchProb {
-		ti.stats.Inc(obs.BatchesDuplicated)
+	if dup {
+		ti.count(side, obs.BatchesDuplicated)
 		sink(b)
 	}
-	if ti.haveHeld {
-		held := ti.held
-		ti.haveHeld = false
-		sink(held)
+	if h := *held; h != nil {
+		*held = nil
+		sink(h)
 	}
 }
 
-// Passive reports whether Deliver is currently a pure pass-through: no
-// batch-level fault can fire and no held batch awaits release, so
-// delivery makes no RNG draws and batches may bypass the injector
-// entirely. Nil-safe. The parallel round engine uses this to gate its
-// sharded fast path — an active injector forces serial delivery, which
-// preserves drop/duplicate/reorder semantics and draw order.
-func (ti *TelemetryInjector) Passive() bool {
-	if ti == nil {
-		return true
+func (ti *TelemetryInjector) count(side Side, c obs.Counter) {
+	if side == Primary {
+		ti.stats.Inc(c)
 	}
-	return ti.opts.DropBatchProb == 0 &&
-		ti.opts.DuplicateBatchProb == 0 &&
-		ti.opts.ReorderBatchProb == 0 &&
-		!ti.haveHeld
 }
 
 // GateRound reports whether this analysis round should be withheld.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"skeletonhunter/internal/cluster"
 	"skeletonhunter/internal/obs"
 	"skeletonhunter/internal/probe"
 	"skeletonhunter/internal/sim"
@@ -19,20 +20,24 @@ func oneRecord(rtt time.Duration) probe.Batch {
 	return probe.Batch{{Task: "t", DstContainer: 1, RTT: rtt}}
 }
 
+// TestTelemetryNilInjectorIsPassThrough: a deployment without an
+// injector prepares and forgets tasks through a nil one and never
+// withholds a round.
 func TestTelemetryNilInjectorIsPassThrough(t *testing.T) {
 	var ti *TelemetryInjector
-	var got deliveries
-	b := oneRecord(time.Microsecond)
-	ti.Deliver(b, got.sink)
-	if !reflect.DeepEqual(got, deliveries{b}) {
-		t.Fatalf("nil injector delivered %v, want the batch verbatim", got)
-	}
-	if !ti.Passive() {
-		t.Fatal("nil injector not passive")
-	}
+	ti.Prepare([]cluster.TaskID{"t"})
+	ti.Forget("t")
 	if ti.GateRound(0) {
 		t.Fatal("nil injector withheld a round")
 	}
+}
+
+// newInjector builds an injector with the given options and the task
+// "t" prepared.
+func newInjector(opts TelemetryOptions, stats *obs.Stats) *TelemetryInjector {
+	ti := NewTelemetryInjector(sim.NewEngine(1), opts, stats)
+	ti.Prepare([]cluster.TaskID{"t"})
+	return ti
 }
 
 func TestTelemetryDeliverFaults(t *testing.T) {
@@ -53,22 +58,22 @@ func TestTelemetryDeliverFaults(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stats := obs.New()
-			ti := NewTelemetryInjector(sim.NewEngine(1), tc.opts, stats)
-			if got, want := ti.Passive(), tc.opts == (TelemetryOptions{}); got != want {
-				t.Fatalf("Passive() = %v, want %v", got, want)
-			}
-			var got deliveries
-			in := append(probe.Batch(nil), b1...)
-			ti.Deliver(in, got.sink)
-			// The agent reuses its batch buffer: a held batch must not
-			// alias it.
-			in[0].RTT = time.Hour
-			ti.Deliver(b2, got.sink)
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("delivered %v, want %v", got, tc.want)
-			}
-			if n := stats.Get(tc.counter); n != tc.count {
-				t.Fatalf("%v = %d, want %d", tc.counter, n, tc.count)
+			ti := newInjector(tc.opts, stats)
+			// Both sides see the same stream; only Primary counts.
+			for _, side := range []Side{Primary, Mirror} {
+				var got deliveries
+				in := append(probe.Batch(nil), b1...)
+				ti.Deliver(side, in, got.sink)
+				// The agent reuses its batch buffer: a held batch must
+				// not alias it.
+				in[0].RTT = time.Hour
+				ti.Deliver(side, b2, got.sink)
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("side %d delivered %v, want %v", side, got, tc.want)
+				}
+				if n := stats.Get(tc.counter); n != tc.count {
+					t.Fatalf("after side %d: %v = %d, want %d", side, tc.counter, n, tc.count)
+				}
 			}
 		})
 	}
@@ -79,18 +84,18 @@ func TestTelemetryDeliverFaults(t *testing.T) {
 // injector holds back must keep its own copy of the paths, not views of
 // the agent's buffer that the next round overwrites.
 func TestTelemetryHeldBatchOwnsItsPaths(t *testing.T) {
-	ti := NewTelemetryInjector(sim.NewEngine(1), TelemetryOptions{ReorderBatchProb: 1}, nil)
+	ti := newInjector(TelemetryOptions{ReorderBatchProb: 1}, nil)
 	paths := []int32{1, 2, 3, 4}
 	batch := probe.Batch{
 		{Task: "t", DstContainer: 1, Path: paths[0:2]},
 		{Task: "t", DstContainer: 2, Path: paths[2:4]},
 	}
 	var got deliveries
-	ti.Deliver(batch, got.sink) // held back
+	ti.Deliver(Primary, batch, got.sink) // held back
 	// The agent's next round reuses both buffers.
 	copy(paths, []int32{9, 9, 9, 9})
 	batch[0].DstContainer, batch[1].DstContainer = 3, 3
-	ti.Deliver(batch, got.sink)
+	ti.Deliver(Primary, batch, got.sink)
 	if len(got) != 2 {
 		t.Fatalf("delivered %d batches, want the new round then the held one", len(got))
 	}
@@ -104,15 +109,36 @@ func TestTelemetryHeldBatchOwnsItsPaths(t *testing.T) {
 	}
 }
 
-func TestTelemetryHeldBatchIsNotPassive(t *testing.T) {
-	ti := NewTelemetryInjector(sim.NewEngine(1), TelemetryOptions{ReorderBatchProb: 1}, nil)
-	var got deliveries
-	ti.Deliver(oneRecord(time.Microsecond), got.sink)
-	if len(got) != 0 {
-		t.Fatalf("reordered batch delivered early: %v", got)
+// TestTelemetryFateIsKeyed: a batch's fate is a function of its task,
+// source container and round time, not of the order batches are
+// offered in — the property that lets workers deliver task shards
+// concurrently. Task "t"'s batches meet the same fates offered alone
+// and offered after task "u"'s.
+func TestTelemetryFateIsKeyed(t *testing.T) {
+	opts := TelemetryOptions{DropBatchProb: 0.3, DuplicateBatchProb: 0.3}
+	batch := func(task cluster.TaskID, c, round int) probe.Batch {
+		return probe.Batch{{Task: task, SrcContainer: c, At: time.Duration(round) * time.Second, RTT: time.Duration(c+1) * time.Microsecond}}
 	}
-	if ti.Passive() {
-		t.Fatal("injector holding a batch reported passive")
+	run := func(interleave bool) deliveries {
+		ti := NewTelemetryInjector(sim.NewEngine(1), opts, nil)
+		ti.Prepare([]cluster.TaskID{"t", "u"})
+		var got, other deliveries
+		for round := 0; round < 16; round++ {
+			for c := 0; c < 4; c++ {
+				if interleave {
+					ti.Deliver(Primary, batch("u", c, round), other.sink)
+				}
+				ti.Deliver(Primary, batch("t", c, round), got.sink)
+			}
+		}
+		return got
+	}
+	alone := run(false)
+	if len(alone) == 0 || len(alone) == 64 {
+		t.Fatalf("%d of 64 batches delivered alone; the fates have no spread", len(alone))
+	}
+	if after := run(true); !reflect.DeepEqual(after, alone) {
+		t.Fatalf("task t delivered %d batches after task u's, %d alone", len(after), len(alone))
 	}
 }
 

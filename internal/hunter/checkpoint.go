@@ -193,8 +193,7 @@ func (d *Deployment) RecoverFrom(ck *Checkpoint) error {
 		if gone == len(t.Containers) {
 			// Everything departed while we were away: tear down rather
 			// than resurrect.
-			d.Analyzer.ForgetTask(string(t.ID))
-			d.Controller.RemoveTask(t.ID)
+			d.forgetTask(t.ID)
 			continue
 		}
 		d.Controller.AddTask(t) // no-op for restored tasks

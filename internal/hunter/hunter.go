@@ -136,7 +136,6 @@ type Deployment struct {
 	sweepInterval time.Duration
 	feedbackOff   bool
 	telemetry     *faults.TelemetryInjector
-	batchTap      probe.BatchSink // test seam: intercepts agent batches before delivery
 	rounds        *probe.RoundEngine
 	agents        map[cluster.ContainerID]*probe.OverlayAgent
 	stopped       map[cluster.TaskID]int
@@ -299,79 +298,60 @@ func New(opts Options) (*Deployment, error) {
 	return d, nil
 }
 
-// emitBatch is the agents' batch sink. The batchTap seam, when set,
-// takes the batch instead of the normal delivery path — the metamorphic
-// tests use it to buffer and re-interleave agent batches, checking that
-// ingest order between agents cannot change an analysis outcome.
-func (d *Deployment) emitBatch(b probe.Batch) {
-	if d.batchTap != nil {
-		d.batchTap(b)
-		return
-	}
-	d.deliverBatch(b)
-}
-
-// deliverBatch is the normal delivery path: the telemetry-fault
-// injector (when installed) sits between the agent and ingest,
-// dropping, duplicating, or reordering round batches. A nil injector
-// delivers verbatim.
-func (d *Deployment) deliverBatch(b probe.Batch) {
-	d.telemetry.Deliver(b, d.ingestBatch)
-}
-
-// ingestBatch is the per-round probe sink: each agent round's records
-// land in the retained log and the analyzer's shard inbox in one call
-// apiece, instead of once per record.
-func (d *Deployment) ingestBatch(b probe.Batch) {
-	d.Obs.Inc(obs.BatchesIngested)
-	d.Log.AppendBatch(b)
-	d.Analyzer.IngestBatch(b)
-}
-
-// roundSink is the deployment's probe.ShardSink: the sharded fast path
-// grouped probe rounds land through when no batch tap or active
-// telemetry injector requires serial delivery.
+// roundSink is the deployment's probe.ShardSink, the one path grouped
+// probe rounds land through.
 //
 // Worker-side (Consume, one goroutine per task shard): batches feed the
 // analyzer's pre-warmed shard inboxes — no global lock on the hot path.
 // Barrier-side (Land, serial): each agent's batch is appended to the
-// log in the round's sorted order, the same AppendBatch in the same
-// order the serial fallback (ingestBatch) uses, so log content is
-// deterministic at any worker count and on either path.
+// log in the round's sorted order, so log content is deterministic at
+// any worker count. An installed telemetry injector is a stage of both
+// sides: each side passes every batch through the same keyed fate, so
+// the analyzer and the log see one delivered stream per task.
 type roundSink struct{ d *Deployment }
 
-// FastOK gates the sharded path. A batch tap (test seam) or an active
-// telemetry injector must see batches serially, in order, one at a
-// time — those rounds fall back to per-agent delivery.
-func (rs roundSink) FastOK() bool {
-	return rs.d.batchTap == nil && rs.d.telemetry.Passive()
-}
-
-// Prepare pre-creates the analyzer shard of every task probing this
-// round, serially, so Consume callers only ever read the shard map.
+// Prepare pre-creates the analyzer shard and the telemetry-fault state
+// of every task probing this round, serially, so Consume callers only
+// ever read the shard and fault maps.
 func (rs roundSink) Prepare(tasks []cluster.TaskID) {
 	for _, t := range tasks {
 		rs.d.Analyzer.WarmShard(string(t))
 	}
+	rs.d.telemetry.Prepare(tasks)
 }
 
 // Consume feeds one agent round's batch to its task's analyzer shard.
 // Runs on a worker goroutine; the round engine guarantees one goroutine
 // per task, so the shard inbox is single-writer.
 func (rs roundSink) Consume(b probe.Batch) {
-	if len(b) == 0 {
+	if ti := rs.d.telemetry; ti != nil {
+		ti.Deliver(faults.Primary, b, rs.d.analyze)
 		return
 	}
-	rs.d.Obs.Inc(obs.BatchesIngested)
-	rs.d.Analyzer.IngestBatch(b)
+	rs.d.analyze(b)
 }
 
 // Land appends one agent round's batch to the retained log.
-func (rs roundSink) Land(b probe.Batch) { rs.d.Log.AppendBatch(b) }
+func (rs roundSink) Land(b probe.Batch) {
+	if ti := rs.d.telemetry; ti != nil {
+		ti.Deliver(faults.Mirror, b, rs.d.Log.AppendBatch)
+		return
+	}
+	rs.d.Log.AppendBatch(b)
+}
+
+// analyze queues one delivered batch in its task's analyzer shard.
+func (d *Deployment) analyze(b probe.Batch) {
+	if len(b) == 0 {
+		return
+	}
+	d.Obs.Inc(obs.BatchesIngested)
+	d.Analyzer.IngestBatch(b)
+}
 
 // SetTelemetryFaults installs (or, with zero options, effectively
 // clears) telemetry-plane fault injection: batch drop/duplication/
-// reordering on the ingest path, probabilistic analysis-round delays,
+// reordering as a stage of the sharded probe round, probabilistic analysis-round delays,
 // and frozen controller ping lists. Safe to call mid-run; campaigns
 // typically enable it after the deployment reaches steady state.
 func (d *Deployment) SetTelemetryFaults(opts faults.TelemetryOptions) {
@@ -478,7 +458,6 @@ func (d *Deployment) startAgent(task *cluster.Task, ct *cluster.Container) {
 		Controller: d.Controller,
 		Task:       task,
 		Container:  ct,
-		BatchSink:  d.emitBatch,
 		Driver:     d.rounds,
 		Interval:   probeInterval,
 		Obs:        d.Obs,
@@ -527,10 +506,17 @@ func (d *Deployment) onClusterEvent(ev cluster.Event) {
 func (d *Deployment) countStopped(ev cluster.Event) {
 	d.stopped[ev.Task.ID]++
 	if d.stopped[ev.Task.ID] == len(ev.Task.Containers) {
-		d.Analyzer.ForgetTask(string(ev.Task.ID))
-		d.Controller.RemoveTask(ev.Task.ID)
+		d.forgetTask(ev.Task.ID)
 		delete(d.stopped, ev.Task.ID)
 	}
+}
+
+// forgetTask tears a departed task's monitoring state down: its
+// analyzer shard, its telemetry-fault state and its controller entry.
+func (d *Deployment) forgetTask(t cluster.TaskID) {
+	d.Analyzer.ForgetTask(string(t))
+	d.telemetry.Forget(t)
+	d.Controller.RemoveTask(t)
 }
 
 // SubmitTask submits a training task to the simulated cloud.

@@ -31,12 +31,13 @@ type agentKey struct {
 	c    int
 }
 
-// batchShuffler buffers every agent batch emitted between analysis
-// rounds and re-delivers the buffer in a seeded random interleaving
-// just before the round drains (via the analyzer's Gate hook, which
-// runs at the top of every round).
+// batchShuffler is a probe.ShardSink wrapped around the deployment's
+// own: it buffers every agent batch landed between analysis rounds and
+// re-delivers the buffer, through the inner sink's Consume then Land,
+// in a seeded random interleaving just before the round drains (via
+// the analyzer's Gate hook, which runs at the top of every round).
 type batchShuffler struct {
-	d      *Deployment
+	inner  probe.ShardSink
 	rng    *rand.Rand
 	order  []agentKey
 	queues map[agentKey][]probe.Batch
@@ -44,11 +45,11 @@ type batchShuffler struct {
 
 func installShuffler(d *Deployment, seed int64) *batchShuffler {
 	s := &batchShuffler{
-		d:      d,
+		inner:  d.rounds.Sink,
 		rng:    rand.New(rand.NewSource(seed)),
 		queues: make(map[agentKey][]probe.Batch),
 	}
-	d.batchTap = s.tap
+	d.rounds.Sink = s
 	d.Analyzer.Gate = func(time.Duration) bool {
 		s.flush()
 		return false
@@ -56,9 +57,15 @@ func installShuffler(d *Deployment, seed int64) *batchShuffler {
 	return s
 }
 
-// tap receives a batch in place of normal delivery. The batch's
-// records and paths are reused by the agent, so buffer a deep copy.
-func (s *batchShuffler) tap(b probe.Batch) {
+func (s *batchShuffler) Prepare(tasks []cluster.TaskID) { s.inner.Prepare(tasks) }
+
+// Consume does nothing: batches are buffered at Land, which runs
+// serially.
+func (s *batchShuffler) Consume(probe.Batch) {}
+
+// Land buffers a batch in place of delivery. The batch's records and
+// paths are reused by the agent, so buffer a deep copy.
+func (s *batchShuffler) Land(b probe.Batch) {
 	if len(b) == 0 {
 		return
 	}
@@ -82,7 +89,8 @@ func (s *batchShuffler) flush() {
 		i := s.rng.Intn(len(live))
 		k := live[i]
 		q := s.queues[k]
-		s.d.ingestBatch(q[0])
+		s.inner.Consume(q[0])
+		s.inner.Land(q[0])
 		s.queues[k] = q[1:]
 		if len(s.queues[k]) == 0 {
 			live = append(live[:i], live[i+1:]...)

@@ -115,6 +115,11 @@ func runCampaign(t *testing.T, telemetryFaults bool) campaignReport {
 	// flush every record that was ingested has reached a detector or
 	// been withdrawn.
 	recordLedger(t, d)
+	// The log and the analyzer saw one delivered stream.
+	if c := rep.snap.Counters; c["records-logged"] != c["records-ingested"] {
+		t.Errorf("telemetry faults %v: records-logged %d != records-ingested %d",
+			telemetryFaults, c["records-logged"], c["records-ingested"])
+	}
 	return rep
 }
 

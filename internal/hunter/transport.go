@@ -138,7 +138,8 @@ func (b *transportBackend) Report(task string, container int, reports []transpor
 		}
 		batch = append(batch, rec)
 	}
-	d.ingestBatch(batch)
+	d.Log.AppendBatch(batch)
+	d.analyze(batch)
 	return nil
 }
 

@@ -56,7 +56,7 @@ func New(capacity int, fab *topology.Fabric) *Store {
 // acquisition, overwriting the oldest retained records once the ring is
 // full. Records and their paths are copied into the ring, so callers
 // may reuse the batch's storage.
-func (s *Store) AppendBatch(recs []probe.Record) {
+func (s *Store) AppendBatch(recs probe.Batch) {
 	if len(recs) == 0 {
 		return
 	}

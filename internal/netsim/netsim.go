@@ -469,8 +469,8 @@ func (e *effects) apply(c *Condition, now time.Duration) bool {
 // each drives its own ctx and nothing mutates the network mid-round.
 //
 // Outcomes are a pure function of (engine seed, flow identity, entropy,
-// time): the probe's randomness comes from a splitmix64 generator keyed
-// by those, not from a shared sequential stream, so results do not
+// time): the probe's randomness comes from a sim.SplitMix64 keyed by
+// those, not from a shared sequential stream, so results do not
 // depend on the order in which a round's probes execute.
 func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, entropy uint64) {
 	now := n.Engine.Now()
@@ -497,7 +497,7 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 	base := len(b)
 	ctx.hashBuf = b
 
-	rng := probeRNG{state: n.seedBase ^ fnv(b) ^ entropy*0x9e3779b97f4a7c15 ^ uint64(now)*0x94d049bb133111eb}
+	rng := sim.SplitMix64(n.seedBase ^ fnv(b) ^ entropy*0x9e3779b97f4a7c15 ^ uint64(now)*0x94d049bb133111eb)
 
 	var ef effects
 
@@ -562,10 +562,10 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 
 	// Benign transient congestion.
 	if n.TransientCongestionProb > 0 && rng.Float64() < n.TransientCongestionProb {
-		rtt += time.Duration(rng.ExpFloat64() * float64(20*time.Microsecond))
+		rtt += time.Duration(expFloat64(&rng) * float64(20*time.Microsecond))
 	}
 	// Measurement jitter: multiplicative lognormal-ish noise, ~±8 %.
-	jitter := 1 + 0.08*rng.NormFloat64()
+	jitter := 1 + 0.08*normFloat64(&rng)
 	if jitter < 0.5 {
 		jitter = 0.5
 	}
@@ -593,28 +593,11 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 	res.Lost = true
 }
 
-// probeRNG is the per-probe keyed random generator: splitmix64 over a
-// seed derived from the probe's identity. It is tiny, allocation-free,
-// and — unlike a shared sequential stream — gives every probe the same
-// draws no matter when or on which worker it runs.
-type probeRNG struct{ state uint64 }
+// expFloat64 returns an exponential draw with mean 1.
+func expFloat64(r *sim.SplitMix64) float64 { return -math.Log(1 - r.Float64()) }
 
-func (r *probeRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform draw in [0, 1).
-func (r *probeRNG) Float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// ExpFloat64 returns an exponential draw with mean 1.
-func (r *probeRNG) ExpFloat64() float64 { return -math.Log(1 - r.Float64()) }
-
-// NormFloat64 returns a standard normal draw (Box–Muller).
-func (r *probeRNG) NormFloat64() float64 {
+// normFloat64 returns a standard normal draw (Box–Muller).
+func normFloat64(r *sim.SplitMix64) float64 {
 	u1 := r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()

@@ -31,12 +31,9 @@ import (
 // goroutine (before and after the parallel section); Consume runs on
 // worker goroutines, but never concurrently for the same task — FanOut
 // pins each task to one worker slot. A batch is valid until its
-// agent's next round, so the one Consume saw is the one Land sees.
+// agent's next round, so the one Consume saw is the one Land sees; a
+// sink that keeps one longer clones it.
 type ShardSink interface {
-	// FastOK reports whether the sink can take this round through the
-	// sharded path. False falls back to serial per-agent delivery
-	// (needed when delivery-order faults or batch taps are in play).
-	FastOK() bool
 	// Prepare is called serially with the round's task shard keys in
 	// sorted order, before any Consume — the place to pre-create any
 	// per-shard state workers will look up.
@@ -45,9 +42,8 @@ type ShardSink interface {
 	// to the one task shard the calling worker owns.
 	Consume(b Batch)
 	// Land is called serially after the round barrier, once per agent
-	// that ran, in the round's sorted (task, container) order — the
-	// order the serial fallback delivers in — for whatever must be
-	// written in one deterministic sequence.
+	// that ran, in the round's sorted (task, container) order, for
+	// whatever must be written in one deterministic sequence.
 	Land(b Batch)
 }
 
@@ -63,9 +59,8 @@ type RoundEngine struct {
 	// Workers bounds the round's fan-out (<= 0 means GOMAXPROCS); one
 	// worker or a single task runs inline on the engine goroutine.
 	Workers int
-	// Sink, when set and willing (FastOK), receives rounds through the
-	// sharded fast path; otherwise each agent delivers serially through
-	// its own BatchSink in sorted agent order.
+	// Sink receives every round: Consume on the worker that probed
+	// the task, Land at the barrier. Required.
 	Sink ShardSink
 	// Obs, when set, records grouped-round counts, worker utilization,
 	// and per-stage timing histograms. Nil-safe.
@@ -101,8 +96,8 @@ func (re *RoundEngine) scheduleAt(a *OverlayAgent, due time.Duration) {
 }
 
 // fire runs one grouped round: serial prologue in sorted agent order,
-// parallel shard execution, queue/sink merge at the barrier, serial
-// delivery fallback when the fast path is off, then re-bucketing.
+// parallel shard execution, queue/sink merge at the barrier, then
+// re-bucketing.
 func (re *RoundEngine) fire(now time.Duration) {
 	agents := re.buckets[now]
 	delete(re.buckets, now)
@@ -165,10 +160,7 @@ func (re *RoundEngine) execute(run []*OverlayAgent, now time.Duration) {
 	}
 	re.spans, re.tasks = spans, tasks
 
-	fast := re.Sink != nil && re.Sink.FastOK()
-	if fast {
-		re.Sink.Prepare(tasks)
-	}
+	re.Sink.Prepare(tasks)
 
 	slots := slotCount(re.Workers, len(spans))
 	for len(re.ctxs) < slots {
@@ -176,7 +168,7 @@ func (re *RoundEngine) execute(run []*OverlayAgent, now time.Duration) {
 	}
 	start := time.Now()
 	FanOut(&re.pool, re.Workers, tasks, func(slot, i int) {
-		re.runSpan(re.ctxs[slot], spans[i], run, now, fast)
+		re.runSpan(re.ctxs[slot], spans[i], run, now)
 	})
 	// Offered capacity: the fan-out's wall time × the slots it ran on,
 	// measured from one start whatever the slot count, so utilization
@@ -190,37 +182,20 @@ func (re *RoundEngine) execute(run []*OverlayAgent, now time.Duration) {
 	for _, ctx := range re.ctxs {
 		re.Obs.Add(obs.TraceCacheMisses, ctx.TakeMisses())
 	}
-	if fast {
-		land := time.Now()
-		for _, a := range run {
-			re.Sink.Land(a.batch)
-		}
-		re.Obs.ObserveDuration("stage-ingest-ms", time.Since(land))
-	} else {
-		// Serial-fallback delivery is a different code path with
-		// different costs (per-agent, through the telemetry injector) —
-		// folding it into stage-ingest-ms made that histogram bimodal
-		// and useless for comparing fast-path rounds.
-		deliver := time.Now()
-		for _, a := range run {
-			if a.BatchSink != nil && len(a.batch) > 0 {
-				a.BatchSink(a.batch)
-			}
-		}
-		re.Obs.ObserveDuration("stage-deliver-ms", time.Since(deliver))
+	land := time.Now()
+	for _, a := range run {
+		re.Sink.Land(a.batch)
 	}
+	re.Obs.ObserveDuration("stage-ingest-ms", time.Since(land))
 }
 
 // runSpan executes one task shard on the calling worker: every agent's
-// round into agent-owned buffers, batches consumed shard-locally on the
-// fast path.
-func (re *RoundEngine) runSpan(ctx *netsim.ProbeCtx, sp taskSpan, run []*OverlayAgent, now time.Duration, fast bool) {
+// round into agent-owned buffers, each batch consumed shard-locally.
+func (re *RoundEngine) runSpan(ctx *netsim.ProbeCtx, sp taskSpan, run []*OverlayAgent, now time.Duration) {
 	t0 := time.Now()
 	for _, a := range run[sp.lo:sp.hi] {
 		a.executeRound(ctx, now)
-		if fast {
-			re.Sink.Consume(a.batch)
-		}
+		re.Sink.Consume(a.batch)
 	}
 	d := time.Since(t0)
 	re.Obs.Add(obs.WorkerBusyNanos, uint64(d))

@@ -15,7 +15,6 @@ import (
 // Consume (on worker goroutines) only ever looks the map up. Land
 // checks the barrier contract as it goes.
 type testShardSink struct {
-	ok       bool
 	shards   map[cluster.TaskID]*shardTally
 	prepared [][]cluster.TaskID
 	landed   []agentRound // one per Land call with records, in call order
@@ -30,8 +29,6 @@ type agentRound struct {
 	container int
 	at        time.Duration
 }
-
-func (s *testShardSink) FastOK() bool { return s.ok }
 
 func (s *testShardSink) Prepare(tasks []cluster.TaskID) {
 	if s.shards == nil {
@@ -72,12 +69,20 @@ func (s *testShardSink) Land(b Batch) {
 	s.landed = append(s.landed, cur)
 }
 
-func startEngineAgents(r *rig, re *RoundEngine, task *cluster.Task, sink BatchSink) []*OverlayAgent {
+// landSink is a ShardSink that hands every batch to a callback at the
+// barrier, in the round's sorted order.
+type landSink func(Batch)
+
+func (landSink) Prepare([]cluster.TaskID) {}
+func (landSink) Consume(Batch)            {}
+func (s landSink) Land(b Batch)           { s(b) }
+
+func startEngineAgents(r *rig, re *RoundEngine, task *cluster.Task) []*OverlayAgent {
 	var agents []*OverlayAgent
 	for _, c := range task.Containers {
 		a := &OverlayAgent{
 			Net: r.net, Controller: r.ctl,
-			Task: task, Container: c, BatchSink: sink, Driver: re,
+			Task: task, Container: c, Driver: re,
 		}
 		a.Start()
 		agents = append(agents, a)
@@ -85,8 +90,8 @@ func startEngineAgents(r *rig, re *RoundEngine, task *cluster.Task, sink BatchSi
 	return agents
 }
 
-// TestRoundEngineShardSinkParallel drives the sharded fast path with
-// two tasks over four workers: batches land per task shard, Prepare
+// TestRoundEngineShardSinkParallel drives the sharded path with two
+// tasks over four workers: batches land per task shard, Prepare
 // sees sorted shard keys, and the barrier lands every consumed batch
 // exactly once per agent per round boundary, in sorted order.
 func TestRoundEngineShardSinkParallel(t *testing.T) {
@@ -97,11 +102,11 @@ func TestRoundEngineShardSinkParallel(t *testing.T) {
 	}
 	r.eng.RunUntil(r.eng.Now() + 10*time.Minute)
 
-	sink := &testShardSink{ok: true}
+	sink := &testShardSink{}
 	stats := obs.New()
 	re := &RoundEngine{Sim: r.eng, Net: r.net, Workers: 4, Sink: sink, Obs: stats}
-	startEngineAgents(r, re, r.task, nil)
-	startEngineAgents(r, re, task2, nil)
+	startEngineAgents(r, re, r.task)
+	startEngineAgents(r, re, task2)
 	r.eng.RunUntil(r.eng.Now() + 10*time.Second)
 
 	if len(sink.shards) != 2 {
@@ -136,33 +141,14 @@ func TestRoundEngineShardSinkParallel(t *testing.T) {
 	}
 }
 
-// TestRoundEngineSinkFallback: a sink that declines the fast path
-// (FastOK false) must never see a batch; the round falls back to the
-// agents' own serial delivery.
-func TestRoundEngineSinkFallback(t *testing.T) {
-	r := newRig(t)
-	shard := &testShardSink{ok: false}
-	re := &RoundEngine{Sim: r.eng, Net: r.net, Workers: 2, Sink: shard}
-	records := 0
-	startEngineAgents(r, re, r.task, each(func(Record) { records++ }))
-	r.eng.RunUntil(r.eng.Now() + 5*time.Second)
-
-	if records == 0 {
-		t.Fatal("serial fallback delivered nothing")
-	}
-	if len(shard.shards) != 0 || len(shard.landed) != 0 {
-		t.Fatalf("declined sink still saw traffic: %d shards, %d landings", len(shard.shards), len(shard.landed))
-	}
-}
-
 // TestRoundEngineAgentLifecycle: a killed agent drops out of the
 // rotation, a crashed (not Running) container's agent skips its rounds
 // but stays enrolled, and killing every agent quiesces the engine.
 func TestRoundEngineAgentLifecycle(t *testing.T) {
 	r := newRig(t)
 	perContainer := map[int]int{}
-	re := &RoundEngine{Sim: r.eng, Net: r.net}
-	agents := startEngineAgents(r, re, r.task, each(func(rec Record) { perContainer[rec.SrcContainer]++ }))
+	re := &RoundEngine{Sim: r.eng, Net: r.net, Sink: each(func(rec Record) { perContainer[rec.SrcContainer]++ })}
+	agents := startEngineAgents(r, re, r.task)
 	r.eng.RunUntil(r.eng.Now() + 3*time.Second)
 
 	if len(perContainer) != len(agents) {
@@ -216,11 +202,11 @@ func TestRoundEngineCountsTraceCacheMisses(t *testing.T) {
 	}
 	r.eng.RunUntil(r.eng.Now() + 10*time.Minute)
 
-	sink := &testShardSink{ok: true}
+	sink := &testShardSink{}
 	stats := obs.New()
 	re := &RoundEngine{Sim: r.eng, Net: r.net, Workers: 4, Sink: sink, Obs: stats}
-	startEngineAgents(r, re, r.task, nil)
-	startEngineAgents(r, re, taskB, nil)
+	startEngineAgents(r, re, r.task)
+	startEngineAgents(r, re, taskB)
 	r.eng.RunUntil(r.eng.Now() + 3*time.Second)
 	if stats.Get(obs.TraceCacheMisses) == 0 {
 		t.Fatal("cold rounds counted no trace-cache misses")

@@ -8,8 +8,8 @@
 // analyzer as one Batch of Records carrying end-to-end latency, loss,
 // and the underlay path the probe's flow traversed — the
 // traceroute-style physical path tomography needs (§5.3), as fabric
-// link ordinals — through the engine's ShardSink, or the agent's own
-// BatchSink when the sharded path is off.
+// link ordinals — through the engine's ShardSink, which every
+// RoundEngine requires.
 //
 // A delivered batch is borrowed: the records and their paths live in
 // agent buffers that the next round refills. A sink that keeps a
@@ -71,12 +71,6 @@ func (b Batch) Clone() Batch {
 	return out
 }
 
-// BatchSink consumes a whole probing round at once. The batch is only
-// valid for the duration of the call: the agent reuses the records'
-// backing array and the paths they point into across rounds, so a sink
-// that retains records or paths must copy them.
-type BatchSink func(Batch)
-
 // OverlayAgent probes on behalf of one container. One agent exists per
 // training container (sidecar); it queries the controller each round so
 // list updates (registration, skeleton pruning) take effect without
@@ -92,19 +86,12 @@ type OverlayAgent struct {
 	Controller *controller.Controller
 	Task       *cluster.Task
 	Container  *cluster.Container
-	// BatchSink, when set, receives each round's records in one call
-	// whenever the Driver delivers serially (its ShardSink is unset or
-	// declines the sharded path).
-	BatchSink BatchSink
 	// Driver is the round engine the agent enrolls in at Start: it fires
 	// all same-phase agents in one simulation event and fans their
 	// rounds out over worker-owned probe contexts. Required.
 	Driver *RoundEngine
 	// Interval is the probing round period (default 1 s).
 	Interval time.Duration
-	// ProbesPerTarget is how many probes (with distinct ECMP entropy)
-	// each target gets per round (default 1; >1 widens path coverage).
-	ProbesPerTarget int
 	// Obs, when set, counts probing rounds and probes sent. Nil-safe.
 	Obs *obs.Stats
 
@@ -123,9 +110,6 @@ type OverlayAgent struct {
 func (a *OverlayAgent) Start() {
 	if a.Interval == 0 {
 		a.Interval = time.Second
-	}
-	if a.ProbesPerTarget == 0 {
-		a.ProbesPerTarget = 1
 	}
 	a.Controller.Register(a.Task.ID, a.Container.Index)
 	a.epoch = a.Controller.Epoch()
@@ -176,44 +160,40 @@ func (a *OverlayAgent) prepareRound(now time.Duration) bool {
 // touches no locks and no shared mutable state (obs counters are
 // atomic), so rounds of different agents may execute concurrently —
 // each agent on exactly one worker, each worker with its own ctx.
-// Delivery is the RoundEngine's (ShardSink, or the agent's BatchSink).
+// Delivery is the RoundEngine's, through its ShardSink. Each target
+// gets one probe, and every probe advances the ECMP entropy.
 func (a *OverlayAgent) executeRound(ctx *netsim.ProbeCtx, now time.Duration) {
 	a.batch = a.batch[:0]
 	a.paths = a.paths[:0]
-	sent := 0
 	for _, tg := range a.targets {
-		dst := a.Task.Containers[tg.DstContainer]
 		src := a.Container.Addrs[tg.SrcRail]
-		dstAddr := dst.Addrs[tg.DstRail]
-		for p := 0; p < a.ProbesPerTarget; p++ {
-			a.entropy++
-			sent++
-			a.Net.ProbeIntoCtx(ctx, &a.scratch, src, dstAddr, a.entropy)
-			res := &a.scratch
-			var path []int32
-			if len(res.UnderlayPath) > 0 {
-				// A record keeps pointing at the array it was cut from
-				// if a later append moves the buffer; the contents stay
-				// valid until the next round refills it.
-				start := len(a.paths)
-				a.paths = append(a.paths, res.UnderlayPath...)
-				path = a.paths[start:len(a.paths):len(a.paths)]
-			}
-			a.batch = append(a.batch, Record{
-				Task:         a.Task.ID,
-				SrcContainer: tg.SrcContainer, SrcRail: tg.SrcRail,
-				DstContainer: tg.DstContainer, DstRail: tg.DstRail,
-				Src: src, Dst: dstAddr,
-				At:   now,
-				RTT:  res.RTT,
-				Lost: res.Lost,
-				Path: path,
-			})
+		dst := a.Task.Containers[tg.DstContainer].Addrs[tg.DstRail]
+		a.entropy++
+		a.Net.ProbeIntoCtx(ctx, &a.scratch, src, dst, a.entropy)
+		res := &a.scratch
+		var path []int32
+		if len(res.UnderlayPath) > 0 {
+			// A record keeps pointing at the array it was cut from if a
+			// later append moves the buffer; the contents stay valid
+			// until the next round refills it.
+			start := len(a.paths)
+			a.paths = append(a.paths, res.UnderlayPath...)
+			path = a.paths[start:len(a.paths):len(a.paths)]
 		}
+		a.batch = append(a.batch, Record{
+			Task:         a.Task.ID,
+			SrcContainer: tg.SrcContainer, SrcRail: tg.SrcRail,
+			DstContainer: tg.DstContainer, DstRail: tg.DstRail,
+			Src: src, Dst: dst,
+			At:   now,
+			RTT:  res.RTT,
+			Lost: res.Lost,
+			Path: path,
+		})
 	}
 	a.rounds++
 	a.Obs.Inc(obs.ProbeRounds)
-	a.Obs.Add(obs.ProbesSent, uint64(sent))
+	a.Obs.Add(obs.ProbesSent, uint64(len(a.targets)))
 }
 
 // ResourceModel reproduces the agent overhead curve of Fig. 17: CPU and

@@ -42,13 +42,13 @@ func newRig(t *testing.T) *rig {
 }
 
 // startAgents enrolls an agent for every container of the rig's task in
-// a fresh single-worker RoundEngine, each delivering its rounds to sink.
-func startAgents(r *rig, sink BatchSink) []*OverlayAgent {
-	return startEngineAgents(r, &RoundEngine{Sim: r.eng, Net: r.net, Workers: 1}, r.task, sink)
+// a fresh single-worker RoundEngine that lands their rounds in sink.
+func startAgents(r *rig, sink landSink) []*OverlayAgent {
+	return startEngineAgents(r, &RoundEngine{Sim: r.eng, Net: r.net, Workers: 1, Sink: sink}, r.task)
 }
 
-// each adapts a per-record callback to a BatchSink.
-func each(fn func(Record)) BatchSink {
+// each adapts a per-record callback to a landSink.
+func each(fn func(Record)) landSink {
 	return func(b Batch) {
 		for _, rec := range b {
 			fn(rec)
@@ -115,47 +115,25 @@ func TestAgentStopCeasesProbing(t *testing.T) {
 
 func TestAgentSkipsTerminatedContainer(t *testing.T) {
 	r := newRig(t)
-	count := 0
-	agents := startAgents(r, each(func(Record) { count++ }))
+	perContainer := map[int]int{}
+	startAgents(r, each(func(rec Record) { perContainer[rec.SrcContainer]++ }))
 	start := r.eng.Now()
 	r.eng.RunUntil(start + 2*time.Second)
 	// Crash the container behind agent 0; its agent must stop emitting.
 	r.cp.CrashContainer(r.task.Containers[0].ID)
-	before := count
-	srcBefore := 0
-	_ = srcBefore
+	before := map[int]int{}
+	for c, n := range perContainer {
+		before[c] = n
+	}
 	r.eng.RunUntil(start + 4*time.Second)
-	grew := count - before
-	// Other agents keep probing (minus the dead destination).
-	if grew == 0 {
-		t.Fatal("all probing stopped after one container crash")
+	if perContainer[0] != before[0] {
+		t.Fatalf("crashed container 0 landed %d records after its crash", perContainer[0]-before[0])
 	}
-	for _, a := range agents[1:] {
-		_ = a
-	}
-}
-
-func TestProbesPerTargetSpreadsEntropy(t *testing.T) {
-	r := newRig(t)
-	var paths = map[string]bool{}
-	agent := &OverlayAgent{
-		Net: r.net, Controller: r.ctl,
-		Task: r.task, Container: r.task.Containers[0],
-		Driver:          &RoundEngine{Sim: r.eng, Net: r.net},
-		ProbesPerTarget: 4,
-		BatchSink: each(func(rec Record) {
-			key := ""
-			for _, l := range rec.Path {
-				key += string(r.net.Fabric.LinkByIndex(l))
-			}
-			paths[key] = true
-		}),
-	}
-	agent.Start()
-	start := r.eng.Now()
-	r.eng.RunUntil(start + 5*time.Second)
-	if len(paths) == 0 {
-		t.Fatal("no probes")
+	// The other agents keep probing (minus the dead destination).
+	for c := 1; c < len(r.task.Containers); c++ {
+		if perContainer[c] == before[c] {
+			t.Fatalf("container %d stopped probing after container 0 crashed", c)
+		}
 	}
 }
 
@@ -185,35 +163,35 @@ func TestResourceModelConvergence(t *testing.T) {
 	}
 }
 
-func TestBatchSinkDeliversWholeRounds(t *testing.T) {
+// TestSinkLandsWholeRounds: each Land is one agent's whole round, of
+// one task, and every probe sent lands once.
+func TestSinkLandsWholeRounds(t *testing.T) {
 	r := newRig(t)
 	stats := obs.New()
-	re := &RoundEngine{Sim: r.eng, Net: r.net, Workers: 2}
 	var batches []int
 	var firstTask cluster.TaskID
+	re := &RoundEngine{Sim: r.eng, Net: r.net, Workers: 2, Sink: landSink(func(b Batch) {
+		for _, rec := range b {
+			if rec.Task != b[0].Task {
+				t.Fatal("batch mixes tasks")
+			}
+		}
+		if len(b) > 0 {
+			// The batch slice is reused across rounds; count, don't retain.
+			batches = append(batches, len(b))
+			firstTask = b[0].Task
+		}
+	})}
 	for _, c := range r.task.Containers {
 		a := &OverlayAgent{
 			Net: r.net, Controller: r.ctl,
 			Task: r.task, Container: c, Driver: re, Obs: stats,
-			BatchSink: func(b Batch) {
-				if len(b) == 0 {
-					t.Fatal("empty batch delivered")
-				}
-				for _, rec := range b {
-					if rec.Task != b[0].Task {
-						t.Fatal("batch mixes tasks")
-					}
-				}
-				// The batch slice is reused across rounds; count, don't retain.
-				batches = append(batches, len(b))
-				firstTask = b[0].Task
-			},
 		}
 		a.Start()
 	}
 	r.eng.RunUntil(r.eng.Now() + 90*time.Second)
 	if len(batches) == 0 {
-		t.Fatal("no batches delivered")
+		t.Fatal("no batches landed")
 	}
 	if firstTask != r.task.ID {
 		t.Fatalf("batch task = %s, want %s", firstTask, r.task.ID)
@@ -222,8 +200,8 @@ func TestBatchSinkDeliversWholeRounds(t *testing.T) {
 	for _, n := range batches {
 		total += n
 	}
-	// Every probe sent reaches the batch path, once.
+	// Every probe sent lands, once.
 	if sent := stats.Get(obs.ProbesSent); uint64(total) != sent {
-		t.Fatalf("batch path delivered %d records, agents sent %d probes", total, sent)
+		t.Fatalf("sink landed %d records, agents sent %d probes", total, sent)
 	}
 }

@@ -114,6 +114,25 @@ func (e *Engine) Rand(name string) *rand.Rand {
 	return r
 }
 
+// SplitMix64 is a keyed random generator: splitmix64, whose whole
+// state is one uint64. It is tiny, allocation-free and trivially
+// checkpointable, and — seeded from a draw's identity instead of a
+// shared sequential stream — it gives a draw the same values no matter
+// when or on which worker it is made.
+type SplitMix64 uint64
+
+// Next returns the next 64 random bits.
+func (r *SplitMix64) Next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Float64 returns a uniform draw in [0, 1).
+func (r *SplitMix64) Float64() float64 { return float64(r.Next()>>11) / (1 << 53) }
+
 func fnv64a(s string) uint64 {
 	const (
 		offset = 14695981039346656037
