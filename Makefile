@@ -43,7 +43,8 @@ deadcode:
 # diff. The log-store pair is the round's
 # barrier append and a full-ring scan per query dimension — the read
 # cost the scan-on-read store accepts, as a number. The netsim line is
-# one overlay trace-cache miss, a tenant's probes while another tenant
+# one overlay trace-cache miss, one probe that hits a warm trace cache
+# (allocs/op should stay 0), a tenant's probes while another tenant
 # churns (misses/op should stay 0), and one agent round with its
 # analyzer enqueue and log append (allocs/op should stay 0). The detect line is one LOF
 # score against a full look-back, one healthy short-window close and
@@ -53,7 +54,7 @@ bench-micro:
 	$(call bench-run,BENCH_analyzer.txt,Analyzer,.)
 	$(call bench-run,BENCH_incident.txt,IncidentCorrelator,./internal/incident)
 	$(call bench-run,BENCH_logstore.txt,AppendBatch|Scan,./internal/logstore)
-	$(call bench-run,BENCH_netsim.txt,TraceForward|ProbeUnderChurn|AgentRound,./internal/overlay ./internal/netsim ./internal/probe)
+	$(call bench-run,BENCH_netsim.txt,TraceForward|ProbeHit|ProbeUnderChurn|AgentRound,./internal/overlay ./internal/netsim ./internal/probe)
 	$(call bench-run,BENCH_detect.txt,LOFScore|DetectorWindowClose|DetectorObserve,./internal/stats ./internal/detect)
 
 # The micro-benchmarks plus the paper-scale campaigns of cmd/bench:

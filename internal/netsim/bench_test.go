@@ -58,3 +58,48 @@ func BenchmarkProbeUnderChurn(b *testing.B) {
 	}
 	b.ReportMetric(float64(ctx.TakeMisses())/float64(b.N), "misses/op")
 }
+
+// BenchmarkProbeHit is the probe hot path on a warm trace cache: one
+// tenant of eight endpoints over both pods, every pair traced before
+// the timer starts, then one probe per op cycling through the pairs.
+// Every probe hits (the benchmark fails on a miss); allocs/op should
+// stay 0.
+func BenchmarkProbeHit(b *testing.B) {
+	fab, err := topology.New(topology.Spec{Pods: 2, HostsPerPod: 8, Rails: 8, AggPerPod: 2, Spines: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := New(sim.NewEngine(1), fab, overlay.NewNetwork())
+	var eps []overlay.Addr
+	for i := 0; i < 8; i++ {
+		a := overlay.Addr{VNI: 1, IP: fmt.Sprintf("10.1.0.%d", i), Host: 2 * i, Rail: i % 4}
+		if err := n.Overlay.AttachEndpoint(a); err != nil {
+			b.Fatal(err)
+		}
+		eps = append(eps, a)
+	}
+	var pairs [][2]overlay.Addr
+	for _, src := range eps {
+		for _, dst := range eps {
+			if src != dst {
+				pairs = append(pairs, [2]overlay.Addr{src, dst})
+			}
+		}
+	}
+	ctx := n.NewProbeCtx()
+	var res Result
+	for _, p := range pairs {
+		n.ProbeIntoCtx(ctx, &res, p[0], p[1], 0)
+	}
+	ctx.TakeMisses()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &pairs[i%len(pairs)]
+		n.ProbeIntoCtx(ctx, &res, p[0], p[1], uint64(i))
+	}
+	b.StopTimer()
+	if m := ctx.TakeMisses(); m != 0 {
+		b.Fatalf("%d of %d probes missed a warm cache", m, b.N)
+	}
+}

@@ -22,6 +22,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -277,9 +278,18 @@ type Result struct {
 	UnderlayPath []int32
 }
 
-// ProbeCtx is the per-caller mutable state of the probe hot path:
-// the ECMP hash scratch, a forwarding-trace cache, and the round's
+// ProbeCtx is the per-caller mutable state of the probe hot path: a
+// forwarding-trace cache, the scratch that fills it, and the round's
 // queue-traversal tallies.
+//
+// The trace cache keeps, per flow, what the probe walk reads of
+// overlay.TraceForward plus the flow's ECMP hashes, so a probe that
+// hits does one integer-keyed lookup and no string work. There is one
+// table per source VNI, keyed by the packed (host, rail) ordinals of
+// the source and destination; an entry serves a probe only if its
+// source IP, destination IP and source host match too, so endpoints
+// that share a NIC, or an Addr whose Host is stale, are re-traced into
+// the slot (a miss) rather than served another flow's trace.
 //
 // Ownership contract: a ProbeCtx belongs to exactly one worker at a
 // time — calls into ProbeIntoCtx with the same ctx must not overlap.
@@ -289,17 +299,20 @@ type Result struct {
 // The -race campaign test in internal/hunter exercises exactly this
 // contract.
 type ProbeCtx struct {
-	hashBuf []byte
-
-	// traces memoizes what the probe walk reads of overlay.TraceForward,
-	// one map per source VNI. A VNI's map is valid while its VNIGen
-	// holds still, and every map while the fleet-wide Gen does. Skeleton
-	// ping lists re-probe the same pairs every round, so after the first
-	// round of a quiescent tenant every probe hits, and one tenant's
-	// churn costs no other tenant a miss.
+	// traces holds one table per source VNI. A VNI's table is valid
+	// while its VNIGen holds still, and every table while the fleet-wide
+	// Gen does. Skeleton ping lists re-probe the same pairs every round,
+	// so after the first round of a quiescent tenant every probe hits,
+	// and one tenant's churn costs no other tenant a miss.
 	traces   map[overlay.VNI]*vniTraces
 	traceGen uint64
 	misses   uint64 // TraceForward calls since the last TakeMisses
+	rails    uint32 // rails per host: packs a (host, rail) into an ordinal
+
+	// Fill scratch: the chain a miss resolves into, and the flow
+	// identity bytes its hashes are taken over.
+	chain   []overlay.Component
+	hashBuf []byte
 
 	// qCount tallies node traversals by node ordinal; qTouched lists the
 	// ordinals with nonzero tallies (sparse reset).
@@ -307,23 +320,32 @@ type ProbeCtx struct {
 	qTouched []int32
 }
 
+// vniTraces is one source VNI's trace table. Entries, legs and leg
+// hashes live in arenas that are truncated, capacity kept, when the
+// VNI's generation moves, so refilling a tenant after its churn
+// allocates nothing.
 type vniTraces struct {
-	gen     uint64
-	entries map[traceKey]cachedTrace
+	gen     uint64           // the VNIGen the table was filled at
+	slots   map[uint64]int32 // packed (src, dst) NIC ordinals → index in entries
+	entries []traceEntry
+	legs    []overlay.TunnelLeg // each reached entry's legs, contiguous
+	legHash []uint64            // legHash[i]: fnv("VNI/srcIP>dstIP#k") of legs[i], its k-th leg
 }
 
-type traceKey struct {
+// traceEntry is the part of one flow's trace the probe walk reads. The
+// chain is not kept: nothing downstream of a probe reads it, and the
+// localizer traces afresh. An unreached entry keeps no legs or hashes:
+// the probe dies before reading them.
+type traceEntry struct {
 	srcIP, dstIP string
-	host, rail   int
-}
-
-// cachedTrace keeps the part of a trace the probe walk reads. The chain
-// is not kept: nothing downstream of a probe reads it, and the
-// localizer traces afresh.
-type cachedTrace struct {
-	reached  bool // false also for an unregistered source
-	slowPath bool
-	legs     []overlay.TunnelLeg
+	flowHash     uint64 // fnv("VNI/srcIP>dstIP"): the probe's RNG key
+	srcHost      int
+	// legs[legOff:legOff+legCap] is the entry's room in the table's
+	// arena, of which it uses nLegs (a reached chain has < 64 legs).
+	legOff        uint32
+	nLegs, legCap uint8
+	reached       bool // false also for an unregistered source
+	slowPath      bool
 }
 
 // NewProbeCtx returns a probe context sized for this simulator's
@@ -331,6 +353,7 @@ type cachedTrace struct {
 func (n *Net) NewProbeCtx() *ProbeCtx {
 	return &ProbeCtx{
 		traces: make(map[overlay.VNI]*vniTraces),
+		rails:  uint32(n.Fabric.Spec.Rails),
 		qCount: make([]uint32, n.Fabric.NumNodes()),
 	}
 }
@@ -352,10 +375,11 @@ func (ctx *ProbeCtx) bump(ord int32) {
 }
 
 // trace resolves (and memoizes) the overlay forwarding outcome of a
-// flow. A move of the fleet-wide generation drops every VNI's entries
-// (a retired VNI's with them); a move of the source VNI's generation
-// drops that VNI's only.
-func (ctx *ProbeCtx) trace(n *Net, src overlay.Addr, dstIP string) cachedTrace {
+// flow, returning its entry with the entry's legs and their ECMP
+// hashes. A move of the fleet-wide generation drops every VNI's table
+// (a retired VNI's with it); a move of the source VNI's generation
+// resets that VNI's table only, keeping its capacity.
+func (ctx *ProbeCtx) trace(n *Net, src, dst overlay.Addr) (*traceEntry, []overlay.TunnelLeg, []uint64) {
 	if g := n.Overlay.Gen(); g != ctx.traceGen {
 		clear(ctx.traces)
 		ctx.traceGen = g
@@ -363,21 +387,84 @@ func (ctx *ProbeCtx) trace(n *Net, src overlay.Addr, dstIP string) cachedTrace {
 	g := n.Overlay.VNIGen(src.VNI)
 	vt := ctx.traces[src.VNI]
 	if vt == nil {
-		vt = &vniTraces{gen: g, entries: make(map[traceKey]cachedTrace)}
+		vt = &vniTraces{gen: g, slots: make(map[uint64]int32)}
 		ctx.traces[src.VNI] = vt
 	} else if vt.gen != g {
-		clear(vt.entries)
-		vt.gen = g
+		vt.reset(g)
 	}
-	k := traceKey{srcIP: src.IP, dstIP: dstIP, host: src.Host, rail: src.Rail}
-	if c, ok := vt.entries[k]; ok {
-		return c
+	k := uint64(ctx.nicOrd(src))<<32 | uint64(ctx.nicOrd(dst))
+	i, ok := vt.slots[k]
+	if !ok {
+		i = int32(len(vt.entries))
+		vt.entries = append(vt.entries, traceEntry{})
+		vt.slots[k] = i
 	}
-	ctx.misses++
-	tr, err := n.Overlay.TraceForward(src, dstIP)
-	c := cachedTrace{reached: err == nil && tr.Outcome == overlay.Reached, slowPath: tr.SlowPath, legs: tr.TunnelLegs}
-	vt.entries[k] = c
-	return c
+	e := &vt.entries[i]
+	if !ok || e.srcIP != src.IP || e.dstIP != dst.IP || e.srcHost != src.Host {
+		ctx.misses++
+		ctx.fill(n, vt, e, src, dst.IP)
+	}
+	end := e.legOff + uint32(e.nLegs)
+	return e, vt.legs[e.legOff:end], vt.legHash[e.legOff:end]
+}
+
+// nicOrd packs an endpoint's (host, rail) into its NIC ordinal.
+func (ctx *ProbeCtx) nicOrd(a overlay.Addr) uint32 {
+	return uint32(a.Host)*ctx.rails + uint32(a.Rail)
+}
+
+// reset empties the table for generation g, keeping every capacity.
+func (vt *vniTraces) reset(g uint64) {
+	vt.gen = g
+	clear(vt.slots)
+	clear(vt.entries) // drop the IP strings the dead entries hold
+	vt.entries = vt.entries[:0]
+	vt.legs = vt.legs[:0]
+	vt.legHash = vt.legHash[:0]
+}
+
+// fill traces src → dstIP into e, writing a reached trace's legs and
+// hashes into the table's arenas: into the room e already has when they
+// fit (a slot re-traced for another flow), at the arenas' end
+// otherwise. The hashes are the ones a probe would take over the flow
+// identity bytes, so memoizing them changes no ECMP choice or RNG draw.
+func (ctx *ProbeCtx) fill(n *Net, vt *vniTraces, e *traceEntry, src overlay.Addr, dstIP string) {
+	off := len(vt.legs)
+	tr := overlay.Trace{Chain: ctx.chain, TunnelLegs: vt.legs}
+	err := n.Overlay.TraceForwardInto(&tr, src, dstIP)
+	ctx.chain, vt.legs = tr.Chain, tr.TunnelLegs
+	*e = traceEntry{
+		srcIP: src.IP, dstIP: dstIP, srcHost: src.Host,
+		legOff: e.legOff, legCap: e.legCap,
+		reached: err == nil && tr.Outcome == overlay.Reached, slowPath: tr.SlowPath,
+	}
+	legs := vt.legs[off:]
+	switch {
+	case !e.reached:
+		vt.legs = vt.legs[:off] // the probe dies before reading them
+		return
+	case len(legs) <= int(e.legCap):
+		copy(vt.legs[e.legOff:], legs)
+		vt.legs = vt.legs[:off]
+	default:
+		e.legOff, e.legCap = uint32(off), uint8(len(legs))
+		vt.legHash = slices.Grow(vt.legHash, len(legs))[:len(vt.legs)]
+	}
+	e.nLegs = uint8(len(legs))
+
+	b := strconv.AppendUint(ctx.hashBuf[:0], uint64(src.VNI), 10)
+	b = append(b, '/')
+	b = append(b, src.IP...)
+	b = append(b, '>')
+	b = append(b, dstIP...)
+	e.flowHash = fnv(b)
+	base := len(b)
+	for k := 0; k < int(e.nLegs); k++ {
+		b = append(b[:base], '#')
+		b = strconv.AppendInt(b, int64(k), 10)
+		vt.legHash[int(e.legOff)+k] = fnv(b)
+	}
+	ctx.hashBuf = b
 }
 
 // CommitQueues folds the queue tallies of one or more probe contexts
@@ -476,7 +563,7 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 	now := n.Engine.Now()
 
 	*res = Result{UnderlayPath: res.UnderlayPath[:0]}
-	tr := ctx.trace(n, src, dst.IP)
+	tr, legs, legHash := ctx.trace(n, src, dst)
 	if !tr.reached {
 		// A broken or looped chain, or an unregistered source that
 		// cannot even leave its vport.
@@ -484,20 +571,9 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 		return
 	}
 
-	// Flow key bytes, built once per probe. The per-leg ECMP hash is
-	// fnv over these bytes plus a "#<leg>" suffix — byte-identical to
-	// the historical key, so hash-dependent path selections are
-	// unchanged. The probe's RNG seed reuses the same identity hash.
-	b := ctx.hashBuf[:0]
-	b = strconv.AppendUint(b, uint64(src.VNI), 10)
-	b = append(b, '/')
-	b = append(b, src.IP...)
-	b = append(b, '>')
-	b = append(b, dst.IP...)
-	base := len(b)
-	ctx.hashBuf = b
-
-	rng := sim.SplitMix64(n.seedBase ^ fnv(b) ^ entropy*0x9e3779b97f4a7c15 ^ uint64(now)*0x94d049bb133111eb)
+	// The probe's RNG is keyed by the flow identity hash the trace
+	// memoized, fnv("VNI/srcIP>dstIP").
+	rng := sim.SplitMix64(n.seedBase ^ tr.flowHash ^ entropy*0x9e3779b97f4a7c15 ^ uint64(now)*0x94d049bb133111eb)
 
 	var ef effects
 
@@ -512,18 +588,16 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 		ef.addLoss(slowPathLossRate)
 	}
 
-	// Walk each tunnel leg over its ECMP-selected underlay path. The
-	// hash-selected path is consumed through a stack PathView — no Path
+	// Walk each tunnel leg over its ECMP-selected underlay path, chosen
+	// by the leg's memoized fnv("VNI/srcIP>dstIP#leg") mixed with the
+	// entropy. The path is consumed through a stack PathView — no Path
 	// slices are materialized — and conditions are read from the dense
 	// ordinal-indexed tables.
 	var pv topology.PathView
-	for legIdx, leg := range tr.legs {
+	for k, leg := range legs {
 		srcNIC := topology.NIC{Host: leg.SrcHost, Rail: leg.SrcRail}
 		dstNIC := topology.NIC{Host: leg.DstHost, Rail: leg.DstRail}
-		b = append(b[:base], '#')
-		b = strconv.AppendInt(b, int64(legIdx), 10)
-		hash := fnv(b) ^ entropy
-		if err := n.Fabric.PathViewByHash(srcNIC, dstNIC, hash, &pv); err != nil {
+		if err := n.Fabric.PathViewByHash(srcNIC, dstNIC, legHash[k]^entropy, &pv); err != nil {
 			res.Lost = true
 			return
 		}
@@ -551,7 +625,7 @@ func (n *Net) ProbeIntoCtx(ctx *ProbeCtx, res *Result, src, dst overlay.Addr, en
 			ef.latency += linkCost
 		}
 	}
-	if len(tr.legs) == 0 {
+	if len(legs) == 0 {
 		// Same-host delivery through the vswitch only.
 		ef.latency += 2 * time.Microsecond
 	}

@@ -397,12 +397,31 @@ var ErrUnknownEndpoint = errors.New("overlay: unknown endpoint")
 // repo the single-threaded simulation engine guarantees that: shards
 // only fan out inside one engine event).
 func (n *Network) TraceForward(src Addr, dstIP string) (Trace, error) {
-	if _, ok := n.Endpoint(src.VNI, src.IP); !ok {
-		return Trace{}, ErrUnknownEndpoint
+	var tr Trace
+	if err := n.TraceForwardInto(&tr, src, dstIP); err != nil {
+		return Trace{}, err
 	}
-	// A healthy cross-host chain is vport → vswitch → vtep → vtep →
-	// vswitch → vport: six components, one allocation.
-	tr := Trace{Chain: make([]Component, 0, 6)}
+	return tr, nil
+}
+
+// TraceForwardInto is the append-into form of TraceForward, for
+// callers that trace often and keep what they read: it resolves the
+// chain into tr.Chain's backing array (allocating one only when tr
+// brings none) and appends the tunnel legs to tr.TunnelLegs after
+// whatever it already holds, so the legs of many traces can share one
+// arena. With both buffers grown, a trace allocates nothing. On error
+// tr.TunnelLegs is untouched.
+func (n *Network) TraceForwardInto(tr *Trace, src Addr, dstIP string) error {
+	tr.SlowPath = false
+	tr.Chain = tr.Chain[:0]
+	if _, ok := n.Endpoint(src.VNI, src.IP); !ok {
+		return ErrUnknownEndpoint
+	}
+	if tr.Chain == nil {
+		// A healthy cross-host chain is vport → vswitch → vtep → vtep →
+		// vswitch → vport: six components, one allocation.
+		tr.Chain = make([]Component, 0, 6)
+	}
 	tr.visit(VPortComponent(src))
 	host := src.Host
 	// A forwarding chain in a healthy overlay is at most a handful of
@@ -411,12 +430,12 @@ func (n *Network) TraceForward(src Addr, dstIP string) (Trace, error) {
 		vsw := n.vswitchRO(host)
 		if !tr.visit(VSwitchComponent(host)) {
 			tr.Outcome = Looped
-			return tr, nil
+			return nil
 		}
 		entry, ok := vsw.Lookup(FlowKey{VNI: src.VNI, Dst: dstIP})
 		if !ok {
 			tr.Outcome = Broken
-			return tr, nil
+			return nil
 		}
 		// Software processing happens either when the entry was never
 		// offloaded (e.g. flows falling back to the kernel stack, issue 14)
@@ -427,7 +446,7 @@ func (n *Network) TraceForward(src Addr, dstIP string) (Trace, error) {
 		switch entry.Action.Type {
 		case ActionDrop:
 			tr.Outcome = Broken
-			return tr, nil
+			return nil
 		case ActionLocal:
 			dst, ok := n.Endpoint(src.VNI, dstIP)
 			if !ok || dst.Host != host {
@@ -435,24 +454,24 @@ func (n *Network) TraceForward(src Addr, dstIP string) (Trace, error) {
 				// is the broken component.
 				tr.Chain = append(tr.Chain, vport(src.VNI, dstIP))
 				tr.Outcome = Broken
-				return tr, nil
+				return nil
 			}
 			if !tr.visit(VPortComponent(dst)) {
 				tr.Outcome = Looped
-				return tr, nil
+				return nil
 			}
 			tr.Outcome = Reached
-			return tr, nil
+			return nil
 		case ActionTunnel:
 			srcRail := entry.Action.Rail
 			if !tr.visit(VTEPComponent(host, srcRail)) {
 				tr.Outcome = Looped
-				return tr, nil
+				return nil
 			}
 			remote := entry.Action.RemoteHost
 			if !tr.visit(VTEPComponent(remote, srcRail)) {
 				tr.Outcome = Looped
-				return tr, nil
+				return nil
 			}
 			tr.TunnelLegs = append(tr.TunnelLegs, TunnelLeg{
 				SrcHost: host, SrcRail: srcRail, DstHost: remote, DstRail: srcRail,
@@ -460,11 +479,11 @@ func (n *Network) TraceForward(src Addr, dstIP string) (Trace, error) {
 			host = remote
 		default:
 			tr.Outcome = Broken
-			return tr, nil
+			return nil
 		}
 	}
 	tr.Outcome = Looped
-	return tr, nil
+	return nil
 }
 
 // visit appends c to the chain and reports false if c was already on
