@@ -40,7 +40,10 @@ deadcode:
 # and writes each run's raw `go test -bench -benchmem` text — the format
 # benchstat compares — to a BENCH_*.txt file for CI to archive, so
 # analysis- and incident-plane perf regressions show up as an artifact
-# diff. The log-store pair is the round's
+# diff. The analyzer line is a round at one worker, one at GOMAXPROCS,
+# and one fed agent-shaped batches (one time per batch, ping-list target
+# order, ten agent rounds per interval: the drain's canonical-order
+# placement at the fleet's inbox shape). The log-store pair is the round's
 # barrier append and a full-ring scan per query dimension — the read
 # cost the scan-on-read store accepts, as a number. The netsim line is
 # one overlay trace-cache miss, one probe that hits a warm trace cache

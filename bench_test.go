@@ -501,6 +501,25 @@ func BenchmarkAblationCUSUMvsLOF(b *testing.B) {
 
 // --- Analysis-plane pipeline (DESIGN.md §analysis-plane) ---
 
+// benchAnalyzer builds an analyzer on a one-pod fabric and names its
+// benchmark tasks.
+func benchAnalyzer(b *testing.B, workers, tasks int) (*analyzer.Analyzer, []cluster.TaskID) {
+	eng := sim.NewEngine(7)
+	fab, err := topology.New(topology.Spec{Pods: 1, HostsPerPod: 8, Rails: 8, AggPerPod: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ovl := overlay.NewNetwork()
+	cp := cluster.NewControlPlane(eng, fab, ovl, cluster.DefaultLagModel())
+	net := netsim.New(eng, fab, ovl)
+	loc := localize.NewWithControlPlane(net, cp)
+	taskIDs := make([]cluster.TaskID, tasks)
+	for i := range taskIDs {
+		taskIDs[i] = cluster.TaskID(fmt.Sprintf("bench-task-%02d", i))
+	}
+	return analyzer.New(eng, loc, analyzer.Config{Workers: workers}), taskIDs
+}
+
 // benchAnalyzerRound drives the sharded analysis plane at a
 // production-shaped load: 16 concurrent task shards, each ingesting a
 // full 30-sample detection window for 24 pairs per round (11,520
@@ -513,21 +532,7 @@ func benchAnalyzerRound(b *testing.B, workers int) {
 		pairsPerTask     = 24
 		samplesPerWindow = 30
 	)
-	eng := sim.NewEngine(7)
-	fab, err := topology.New(topology.Spec{Pods: 1, HostsPerPod: 8, Rails: 8, AggPerPod: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ovl := overlay.NewNetwork()
-	cp := cluster.NewControlPlane(eng, fab, ovl, cluster.DefaultLagModel())
-	net := netsim.New(eng, fab, ovl)
-	loc := localize.NewWithControlPlane(net, cp)
-	an := analyzer.New(eng, loc, analyzer.Config{Workers: workers})
-
-	taskIDs := make([]cluster.TaskID, tasks)
-	for i := range taskIDs {
-		taskIDs[i] = cluster.TaskID(fmt.Sprintf("bench-task-%02d", i))
-	}
+	an, taskIDs := benchAnalyzer(b, workers, tasks)
 	dist := stats.LogNormal{Mu: math.Log(16), Sigma: 0.1}
 	r := rand.New(rand.NewSource(5))
 	batch := make(probe.Batch, 0, pairsPerTask*samplesPerWindow)
@@ -569,6 +574,59 @@ func BenchmarkAnalyzerRoundSerial(b *testing.B) { benchAnalyzerRound(b, 1) }
 // GOMAXPROCS workers; alarms are bit-identical to the serial run (see
 // internal/hunter determinism tests), only wall-clock differs.
 func BenchmarkAnalyzerRoundSharded(b *testing.B) { benchAnalyzerRound(b, 0) }
+
+// BenchmarkAnalyzerRoundAgentShaped feeds the analysis round the inbox
+// the fleet produces: every batch is one agent's round, one observation
+// time for the whole batch, its records in basic-ping-list target order
+// (destination container, then rail — not pair-key order), and ten
+// agent rounds queue per analysis interval. 16 tasks of 4 containers
+// on 8 rails probe 15,360 records per interval; the round fans out over
+// GOMAXPROCS workers.
+func BenchmarkAnalyzerRoundAgentShaped(b *testing.B) {
+	const (
+		tasks           = 16
+		containers      = 4
+		rails           = 8
+		agentRounds     = 10
+		agentRoundEvery = 3 * time.Second
+	)
+	an, taskIDs := benchAnalyzer(b, 0, tasks)
+	dist := stats.LogNormal{Mu: math.Log(16), Sigma: 0.1}
+	r := rand.New(rand.NewSource(5))
+	batch := make(probe.Batch, 0, (containers-1)*rails)
+	at := time.Duration(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for round := 0; round < agentRounds; round++ {
+			for _, id := range taskIDs {
+				for src := 0; src < containers; src++ {
+					batch = batch[:0]
+					for dst := 0; dst < containers; dst++ {
+						if dst == src {
+							continue
+						}
+						for rail := 0; rail < rails; rail++ {
+							batch = append(batch, probe.Record{
+								Task:         id,
+								SrcContainer: src, SrcRail: rail,
+								DstContainer: dst, DstRail: rail,
+								At:  at,
+								RTT: time.Duration(dist.Sample(r) * float64(time.Microsecond)),
+							})
+						}
+					}
+					an.IngestBatch(batch)
+				}
+			}
+			at += agentRoundEvery
+		}
+		an.Round(at)
+	}
+	b.StopTimer()
+	total := float64(b.N) * agentRounds * tasks * containers * (containers - 1) * rails
+	b.ReportMetric(total/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(len(an.Alarms())), "alarms")
+}
 
 func boolMetric(v bool) float64 {
 	if v {

@@ -24,7 +24,6 @@
 package analyzer
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -204,10 +203,10 @@ type shard struct {
 	// samples is a reusable buffer for one pair run's samples: the
 	// detector and the correlate layer both read it.
 	samples []detect.Sample
-	// locScratch is the shard's reusable localization workspace (the
-	// vote accumulator); per-shard votes merge at the round barrier in
-	// task-key order, never across shards.
-	locScratch localize.Scratch
+	// rank gives each live slot its key's position in the pair table's
+	// key order; a pair joining or leaving the table makes it stale.
+	rank  []int32
+	stale bool
 }
 
 func newShard(task string, cfg Config) *shard {
@@ -233,7 +232,25 @@ func (s *shard) slotOf(k pairKey, rec *probe.Record) int32 {
 	}
 	s.slots[i].src, s.slots[i].dst = rec.Src, rec.Dst
 	s.index[k] = i
+	s.stale = true
 	return i
+}
+
+// keyOrder lays the pair table's keys out ascending in sc and ranks
+// each live slot by its key's position there.
+func (s *shard) keyOrder(sc *drainScratch) []pairKey {
+	keys := slices.Grow(sc.keys[:0], len(s.index))
+	for k := range s.index {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	s.rank = slices.Grow(s.rank[:0], len(s.slots))[:len(s.slots)]
+	for r, k := range keys {
+		s.rank[s.index[k]] = int32(r)
+	}
+	s.stale = false
+	sc.keys = keys
+	return keys
 }
 
 // enqueue admits one agent round's records into the inbox, resolving
@@ -260,31 +277,125 @@ func (s *shard) enqueue(recs probe.Batch) {
 	s.cfg.Obs.Add(obs.RecordsIngested, uint64(len(recs)))
 }
 
-// canonical orders inbox entries by observation time, then pair.
-func canonical(a, b entry) int {
-	if c := cmp.Compare(a.At, b.At); c != 0 {
-		return c
+// drainScratch is one worker slot's analysis workspace. A slot runs
+// the shards pinned to it one at a time, so one scratch serves them
+// all: nothing in it carries from one shard's drain or localization to
+// the next.
+type drainScratch struct {
+	// keys is a shard's pair keys in order (see keyOrder).
+	keys []pairKey
+	// perm is the inbox's canonical order and tmp its first placement
+	// pass; byKey and byAt are the two passes' placement counters.
+	perm, tmp, byKey, byAt []int32
+	// ats is the inbox's distinct observation times, ascending.
+	ats []time.Duration
+	loc localize.Scratch
+}
+
+// canonicalOrder returns the permutation that puts the inbox in
+// canonical order — observation time, then pair, arrival order among
+// equals — exactly as a stable sort would, with no comparison sort over
+// the entries: a stable counting placement by the pair's rank in the
+// shard's key order, then a stable one by the entry's rank among the
+// inbox's distinct times. The entries themselves never move.
+func (sc *drainScratch) canonicalOrder(inbox []entry, rank []int32, keys int) []int32 {
+	n := len(inbox)
+	sc.perm = slices.Grow(sc.perm[:0], n)[:n]
+	sc.tmp = slices.Grow(sc.tmp[:0], n)[:n]
+
+	// Count the key ranks and gather the distinct times. Agents deliver
+	// their rounds' records in ascending time, so the times mostly
+	// arrive sorted; a delayed or reordered batch costs one sort of the
+	// times, never of the entries.
+	byKey := zeroed(&sc.byKey, keys+1)
+	ats, sorted := sc.ats[:0], true
+	for i := range inbox {
+		byKey[rank[inbox[i].slot]+1]++
+		at := inbox[i].At
+		if m := len(ats); m > 0 && at <= ats[m-1] {
+			if at == ats[m-1] {
+				continue
+			}
+			sorted = false
+		}
+		ats = append(ats, at)
 	}
-	return cmp.Compare(a.key, b.key)
+	if !sorted {
+		slices.Sort(ats)
+		ats = slices.Compact(ats)
+	}
+	sc.ats = ats
+	prefixSums(byKey)
+
+	// Place by key rank, counting the time ranks on the way; then place
+	// that order by time rank.
+	byAt := zeroed(&sc.byAt, len(ats)+1)
+	r := 0
+	for i := range inbox {
+		k := rank[inbox[i].slot]
+		sc.tmp[byKey[k]] = int32(i)
+		byKey[k]++
+		r = atRank(ats, inbox[i].At, r)
+		byAt[r+1]++
+	}
+	prefixSums(byAt)
+	for _, i := range sc.tmp {
+		r = atRank(ats, inbox[i].At, r)
+		sc.perm[byAt[r]] = i
+		byAt[r]++
+	}
+	return sc.perm
+}
+
+// zeroed resizes *buf to n zeroed counters.
+func zeroed(buf *[]int32, n int) []int32 {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	clear(*buf)
+	return *buf
+}
+
+// prefixSums turns per-rank counts, shifted up one, into each rank's
+// first position.
+func prefixSums(cnt []int32) {
+	for r := 1; r < len(cnt); r++ {
+		cnt[r] += cnt[r-1]
+	}
+}
+
+// atRank returns at's position in ats, which holds it. Lookups in
+// arrival order mostly repeat the last time, and lookups in pair order
+// mostly step to the next one, so hint and hint+1 are tried first.
+func atRank(ats []time.Duration, at time.Duration, hint int) int {
+	if hint < len(ats) && ats[hint] == at {
+		return hint
+	}
+	if hint+1 < len(ats) && ats[hint+1] == at {
+		return hint + 1
+	}
+	r, _ := slices.BinarySearch(ats, at)
+	return r
 }
 
 // drain runs the window/detect stage: every inbox entry flows into its
-// pair's slot and the detector. The inbox is first restored to
-// canonical order — observation time, then pair — so the round is a
-// pure function of the window's record set, not of how delivery
-// interleaved the agents' batches (arrival order between agents is an
-// accident of transport scheduling; each agent's own records already
-// carry ascending timestamps). The order also groups a pair's records
+// pair's slot and the detector. The entries are visited in canonical
+// order — observation time, then pair — so the round is a pure function
+// of the window's record set, not of how delivery interleaved the
+// agents' batches (arrival order between agents is an accident of
+// transport scheduling; each agent's own records already carry
+// ascending timestamps). The order also groups a pair's records
 // contiguously, so each run of one pair is one detector call.
-func (s *shard) drain(cs *correlate.Shard) (records int) {
+func (s *shard) drain(sc *drainScratch, cs *correlate.Shard) (records int) {
 	records = len(s.inbox)
-	slices.SortStableFunc(s.inbox, canonical)
-	for lo := 0; lo < len(s.inbox); {
-		hi := lo + 1
-		for hi < len(s.inbox) && s.inbox[hi].key == s.inbox[lo].key {
+	if s.stale {
+		s.keyOrder(sc)
+	}
+	perm := sc.canonicalOrder(s.inbox, s.rank, len(s.index))
+	for lo := 0; lo < len(perm); {
+		key, hi := s.inbox[perm[lo]].key, lo+1
+		for hi < len(perm) && s.inbox[perm[hi]].key == key {
 			hi++
 		}
-		s.observeRun(cs, s.inbox[lo:hi])
+		s.observeRun(cs, perm[lo:hi])
 		lo = hi
 	}
 	s.inbox = s.inbox[:0]
@@ -292,15 +403,16 @@ func (s *shard) drain(cs *correlate.Shard) (records int) {
 	return records
 }
 
-// observeRun feeds one pair's run of entries into its slot: the
-// endpoints the run probed, its paths, the healthy ring, then the
-// detector and the correlate layer.
-func (s *shard) observeRun(cs *correlate.Shard, run []entry) {
-	sl := &s.slots[run[0].slot]
-	sl.src.Host, sl.dst.Host = int(run[0].srcHost), int(run[0].dstHost)
+// observeRun feeds one pair's run of entries (inbox indices, in
+// canonical order) into its slot: the endpoints the run probed, its
+// paths, the healthy ring, then the detector and the correlate layer.
+func (s *shard) observeRun(cs *correlate.Shard, run []int32) {
+	first := &s.inbox[run[0]]
+	sl := &s.slots[first.slot]
+	sl.src.Host, sl.dst.Host = int(first.srcHost), int(first.dstHost)
 	s.samples = s.samples[:0]
-	for i := range run {
-		e := &run[i]
+	for _, i := range run {
+		e := &s.inbox[i]
 		path := s.pathPool[e.pathOff : e.pathOff+e.pathLen]
 		if len(path) > 0 {
 			sl.remember(path)
@@ -310,7 +422,7 @@ func (s *shard) observeRun(cs *correlate.Shard, run []entry) {
 		}
 		s.samples = append(s.samples, detect.Sample{At: e.At, RTT: e.RTT, Lost: e.lost})
 	}
-	key := run[0].key.detectKey(s.task)
+	key := first.key.detectKey(s.task)
 	s.detector.ObserveMany(key, &sl.det, s.samples)
 	if cs != nil {
 		cs.ObserveRun(key, sl.src, sl.dst, s.samples)
@@ -340,27 +452,23 @@ func (s *shard) observeHealthy(path []int32) {
 // flush closes every pair's open windows at now, walking the pair
 // table in key order so the flush-path anomaly sequence is a pure
 // function of the shard's state.
-func (s *shard) flush(now time.Duration) {
-	keys := make([]pairKey, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
+func (s *shard) flush(sc *drainScratch, now time.Duration) {
+	for _, k := range s.keyOrder(sc) {
 		s.detector.Flush(k.detectKey(s.task), &s.slots[s.index[k]].det, now)
 	}
 }
 
 // localizeRound runs the localize stage over the shard's pending
-// anomalies. Evidence is assembled in sorted pair-key order so the
-// verdict sequence is a pure function of the shard's state.
-func (s *shard) localizeRound(loc *localize.Localizer) ([]detect.Anomaly, []localize.Verdict) {
+// anomalies on the worker slot's vote table. Evidence is assembled in
+// sorted pair-key order so the verdict sequence is a pure function of
+// the shard's state.
+func (s *shard) localizeRound(loc *localize.Localizer, sc *localize.Scratch) ([]detect.Anomaly, []localize.Verdict) {
 	if len(s.pending) == 0 {
 		return nil, nil
 	}
 	anomalies := s.pending
 	s.pending = nil
-	return anomalies, loc.LocalizeWith(&s.locScratch, s.evidence(anomalies), s.healthy)
+	return anomalies, loc.LocalizeWith(sc, s.evidence(anomalies), s.healthy)
 }
 
 // evidence builds the localization evidence for a round's anomalies:
@@ -442,9 +550,10 @@ type Analyzer struct {
 
 	cfg     Config
 	shards  map[string]*shard
-	keys    []string      // shard task keys, ascending: fan-out and merge order
-	pool    probe.Pool    // per-slot fan-out scratch
-	results []shardResult // per-round scratch, indexed like keys
+	keys    []string       // shard task keys, ascending: fan-out and merge order
+	pool    probe.Pool     // per-slot fan-out scratch
+	scratch []drainScratch // per-slot drain and localize scratch
+	results []shardResult  // per-round scratch, indexed like keys
 
 	alarms    []Alarm
 	blacklist map[component.ID]time.Duration // component → first blacklisted
@@ -484,6 +593,15 @@ func (an *Analyzer) resetShards() {
 	}
 	an.shards = make(map[string]*shard)
 	an.keys = an.keys[:0]
+}
+
+// slotScratch returns the drain scratch for a fan-out over n shards,
+// one per worker slot; slot 0 always exists, for Flush's serial drain.
+func (an *Analyzer) slotScratch(n int) []drainScratch {
+	for len(an.scratch) < max(1, probe.SlotCount(an.cfg.Workers, n)) {
+		an.scratch = append(an.scratch, drainScratch{})
+	}
+	return an.scratch
 }
 
 // Start begins periodic analysis rounds.
@@ -558,22 +676,23 @@ func (an *Analyzer) Round(now time.Duration) {
 		an.results = make([]shardResult, len(keys))
 	}
 	results := an.results[:len(keys)]
+	scratch := an.slotScratch(len(keys))
 	// Wall-clock stage timings are observability only: they never feed
 	// back into the simulation, so alarms stay bit-identical with or
 	// without an observer.
-	probe.FanOut(&an.pool, an.cfg.Workers, keys, func(_, i int) {
+	probe.FanOut(&an.pool, an.cfg.Workers, keys, func(w, i int) {
 		start := time.Now()
-		task, s := keys[i], an.shards[keys[i]]
+		task, s, sc := keys[i], an.shards[keys[i]], &scratch[w]
 		var cs *correlate.Shard
 		if cor != nil {
 			cs = cor.ShardOf(task)
 		}
 		evalBefore := s.detector.Evaluated
-		n := s.drain(cs)
+		n := s.drain(sc, cs)
 		o.ObserveDuration("stage-detect-ms", time.Since(start))
 		o.Add(obs.RecordsDrained, uint64(n))
 		localizeStart := time.Now()
-		anomalies, verdicts := s.localizeRound(an.Localizer)
+		anomalies, verdicts := s.localizeRound(an.Localizer, &sc.loc)
 		o.ObserveDuration("stage-localize-ms", time.Since(localizeStart))
 		o.Add(obs.WindowsEvaluated, uint64(s.detector.Evaluated-evalBefore))
 		o.Add(obs.AnomaliesDetected, uint64(len(anomalies)))
@@ -631,6 +750,7 @@ func (an *Analyzer) Flush(now time.Duration) {
 	// Drain inboxes first so every record reaches its window, then
 	// close the windows; Round would drain too, but by then the flush
 	// must already have evaluated the half-open windows.
+	sc := &an.slotScratch(0)[0]
 	for _, task := range an.keys {
 		s := an.shards[task]
 		var cs *correlate.Shard
@@ -638,9 +758,9 @@ func (an *Analyzer) Flush(now time.Duration) {
 			cs = an.cfg.Correlate.ShardOf(task)
 		}
 		evalBefore := s.detector.Evaluated
-		n := s.drain(cs)
+		n := s.drain(sc, cs)
 		an.cfg.Obs.Add(obs.RecordsDrained, uint64(n))
-		s.flush(now)
+		s.flush(sc, now)
 		an.cfg.Obs.Add(obs.WindowsEvaluated, uint64(s.detector.Evaluated-evalBefore))
 	}
 	an.Round(now)
@@ -695,6 +815,7 @@ func (an *Analyzer) ForgetContainer(task string, containerIdx int) {
 			delete(s.index, k)
 			s.slots[i] = slot{}
 			s.free = append(s.free, i)
+			s.stale = true
 		}
 	}
 	// Inbox records touching the container are withdrawn before they

@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -450,6 +451,13 @@ func TestForgetMatching(t *testing.T) {
 	if got := st.Get(obs.RecordsWithdrawn); got != 2 {
 		t.Fatalf("withdrew %d queued records, want 2", got)
 	}
+	// With no pair joining since, the next drain ranks the survivor in
+	// the shrunk table.
+	an.IngestBatch(probe.Batch{r.record(2, 3, 0, 8)})
+	an.Round(r.eng.Now())
+	if got := st.Get(obs.RecordsDrained); got != 5 {
+		t.Fatalf("drained %d records, want 5", got)
+	}
 	an.IngestBatch(probe.Batch{r.record(0, 1, 0, 7)})
 	if i := s.index[keyOf(0, 0, 1, 0)]; len(s.slots) != 3 || len(s.slots[i].paths) != 0 {
 		t.Fatalf("re-probed pair got slot %d of %d, not a fresh reused one", i, len(s.slots))
@@ -509,6 +517,93 @@ func TestFlushEmitsInSortedPairOrder(t *testing.T) {
 		})
 		if got := run(shuffled); !slices.Equal(got, want) {
 			t.Fatalf("rep %d: emission order depends on insertion: got %v want %v", rep, got, want)
+		}
+	}
+}
+
+// canonical is the drain order's oracle: observation time, then pair,
+// for a stable sort.
+func canonical(a, b entry) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.key, b.key)
+}
+
+// TestDrainOrderMatchesStableSort holds the drain's counting
+// permutation to the stable sort it replaced. Random multi-batch
+// inboxes on three task shards and two worker slots carry
+// out-of-order times (delayed batches), duplicated (time, pair)
+// records, pair coordinates spread over the whole 16-bit range, a
+// ForgetContainer mid-interval and, behind a withheld round, two
+// intervals at once. Every record carries a healthy RTT and a
+// one-link path naming it, so the shard's healthy ring lists, in
+// order, the records the drain observed; that list must be the inbox
+// stable-sorted by canonical.
+func TestDrainOrderMatchesStableSort(t *testing.T) {
+	r := newRig(t)
+	coords := []int{0, 1, 255, 256, 0x7fff, 0x8000, 0xfffe, 0xffff}
+	tasks := []cluster.TaskID{"drain-a", "drain-b", "drain-c"}
+	rng := rand.New(rand.NewSource(41))
+	base := r.record(0, 1, 0, 1)
+	for trial := 0; trial < 20; trial++ {
+		an := New(r.eng, r.an.Localizer, Config{Workers: 2})
+		withhold := false
+		an.Gate = func(time.Duration) bool { return withhold }
+		var seq int32
+		now := base.At
+		for round := 0; round < 4; round++ {
+			withhold = round == 1
+			for b := 0; b < 12; b++ {
+				task := tasks[rng.Intn(len(tasks))]
+				at := now + time.Duration(rng.Intn(10))*time.Second
+				batch := make(probe.Batch, 1+rng.Intn(10))
+				for i := range batch {
+					rec := base
+					rec.Task = task
+					rec.SrcContainer, rec.SrcRail = coords[rng.Intn(len(coords))], coords[rng.Intn(len(coords))]
+					rec.DstContainer, rec.DstRail = coords[rng.Intn(len(coords))], coords[rng.Intn(len(coords))]
+					rec.At, rec.RTT, rec.Lost = at, 16*time.Microsecond, false
+					if i > 0 && rng.Intn(4) == 0 {
+						rec = batch[i-1] // a telemetry duplicate
+					}
+					seq++
+					rec.Path = []int32{seq}
+					batch[i] = rec
+				}
+				an.IngestBatch(batch)
+				if b == 6 && round == 2 {
+					an.ForgetContainer(string(tasks[0]), coords[rng.Intn(len(coords))])
+				}
+			}
+			now += 10 * time.Second
+			if withhold {
+				an.Round(now)
+				continue
+			}
+			want := map[string][]int32{}
+			before := map[string]int{}
+			for task, s := range an.shards {
+				order := make([]int, len(s.inbox))
+				for i := range order {
+					order[i] = i
+				}
+				slices.SortStableFunc(order, func(a, b int) int { return canonical(s.inbox[a], s.inbox[b]) })
+				for _, i := range order {
+					want[task] = append(want[task], s.pathPool[s.inbox[i].pathOff])
+				}
+				before[task] = len(s.healthy)
+			}
+			an.Round(now)
+			for task, s := range an.shards {
+				var got []int32
+				for _, ob := range s.healthy[before[task]:] {
+					got = append(got, ob.Path[0])
+				}
+				if !slices.Equal(got, want[task]) {
+					t.Fatalf("trial %d round %d shard %s: drain observed\n%v\nwant the stable sort's\n%v", trial, round, task, got, want[task])
+				}
+			}
 		}
 	}
 }

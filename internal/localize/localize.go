@@ -194,15 +194,16 @@ func NewWithControlPlane(net *netsim.Net, cp *cluster.ControlPlane) *Localizer {
 	}
 }
 
-// Scratch is a reusable per-shard localization workspace: the
-// dense-ordinal vote accumulator persists across analysis rounds
-// instead of reallocating a NumLinks-sized table per shard per round.
+// Scratch is a reusable localization workspace: the dense-ordinal
+// vote accumulator persists across calls instead of reallocating a
+// NumLinks-sized table per call.
 //
-// Ownership: a Scratch belongs to exactly one analyzer shard; one
-// shard's rounds never run concurrently, so no locking. Shards on the
-// same Localizer each hold their own Scratch — votes accumulate
-// per-shard and merge at the round barrier in task-key order (see
-// analyzer), never across shards.
+// Ownership: a Scratch belongs to one analysis worker slot, which runs
+// its shards' LocalizeWith calls one after another, so no locking. A
+// call zeroes the votes the previous one left before voting, and no
+// returned verdict or evidence refers into the Scratch, so the shards
+// sharing one see nothing of each other; their verdicts merge at the
+// round barrier in task-key order (see analyzer).
 type Scratch struct {
 	votes    []int32
 	touched  []int32 // dirty vote ordinals, carried so the next round can zero them

@@ -179,6 +179,62 @@ func TestTraceCacheDifferential(t *testing.T) {
 	}
 }
 
+// TestTraceCacheAcrossFleetWideMove probes one VNI on both sides of a
+// fleet-wide generation move: a VSwitch handout that rewrites one of the
+// VNI's entries moves Gen, not the VNI's VNIGen, so only the fleet-wide
+// check stands between a ctx that just served this VNI and a stale
+// trace. Each step drops one of the VNI's flows through the handout,
+// re-probes it, restores it the same way and re-probes again, through
+// one long-lived ctx and through a fresh one; the pair must change
+// outcome with each edit, and the two ctxs must agree.
+func TestTraceCacheAcrossFleetWideMove(t *testing.T) {
+	n, tenants := cacheWorld(t)
+	eps := tenants[0]
+	long := n.NewProbeCtx()
+	var got, want Result
+	probe := func(step int, op string, src, dst overlay.Addr) bool {
+		t.Helper()
+		n.ProbeIntoCtx(long, &got, src, dst, uint64(step))
+		n.ProbeIntoCtx(n.NewProbeCtx(), &want, src, dst, uint64(step))
+		if got.Lost != want.Lost || got.RTT != want.RTT || !slices.Equal(got.UnderlayPath, want.UnderlayPath) {
+			t.Fatalf("step %d (%s): %s→%s through the long-lived ctx = {lost %v rtt %v path %v}, fresh ctx = {lost %v rtt %v path %v}",
+				step, op, src.IP, dst.IP, got.Lost, got.RTT, got.UnderlayPath, want.Lost, want.RTT, want.UnderlayPath)
+		}
+		return got.Lost
+	}
+	step := 0
+	for _, src := range eps {
+		for _, dst := range eps {
+			if src == dst {
+				continue
+			}
+			// The fault injector's path: edit the entry through a handout.
+			key := overlay.FlowKey{VNI: src.VNI, Dst: dst.IP}
+			setAction := func(a overlay.FlowAction) overlay.FlowAction {
+				e, ok := n.Overlay.VSwitch(src.Host).Lookup(key)
+				if !ok {
+					t.Fatalf("no flow entry for %s→%s", src.IP, dst.IP)
+				}
+				old := e.Action
+				e.Action = a
+				return old
+			}
+			if probe(step, "before", src, dst) {
+				t.Fatalf("step %d: %s→%s lost before any edit", step, src.IP, dst.IP)
+			}
+			saved := setAction(overlay.FlowAction{Type: overlay.ActionDrop})
+			if !probe(step, "dropped through the handout", src, dst) {
+				t.Fatalf("step %d: %s→%s still delivered after its entry became a drop", step, src.IP, dst.IP)
+			}
+			setAction(saved)
+			if probe(step, "restored through the handout", src, dst) {
+				t.Fatalf("step %d: %s→%s still lost after its entry was restored", step, src.IP, dst.IP)
+			}
+			step++
+		}
+	}
+}
+
 // TestTraceCacheScopedToVNI: a mutation in one VNI costs no other VNI a
 // miss, and a quiet repeat costs none at all.
 func TestTraceCacheScopedToVNI(t *testing.T) {

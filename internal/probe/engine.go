@@ -162,7 +162,7 @@ func (re *RoundEngine) execute(run []*OverlayAgent, now time.Duration) {
 
 	re.Sink.Prepare(tasks)
 
-	slots := slotCount(re.Workers, len(spans))
+	slots := SlotCount(re.Workers, len(spans))
 	for len(re.ctxs) < slots {
 		re.ctxs = append(re.ctxs, re.Net.NewProbeCtx())
 	}
@@ -214,9 +214,10 @@ type Pool struct {
 	wg    sync.WaitGroup
 }
 
-// slotCount is how many worker slots a fan-out of n tasks runs on:
-// workers (GOMAXPROCS when <= 0), capped at n.
-func slotCount(workers, n int) int {
+// SlotCount is how many worker slots a fan-out of n tasks runs on:
+// workers (GOMAXPROCS when <= 0), capped at n. Callers size their
+// per-slot scratch by it.
+func SlotCount(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -231,7 +232,7 @@ func slotCount(workers, n int) int {
 // and write its result by index, so results read back in ascending i —
 // the deterministic merge — are the same at any worker count.
 func FanOut[K ~string](p *Pool, workers int, tasks []K, fn func(slot, i int)) {
-	n := slotCount(workers, len(tasks))
+	n := SlotCount(workers, len(tasks))
 	if n <= 1 {
 		for i := range tasks {
 			fn(0, i)

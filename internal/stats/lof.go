@@ -64,24 +64,79 @@ func (s *LOFScratch) grow(n int) {
 	s.nn = s.nn[:n]
 }
 
-// neighbours sorts idx by distance in row and returns the
-// k-distance and the k-neighbourhood: the k nearest, plus every point
-// tied with the k-th (the neighbourhood may exceed k on ties).
-func (s *LOFScratch) neighbours(idx []int, row []float64, k int) (float64, []int) {
-	s.order = byDistance{idx: idx, row: row}
-	sort.Sort(&s.order)
-	if k > len(idx) {
-		k = len(idx)
+// selectMax is the longest neighbour row that neighbours selects
+// rather than sorts. pdqsort sorts a range of at most 12 elements by
+// plain insertion sort, which is stable, so a bounded stable insertion
+// of the k nearest yields exactly the prefix sort.Sort would, in the
+// same order among ties, and every reach-distance sum stays bit-equal.
+// Past 12 pdqsort is no longer stable and a longer row keeps the full
+// sort, whose tie order the oracle pins. The detector never gets there:
+// its look-back holds 10 windows, so its rows are 9 and 10 long.
+const selectMax = 12
+
+// neighbours returns row's k-distance and k-neighbourhood: the k
+// nearest indices, plus every index tied with the k-th (so the
+// neighbourhood may exceed k), in the order sort.Sort leaves them. skip
+// is the row's own index, which is no neighbour (-1 for the query row).
+// buf is the row's neighbour storage, len(row) long.
+func (s *LOFScratch) neighbours(buf []int, row []float64, skip, k int) (float64, []int) {
+	m := len(row)
+	if skip >= 0 {
+		m--
 	}
+	k = min(k, m)
 	if k == 0 {
 		return 0, nil
 	}
-	kd := row[idx[k-1]]
-	m := k
-	for m < len(idx) && row[idx[m]] == kd {
-		m++
+	sel := buf[:0:len(buf)]
+	if m > selectMax {
+		for j := range row {
+			if j != skip {
+				sel = append(sel, j)
+			}
+		}
+		s.order = byDistance{idx: sel, row: row}
+		sort.Sort(&s.order)
+		kd, t := row[sel[k-1]], k
+		for t < m && row[sel[t]] == kd {
+			t++
+		}
+		return kd, sel[:t]
 	}
-	return kd, idx[:m]
+	// Bounded stable insertion in index order: sel holds, sorted, the
+	// k nearest seen so far plus their ties. Insertion sort never moves
+	// a NaN nor anything past one, so a NaN that lands beyond the k
+	// nearest ends the row, and one within them stays where it lands.
+	for j, d := range row {
+		if j == skip {
+			continue
+		}
+		n := len(sel)
+		if d != d {
+			if n >= k {
+				break
+			}
+			sel = append(sel, j)
+			continue
+		}
+		if n >= k && !(d < row[sel[n-1]]) && d != row[sel[k-1]] {
+			continue // lands past the k nearest and their ties
+		}
+		sel = append(sel, j)
+		p := n
+		for ; p > 0 && d < row[sel[p-1]]; p-- {
+			sel[p] = sel[p-1]
+		}
+		sel[p] = j
+		if len(sel) > k {
+			kd, t := row[sel[k-1]], k
+			for t < len(sel) && row[sel[t]] == kd {
+				t++
+			}
+			sel = sel[:t]
+		}
+	}
+	return row[sel[k-1]], sel
 }
 
 // LOFScore scores a single query point against a reference set (the
@@ -121,15 +176,9 @@ func LOFScore(s *LOFScratch, query, history []float64, dim, k int) float64 {
 	}
 
 	// History k-distances and neighbourhoods: row i of the neighbour
-	// buffer holds every other point, sorted by distance from i.
+	// buffer starts with i's neighbourhood, nearest first.
 	for i := 0; i < n; i++ {
-		idx := s.neigh[i*n : i*n : i*n+n]
-		for j := 0; j < n; j++ {
-			if j != i {
-				idx = append(idx, j)
-			}
-		}
-		kd, nb := s.neighbours(idx, s.dist[i*n:i*n+n], k)
+		kd, nb := s.neighbours(s.neigh[i*n:i*n+n], s.dist[i*n:i*n+n], i, k)
 		s.kdist[i], s.nn[i] = kd, len(nb)
 	}
 
@@ -153,11 +202,7 @@ func LOFScore(s *LOFScratch, query, history []float64, dim, k int) float64 {
 
 	// Query neighbourhood and density. Every history row is consumed
 	// above, so row 0 of the neighbour buffer is free to reuse.
-	qidx := s.neigh[:n]
-	for i := range qidx {
-		qidx[i] = i
-	}
-	_, qneigh := s.neighbours(qidx, s.qd, k)
+	_, qneigh := s.neighbours(s.neigh[:n], s.qd, -1, k)
 
 	var reachSum float64
 	for _, j := range qneigh {

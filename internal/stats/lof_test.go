@@ -281,6 +281,71 @@ func TestLOFScoreMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestLOFScoreSelectionEdges holds the bounded selection to the oracle
+// where it is easiest to get wrong: infinite coordinates (whose
+// distances include +Inf and, for two infinite points, NaN, which
+// insertion sort never moves), histories of one repeated point, k at
+// and past the history size, and n = 12, 13 and 14, where the
+// history rows (n-1 long) and the query row (n long) cross from
+// selection to sort.
+func TestLOFScoreSelectionEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	var s LOFScratch
+	check := func(name string, query []float64, history [][]float64, k int) {
+		t.Helper()
+		want := lofScoreOracle(query, history, k)
+		got := lofScore(&s, query, history, k)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s (n=%d k=%d): selection %v, oracle %v\nquery %v\nhistory %v",
+				name, len(history), k, got, want, query, history)
+		}
+	}
+	specials := []float64{math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(16)
+		dim := 1 + r.Intn(3)
+		k := 1 + r.Intn(n+2)
+
+		// Infinite coordinates sprinkled over a grid history and query.
+		history := randomHistory(r, n, dim)
+		query := randomHistory(r, 1, dim)[0]
+		for _, p := range append(history, query) {
+			for d := range p {
+				if r.Intn(4) == 0 {
+					p[d] = specials[r.Intn(2)]
+				}
+			}
+		}
+		check("infinite", query, history, k)
+
+		// One point repeated n times, queried on and off it.
+		dup := make([][]float64, n)
+		for i := range dup {
+			dup[i] = history[0]
+		}
+		check("duplicate", history[0], dup, k)
+		check("duplicate", randomHistory(r, 1, dim)[0], dup, k)
+
+		// k at and past the history size.
+		grid := randomHistory(r, n, dim)
+		check("k=n", query, grid, n)
+		check("k>n", randomHistory(r, 1, dim)[0], grid, n+1+r.Intn(3))
+	}
+	for _, n := range []int{12, 13, 14} {
+		for trial := 0; trial < 500; trial++ {
+			dim := 1 + r.Intn(4)
+			history := randomHistory(r, n, dim)
+			var query []float64
+			if r.Intn(4) == 0 {
+				query = append(query, history[r.Intn(n)]...)
+			} else {
+				query = randomHistory(r, 1, dim)[0]
+			}
+			check("boundary", query, history, 1+r.Intn(n+1))
+		}
+	}
+}
+
 // detectorHistory is the detector's steady-state shape: a full
 // ten-window look-back of four robust features around a 16 µs RTT.
 func detectorHistory(r *rand.Rand) (query []float64, history [][]float64) {
